@@ -13,6 +13,7 @@ from .errors import (
     ChainNotInSubgroup,
     FiltrationViolation,
     InvalidPermutation,
+    InvariantViolation,
     NotAComplex,
     NotAGroup,
     NotASubgroupInclusion,

@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="dimensions at every level")
     add_common(p_profile)
     p_profile.add_argument("--threads", type=int, default=1,
-                           help="worker processes for independent levels")
+                           help="worker processes for the gap probes")
     p_profile.set_defaults(func=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -76,3 +76,7 @@ class BasisCapExceeded(ResourceCapExceeded):
 
 class SizeCapExceeded(ResourceCapExceeded):
     """A G-set or poset is larger than the configured cap."""
+
+
+class InvariantViolation(SpqError):
+    """A mathematical identity that guards a computed result failed to hold."""

@@ -16,6 +16,7 @@ from .errors import (
     ChainNotEndingAtTop,
     ChainNotInSubgroup,
     FiltrationViolation,
+    InvariantViolation,
     ProductCapExceeded,
 )
 from .groups import (
@@ -283,7 +284,8 @@ def simple_decomposition(
             x ^= low
         image.append(q_mask)
     image_chain = tuple(image)
-    assert is_simple(Q, image_chain), "quotient chain failed to be simple"
+    if not is_simple(Q, image_chain):
+        raise InvariantViolation("quotient chain failed to be simple")
     return core, image_chain, proj
 
 

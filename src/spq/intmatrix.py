@@ -1,13 +1,15 @@
 """Sparse integer matrices and exact rank over the rationals.
 
-Rank uses fraction-free row elimination: rows are cross-multiplied with the
-pivot row (so every intermediate value is an integer) and renormalized by
-their gcd to keep coefficients small. Pivots are chosen Markowitz-style to
-limit fill-in. No floating point anywhere.
+One routine, ``reduce_columns``, does all elimination: the lowest-pivot
+column reduction of persistent homology. Columns are cross-multiplied with
+the earlier column owning their lowest row (so every intermediate value is
+an integer) and renormalized by their gcd to keep coefficients small. Rank
+is the number of columns left nonzero. No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from math import gcd
 
@@ -44,8 +46,12 @@ class SparseIntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def column(self, j: int) -> dict[int, int]:
-        return {r: v for r, c, v in self.entries if c == j}
+    def columns(self) -> list[dict[int, int]]:
+        """Every column as a row -> value dict, in one pass over the entries."""
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for r, c, v in self.entries:
+            out[c][r] = v
+        return out
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -75,58 +81,47 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.rows, self.cols, tuple(sorted(entries)))
 
 
-def rank_exact(M: SparseIntMatrix) -> int:
-    """Rank of M over the rationals, by exact integer elimination."""
-    rows: dict[int, dict[int, int]] = {}
-    for r, c, v in M.entries:
-        rows.setdefault(r, {})[c] = v
-    col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    rank = 0
-    while rows:
-        best_key = None
-        best = (-1, -1)
-        for r, row in rows.items():
-            rfill = len(row) - 1
-            for c, v in row.items():
-                score = rfill * (len(col_rows[c]) - 1)
-                key = (score, abs(v), r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-        prow, pcol = best
-        pivot_row = rows.pop(prow)
-        pivot = pivot_row[pcol]
-        for c in pivot_row:
-            col_rows[c].discard(prow)
-        rank += 1
-        for r2 in sorted(col_rows[pcol]):
-            row2 = rows[r2]
-            factor = row2.pop(pcol)
-            col_rows[pcol].discard(r2)
-            for c in row2:
-                row2[c] *= pivot
-            for c, v in pivot_row.items():
-                if c == pcol:
-                    continue
-                nv = row2.get(c, 0) - factor * v
+def reduce_columns(columns: list[dict[int, int]],
+                   cleared: Container[int] = frozenset()) -> list[int]:
+    """Lowest-pivot reduction; returns each column's low row, or -1.
+
+    Column j is reduced, in order, by the earlier reduced column owning its
+    lowest nonzero row: col = b*col - a*other with a/b the ratio of the two
+    low entries in lowest terms, then divided by the gcd of its entries.
+    Only earlier columns are added to later ones, so the lows of every
+    prefix of columns are those of the prefix alone. Columns listed in
+    ``cleared`` are known to reduce to zero and are skipped (low -1).
+    The input columns are not modified.
+    """
+    owner: dict[int, dict[int, int]] = {}
+    lows = []
+    for j, column in enumerate(columns):
+        col = {} if j in cleared else dict(column)
+        low = max(col, default=-1)
+        while low in owner:
+            other = owner[low]
+            g = gcd(col[low], other[low])
+            a, b = col[low] // g, other[low] // g
+            if b != 1:
+                for r in col:
+                    col[r] *= b
+            for r, v in other.items():
+                nv = col.get(r, 0) - a * v
                 if nv:
-                    row2[c] = nv
-                    col_rows[c].add(r2)
-                elif c in row2:
-                    del row2[c]
-                    col_rows[c].discard(r2)
-            if not row2:
-                del rows[r2]
-                continue
-            g = 0
-            for v in row2.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
+                    col[r] = nv
+                else:
+                    del col[r]
+            g = gcd(*col.values())
             if g > 1:
-                for c in row2:
-                    row2[c] //= g
-    return rank
+                for r in col:
+                    col[r] //= g
+            low = max(col, default=-1)
+        if low >= 0:
+            owner[low] = col
+        lows.append(low)
+    return lows
+
+
+def rank_exact(M: SparseIntMatrix) -> int:
+    """Rank of M over the rationals: its nonzero columns after reduction."""
+    return sum(low >= 0 for low in reduce_columns(M.columns()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .groups import FiniteGroup, Subgroup, all_subgroups
 from .intmatrix import SparseIntMatrix
 
@@ -213,8 +214,8 @@ def build_complex(G: FiniteGroup, n: int, flavor: str) -> FilteredChainComplex:
             for i in range(last_face + 1):
                 face = ids[:i] + ids[i + 1:]
                 face_index = lat.orders[face[-1]] // lat.orders[face[0]]
-                assert face_index <= cls.representative.total_index, \
-                    "face left the filtration"
+                if face_index > cls.representative.total_index:
+                    raise InvariantViolation("face left the filtration")
                 row = index_of[k - 1][lat.canonical(face)]
                 key = (row, col)
                 data[key] = data.get(key, 0) + (1 if i % 2 == 0 else -1)

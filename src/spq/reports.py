@@ -12,9 +12,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolation
 from .groups import FiniteGroup
-from .homology import betti_numbers
-from .lattice import COINVARIANT, REDUCED, build_complex, filtration_levels
+from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
+from .lattice import (
+    COINVARIANT,
+    REDUCED,
+    FilteredChainComplex,
+    build_complex,
+    filtration_levels,
+)
 
 
 def report_length(order: int, n: int) -> int:
@@ -139,30 +146,64 @@ def _report_for_pickled(args) -> ComputationReport:
     return compute_report(FiniteGroup(mul, label), n)
 
 
-def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
-    """Compute at every realized level and certify constancy in between.
+def _dims_at(C: FilteredChainComplex, n: int) -> list[int]:
+    """Per-degree class counts of the level-n subcomplex of C."""
+    return [sum(1 for cls in basis if cls.total_index <= n) for basis in C.bases]
 
-    One intermediate n per gap between consecutive realized levels is
-    recomputed and must reproduce the lower level's report; the same check
-    covers one n beyond the group order.
+
+def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
+    """Reports at the given levels from one filtered reduction per flavor.
+
+    The levels share one build and one reduction, so ``wall_ms`` is left 0.
+    """
+    coinv = build_complex(G, G.order, COINVARIANT)
+    reduced = build_complex(G, G.order, REDUCED)
+    pi_intervals = persistence_intervals(coinv)
+    phi_intervals = persistence_intervals(reduced)
+    reports = []
+    for n in levels:
+        chains = _dims_at(coinv, n)
+        pi = betti_at(pi_intervals, n)
+        phi = betti_at(phi_intervals, n)
+        euler = euler_characteristic(pi, chains)
+        euler_characteristic(phi, _dims_at(reduced, n))
+        length = report_length(G.order, n)
+        reports.append(ComputationReport(
+            group=G.label, order=G.order, n=n, n_effective=min(n, G.order),
+            pi=padded(pi, length), phi=padded(phi, length),
+            chains=padded(chains, length), euler=euler))
+    return reports
+
+
+def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
+    """Reports at every realized level, certified constant in between.
+
+    Every level is read off one filtered reduction per flavor of the
+    complex at n = |G| (see ``persistence_intervals``), with the Euler
+    identity checked at each level. One intermediate n per gap between
+    consecutive realized levels, and one n beyond the group order, is then
+    recomputed independently by ``compute_report`` and must reproduce the
+    report of the level below; these gap probes check the read-off. With
+    ``threads`` > 1 the probes run in that many worker processes while the
+    levels are read off.
     """
     levels = filtration_levels(G)
+    probes = [(levels[i] + 1, i)
+              for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
+    probes.append((G.order + 1, len(levels) - 1))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_report_for_pickled,
-                                    [(G.mul, G.label, n) for n in levels]))
+            pending = pool.map(_report_for_pickled,
+                               [(G.mul, G.label, mid) for mid, _ in probes])
+            reports = _read_off_levels(G, levels)
+            probed = list(pending)
     else:
-        reports = [compute_report(G, n) for n in levels]
-    gap_checks = 0
-    probes = [(levels[i] + 1, reports[i])
-              for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
-    probes.append((G.order + 1, reports[-1]))
-    for mid, expected in probes:
-        probe = compute_report(G, mid)
-        if not same_report(probe, expected):
-            raise AssertionError(
+        reports = _read_off_levels(G, levels)
+        probed = [compute_report(G, mid) for mid, _ in probes]
+    for (mid, below), probe in zip(probes, probed):
+        if not same_report(probe, reports[below]):
+            raise InvariantViolation(
                 f"filtration level jumped at non-divisor n={mid} of {G.label}")
-        gap_checks += 1
     ranges: list[ProfileRange] = []
     for level, report in zip(levels, reports):
         if ranges and same_homotopy(ranges[-1].report, report):
@@ -172,4 +213,4 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
         cur.end = nxt.start - 1
     return ProfileReport(group=G.label, order=G.order, levels=tuple(levels),
                          reports=tuple(reports), ranges=tuple(ranges),
-                         gap_checks=gap_checks)
+                         gap_checks=len(probes))

@@ -170,3 +170,15 @@ def test_group_json_input(tmp_path, capsys):
                            "--json")
     assert code == 0
     assert json.loads(out)["pi"] == [1, 0]  # full lattice is contractible
+
+
+def test_profile_gap_probes_in_pool_match_serial(capsys):
+    # D16 has gap probes at n = 3, 5, 9 and 17; with --threads they run in workers
+    outputs = []
+    for threads in ("1", "2"):
+        code, out, _ = run_cli(capsys, "profile", "-g", "D16", "--json",
+                               "--threads", threads)
+        assert code == 0
+        outputs.append(out)
+    assert json.loads(outputs[0])["gap_checks"] == 4
+    assert outputs[0] == outputs[1]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spq import (
     COINVARIANT,
@@ -16,9 +18,12 @@ from spq import (
     build_complex,
     builtin,
     coinvariants_of_homology_oracle,
+    compute_report,
     filtration_levels,
+    profile_report,
     rank_exact,
 )
+from spq.suites import CATALOG
 
 
 def dense_rank_oracle(dense):
@@ -71,6 +76,27 @@ def test_rank_against_dense_oracle_random():
                         data[(r, c)] = v
         M = SparseIntMatrix.from_dict(rows, cols, data)
         assert rank_exact(M) == dense_rank_oracle(M.to_dense())
+
+
+def sparse_matrices(rows: int, cols: int):
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return st.dictionaries(cells, st.integers(-9, 9), max_size=rows * cols).map(
+        lambda data: SparseIntMatrix.from_dict(rows, cols, data))
+
+
+@pytest.mark.parametrize("tall", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_against_dense_oracle_hypothesis(tall, data):
+    small, large = sorted(data.draw(st.tuples(st.integers(1, 14), st.integers(1, 14))))
+    rows, cols = (large, small) if tall else (small, large)
+    M = data.draw(sparse_matrices(rows, cols))
+    assert rank_exact(M) == dense_rank_oracle(M.to_dense())
+    # a product through a narrow middle has rank deficiency to eliminate
+    inner = data.draw(st.integers(1, 4))
+    N = data.draw(sparse_matrices(rows, inner)).matmul(
+        data.draw(sparse_matrices(inner, cols)))
+    assert rank_exact(N) == dense_rank_oracle(N.to_dense())
 
 
 def test_rank_invariant_under_permutation():
@@ -186,3 +212,12 @@ def test_steinberg_rank_four():
     from spq import compute_report
     rep = compute_report(builtin("EA(2,4)"), 15)
     assert rep.pi == (1, 0, 0, 64)
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("S4", "D32"))
+def test_profile_read_off_matches_compute_report(spec):
+    # every level read off the persistence intervals equals a fresh build
+    G = builtin(spec)
+    prof = profile_report(G)
+    assert [r.to_json_dict() for r in prof.reports] == \
+        [compute_report(G, n).to_json_dict() for n in prof.levels]

@@ -1,0 +1,117 @@
+"""Invariant checks that guard results raise InvariantViolation, not assert.
+
+Each check is forced to fail by patching the code it guards, so the tests
+also hold under ``python -O``.
+"""
+
+import dataclasses
+
+import pytest
+
+import spq.global_functor
+import spq.homology
+import spq.lattice
+import spq.reports
+import spq.suites
+from spq import (
+    COINVARIANT,
+    InvariantViolation,
+    betti_numbers,
+    build_complex,
+    builtin,
+    coinvariants_of_homology_oracle,
+    profile_report,
+    simple_decomposition,
+)
+from spq.cli import main
+from spq.homology import euler_characteristic
+
+
+def test_negative_betti_number(monkeypatch):
+    monkeypatch.setattr(spq.homology, "rank_exact", lambda M: M.cols + 1)
+    with pytest.raises(InvariantViolation, match="negative Betti"):
+        betti_numbers(build_complex(builtin("S3"), 3, COINVARIANT))
+
+
+def test_euler_mismatch():
+    # in betti_numbers the ranks telescope out of the alternating sum, so
+    # the shared check is forced with inconsistent vectors directly
+    assert euler_characteristic((1, 1), (4, 4)) == 0
+    with pytest.raises(InvariantViolation, match="Euler"):
+        euler_characteristic((1, 0), (4, 4))
+
+
+def test_averaged_cycle_left_cycle_space(monkeypatch):
+    monkeypatch.setattr(spq.homology._SpanTracker, "coordinates",
+                        lambda self, vec: None)
+    with pytest.raises(InvariantViolation, match="cycle space"):
+        coinvariants_of_homology_oracle(builtin("S3"), 3)
+
+
+def test_face_left_filtration(monkeypatch):
+    original = spq.lattice.chain_classes
+
+    def understated(G, n, flavor):
+        return [[dataclasses.replace(cls, representative=dataclasses.replace(
+                    cls.representative, total_index=1)) for cls in level]
+                for level in original(G, n, flavor)]
+
+    monkeypatch.setattr(spq.lattice, "chain_classes", understated)
+    with pytest.raises(InvariantViolation, match="face left"):
+        build_complex(builtin("S3"), 6, COINVARIANT)
+
+
+def test_quotient_chain_not_simple(monkeypatch):
+    monkeypatch.setattr(spq.global_functor, "is_simple", lambda G, masks: False)
+    C4 = builtin("C4")
+    with pytest.raises(InvariantViolation, match="simple"):
+        simple_decomposition(C4, (1, (1 << C4.order) - 1))
+
+
+def _jumping_compute_report(monkeypatch):
+    original = spq.reports.compute_report
+
+    def jumping(G, n):
+        report = original(G, n)
+        return dataclasses.replace(report, pi=(report.pi[0] + 1,) + report.pi[1:])
+
+    monkeypatch.setattr(spq.reports, "compute_report", jumping)
+
+
+def test_gap_probe_jump(monkeypatch):
+    _jumping_compute_report(monkeypatch)
+    with pytest.raises(InvariantViolation, match="jumped"):
+        profile_report(builtin("S3"))
+
+
+def test_gap_probe_jump_is_a_cli_error(monkeypatch, capsys):
+    _jumping_compute_report(monkeypatch)
+    assert main(["profile", "-g", "S3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: filtration level jumped")
+    assert captured.out == ""
+
+
+def test_read_off_euler_check(monkeypatch):
+    original = spq.reports.persistence_intervals
+
+    def dropped_class(C):
+        intervals = original(C)
+        return (intervals[0][1:],) + intervals[1:]
+
+    monkeypatch.setattr(spq.reports, "persistence_intervals", dropped_class)
+    with pytest.raises(InvariantViolation, match="Euler"):
+        profile_report(builtin("S3"))
+
+
+@pytest.mark.parametrize("broken", ["wrong euler", "raises"])
+def test_complex_identities_suite_reports_failure(monkeypatch, broken):
+    def fake_betti(C):
+        if broken == "raises":
+            raise InvariantViolation("Euler characteristic mismatch")
+        return dataclasses.replace(betti_numbers(C), euler=10 ** 6)
+
+    monkeypatch.setattr(spq.suites, "betti_numbers", fake_betti)
+    results = spq.suites._check_complex_identities()
+    assert results and not any(res.passed for res in results)
+    assert all(res.computed.startswith("n=1 ") for res in results)
