@@ -3,11 +3,14 @@
 A k-chain is a strictly increasing sequence of subgroups H_0 < ... < H_k; it
 sits at filtration level n when its total index [H_k : H_0] is at most n.
 Conjugation permutes chains without reordering them, so the orbit set is an
-honest basis for the coinvariant complex, with no sign twists.
+honest basis for the coinvariant complex, with no sign twists. The chain
+kernel (``poset_chains``, ``orbit_classes``, ``orbit_complex``) reads only an
+``OrbitPoset``, so the order complexes of ``partition`` run on it too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -47,46 +50,26 @@ class ChainClass:
         return self.representative.total_index
 
 
-class SubgroupLattice:
-    """Subgroup inventory of a group with inclusion and conjugation data.
+class OrbitPoset:
+    """Finite poset with a greatest element and an order-preserving action.
 
-    Subgroups are listed in canonical order (by order, then member list) and
-    referenced by their position in that list. ``conj_perms`` holds the
-    distinct non-identity permutations that conjugation induces on the list,
-    with ``conj_counts[i]`` elements of G inducing ``conj_perms[i]``.
+    Elements are ids 0..len-1. ``supersets[i]`` lists the ids strictly
+    above i, ``orders[i]`` its weight (a chain's total index is the weight
+    ratio of its ends), ``conj_perms`` the distinct non-identity
+    permutations of the ids that the action induces, and ``top_id`` the
+    greatest element. Chain enumeration, orbit canonicalization and
+    boundary assembly read only these four fields.
     """
 
-    def __init__(self, group: FiniteGroup):
-        subs = all_subgroups(group)
-        self.group = group
-        self.subgroups: tuple[Subgroup, ...] = tuple(subs)
-        self.id_by_mask = {s.members: i for i, s in enumerate(subs)}
-        self.orders = tuple(s.order for s in subs)
-        n = len(subs)
-        self.supersets: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j in range(n)
-                  if j != i and subs[i].members & subs[j].members == subs[i].members)
-            for i in range(n))
-        perm_counts: dict[tuple[int, ...], int] = {}
-        identity = tuple(range(n))
-        for g in group.elements():
-            perm = tuple(self.id_by_mask[group.conjugate_mask(s.members, g)]
-                         for s in subs)
-            perm_counts[perm] = perm_counts.get(perm, 0) + 1
-        perm_counts.pop(identity, None)
-        items = sorted(perm_counts.items())
-        self.conj_perms: tuple[tuple[int, ...], ...] = tuple(p for p, _ in items)
-        self.conj_counts: tuple[int, ...] = tuple(c for _, c in items)
-        self.top_id = self.id_by_mask[(1 << group.order) - 1]
-
-    def id_of_mask(self, mask: int) -> int:
-        return self.id_by_mask[mask]
-
-    def masks(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.subgroups[i].members for i in ids)
+    def __init__(self, supersets: tuple[tuple[int, ...], ...], orders: tuple[int, ...],
+                 conj_perms: tuple[tuple[int, ...], ...], top_id: int):
+        self.supersets = supersets
+        self.orders = orders
+        self.conj_perms = conj_perms
+        self.top_id = top_id
 
     def canonical(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        """Least member of the conjugation orbit of a chain of subgroup ids."""
+        """Least member of the orbit of a chain of ids."""
         best = ids
         for perm in self.conj_perms:
             cand = tuple(perm[i] for i in ids)
@@ -101,6 +84,45 @@ class SubgroupLattice:
         return out
 
 
+class SubgroupLattice(OrbitPoset):
+    """Subgroup inventory of a group with inclusion and conjugation data.
+
+    Subgroups are listed in canonical order (by order, then member list) and
+    referenced by their position in that list. ``conj_perms`` holds the
+    distinct non-identity permutations that conjugation induces on the list,
+    with ``conj_counts[i]`` elements of G inducing ``conj_perms[i]``.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        subs = all_subgroups(group)
+        self.group = group
+        self.subgroups: tuple[Subgroup, ...] = tuple(subs)
+        self.id_by_mask = {s.members: i for i, s in enumerate(subs)}
+        n = len(subs)
+        supersets = tuple(
+            tuple(j for j in range(n)
+                  if j != i and subs[i].members & subs[j].members == subs[i].members)
+            for i in range(n))
+        perm_counts: dict[tuple[int, ...], int] = {}
+        identity = tuple(range(n))
+        for g in group.elements():
+            perm = tuple(self.id_by_mask[group.conjugate_mask(s.members, g)]
+                         for s in subs)
+            perm_counts[perm] = perm_counts.get(perm, 0) + 1
+        perm_counts.pop(identity, None)
+        items = sorted(perm_counts.items())
+        self.conj_counts: tuple[int, ...] = tuple(c for _, c in items)
+        super().__init__(supersets, tuple(s.order for s in subs),
+                         tuple(p for p, _ in items),
+                         self.id_by_mask[(1 << group.order) - 1])
+
+    def id_of_mask(self, mask: int) -> int:
+        return self.id_by_mask[mask]
+
+    def masks(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.subgroups[i].members for i in ids)
+
+
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     cached = G.__dict__.get("_subgroup_lattice")
     if cached is None:
@@ -108,9 +130,95 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return cached
 
 
-def _check_level(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"filtration level must be at least 1, got {n}")
+def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[Chain]:
+    """Strict chains of P whose weight ratio is at most n, depth first.
+
+    Starts from every id in order and climbs through ``supersets``; with
+    ``require_top`` only the chains ending at ``top_id`` are yielded.
+    """
+    orders, supersets, top = P.orders, P.supersets, P.top_id
+    for start, bottom in enumerate(orders):
+        limit = bottom * n
+        path = [start]
+        pending = [iter(supersets[start])]
+        if not require_top or start == top:
+            yield Chain((start,), 1)
+        while pending:
+            for j in pending[-1]:
+                if orders[j] <= limit:
+                    path.append(j)
+                    if not require_top or j == top:
+                        yield Chain(tuple(path), orders[j] // bottom)
+                    pending.append(iter(supersets[j]))
+                    break
+            else:
+                pending.pop()
+                path.pop()
+
+
+def orbit_classes(P: OrbitPoset, chains: Iterable[Chain]) -> list[list[ChainClass]]:
+    """Orbits of the chains under P's action, grouped by degree.
+
+    Within each degree the classes are sorted by their canonical
+    representative.
+    """
+    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
+    for chain in chains:
+        canon = P.canonical(chain.subgroup_ids)
+        bucket = by_degree.setdefault(chain.degree, {})
+        if canon not in bucket:
+            bucket[canon] = len(P.orbit(canon))
+    return [[ChainClass(Chain(ids, P.orders[ids[-1]] // P.orders[ids[0]]), size)
+             for ids, size in sorted(by_degree.get(k, {}).items())]
+            for k in range(max(by_degree, default=0) + 1)]
+
+
+@dataclass(eq=False)
+class OrbitComplex:
+    """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
+
+    ``boundaries[k]`` maps degree k to degree k-1; ``boundaries[0]`` is the
+    empty matrix with zero rows, so rank conventions need no special casing.
+    """
+
+    lattice: OrbitPoset
+    flavor: str
+    bases: tuple[tuple[ChainClass, ...], ...]
+    boundaries: tuple[SparseIntMatrix, ...]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self.bases)
+
+
+def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
+                  flavor: str) -> OrbitComplex:
+    """Assemble the boundaries of the given chain classes of P.
+
+    The boundary of a class is the alternating sum of its representative's
+    faces, each re-canonicalized; faces in one orbit accumulate, so
+    coefficients can exceed +-1. In the reduced flavor the face deleting
+    the top lands in the collapsed part and contributes nothing.
+    """
+    index_of: list[dict[tuple[int, ...], int]] = [
+        {cls.representative.subgroup_ids: i for i, cls in enumerate(level)}
+        for level in classes]
+    boundaries: list[SparseIntMatrix] = [SparseIntMatrix.zero(0, len(classes[0]))]
+    for k in range(1, len(classes)):
+        data: dict[tuple[int, int], int] = {}
+        last_face = k if flavor == COINVARIANT else k - 1
+        for col, cls in enumerate(classes[k]):
+            ids = cls.representative.subgroup_ids
+            for i in range(last_face + 1):
+                face = ids[:i] + ids[i + 1:]
+                if P.orders[face[-1]] // P.orders[face[0]] > cls.total_index:
+                    raise InvariantViolation("face left the filtration")
+                key = (index_of[k - 1][P.canonical(face)], col)
+                data[key] = data.get(key, 0) + (1 if i % 2 == 0 else -1)
+        boundaries.append(SparseIntMatrix.from_dict(len(classes[k - 1]),
+                                                    len(classes[k]), data))
+    return OrbitComplex(P, flavor, tuple(tuple(level) for level in classes),
+                        tuple(boundaries))
 
 
 def chains_up_to(G: FiniteGroup, n: int, require_top_G: bool = False) -> list[Chain]:
@@ -120,25 +228,9 @@ def chains_up_to(G: FiniteGroup, n: int, require_top_G: bool = False) -> list[Ch
     canonical order; with ``require_top_G`` only chains ending at the full
     group are returned.
     """
-    _check_level(n)
-    lat = subgroup_lattice(G)
-    n_eff = min(n, G.order)
-    out: list[Chain] = []
-    orders = lat.orders
-    top = lat.top_id
-
-    def extend(path: list[int], bottom_order: int) -> None:
-        if not require_top_G or path[-1] == top:
-            out.append(Chain(tuple(path), orders[path[-1]] // bottom_order))
-        for j in lat.supersets[path[-1]]:
-            if orders[j] <= bottom_order * n_eff:
-                path.append(j)
-                extend(path, bottom_order)
-                path.pop()
-
-    for start in range(len(lat.subgroups)):
-        extend([start], orders[start])
-    return out
+    if n < 1:
+        raise ValueError(f"filtration level must be at least 1, got {n}")
+    return list(poset_chains(subgroup_lattice(G), min(n, G.order), require_top_G))
 
 
 def chain_classes(G: FiniteGroup, n: int, flavor: str) -> list[list[ChainClass]]:
@@ -150,81 +242,24 @@ def chain_classes(G: FiniteGroup, n: int, flavor: str) -> list[list[ChainClass]]
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    _check_level(n)
-    lat = subgroup_lattice(G)
-    chains = chains_up_to(G, n, require_top_G=(flavor == REDUCED))
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for chain in chains:
-        canon = lat.canonical(chain.subgroup_ids)
-        bucket = by_degree.setdefault(chain.degree, {})
-        if canon not in bucket:
-            bucket[canon] = len(lat.orbit(canon))
-    top_degree = max(by_degree) if by_degree else 0
-    out: list[list[ChainClass]] = []
-    for k in range(top_degree + 1):
-        bucket = by_degree.get(k, {})
-        classes = []
-        for ids in sorted(bucket):
-            total = lat.orders[ids[-1]] // lat.orders[ids[0]]
-            classes.append(ChainClass(Chain(ids, total), bucket[ids]))
-        out.append(classes)
-    return out
+    return orbit_classes(subgroup_lattice(G),
+                         chains_up_to(G, n, require_top_G=(flavor == REDUCED)))
 
 
 @dataclass(eq=False)
-class FilteredChainComplex:
-    """Per-degree chain-class bases with integer boundary matrices.
-
-    ``boundaries[k]`` maps degree k to degree k-1; ``boundaries[0]`` is the
-    empty matrix with zero rows, so rank conventions need no special casing.
-    """
+class FilteredChainComplex(OrbitComplex):
+    """Orbit complex of a group's subgroup lattice at filtration level n."""
 
     group: FiniteGroup
     n: int
     n_effective: int
-    flavor: str
-    lattice: SubgroupLattice
-    bases: tuple[tuple[ChainClass, ...], ...]
-    boundaries: tuple[SparseIntMatrix, ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bases)
 
 
 def build_complex(G: FiniteGroup, n: int, flavor: str) -> FilteredChainComplex:
-    """Assemble the filtered complex of the requested flavor at level n.
-
-    The boundary of a class is the alternating sum of its representative's
-    faces, each re-canonicalized; conjugate faces accumulate, so coefficients
-    can exceed +-1. In the reduced flavor the face deleting the top group
-    lands in the collapsed part and contributes nothing.
-    """
-    classes = chain_classes(G, n, flavor)
+    """Assemble the filtered complex of the requested flavor at level n."""
     lat = subgroup_lattice(G)
-    index_of: list[dict[tuple[int, ...], int]] = [
-        {cls.representative.subgroup_ids: i for i, cls in enumerate(level)}
-        for level in classes]
-    boundaries: list[SparseIntMatrix] = [SparseIntMatrix.zero(0, len(classes[0]))]
-    for k in range(1, len(classes)):
-        data: dict[tuple[int, int], int] = {}
-        for col, cls in enumerate(classes[k]):
-            ids = cls.representative.subgroup_ids
-            last_face = k if flavor == COINVARIANT else k - 1
-            for i in range(last_face + 1):
-                face = ids[:i] + ids[i + 1:]
-                face_index = lat.orders[face[-1]] // lat.orders[face[0]]
-                if face_index > cls.representative.total_index:
-                    raise InvariantViolation("face left the filtration")
-                row = index_of[k - 1][lat.canonical(face)]
-                key = (row, col)
-                data[key] = data.get(key, 0) + (1 if i % 2 == 0 else -1)
-        boundaries.append(SparseIntMatrix.from_dict(len(classes[k - 1]),
-                                                    len(classes[k]), data))
-    return FilteredChainComplex(
-        group=G, n=n, n_effective=min(n, G.order), flavor=flavor, lattice=lat,
-        bases=tuple(tuple(level) for level in classes),
-        boundaries=tuple(boundaries))
+    C = orbit_complex(lat, chain_classes(G, n, flavor), flavor)
+    return FilteredChainComplex(lat, flavor, C.bases, C.boundaries, G, n, min(n, G.order))
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:

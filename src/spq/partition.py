@@ -2,17 +2,21 @@
 
 For a transitive G-set G/H the invariant proper nontrivial partitions are
 exactly the coset partitions of the subgroups strictly between H and G, so
-the fixed-point poset recovers the open subgroup interval (H, G).
+the fixed-point poset recovers the open subgroup interval (H, G). The
+homology of an order complex runs on the orbit-complex kernel of ``lattice``,
+applied to the poset with a top adjoined (the cone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import NotASubgroupInclusion, SizeCapExceeded
 from .groups import FiniteGroup, Subgroup, all_subgroups
-from .intmatrix import SparseIntMatrix, rank_exact
+from .homology import betti_numbers
+from .lattice import REDUCED, OrbitPoset, orbit_classes, orbit_complex, poset_chains
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_CHAIN_CAP = 20000
@@ -228,14 +232,8 @@ def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> Partitio
     discrete = tuple((x,) for x in range(M.size))
     indiscrete = (tuple(range(M.size)),)
     elems = [p for p in invariant_partitions(M) if p not in (discrete, indiscrete)]
-    masks = []
-    for a in elems:
-        m = 0
-        for j, b in enumerate(elems):
-            if a != b and _refines(a, b):
-                m |= 1 << j
-        masks.append(m)
-    return PartitionPoset(M, elems, tuple(masks))
+    P = Poset.from_predicate(elems, _refines)
+    return PartitionPoset(M, P.elements, P.lt_masks)
 
 
 def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,
@@ -322,66 +320,26 @@ def subgroup_conjugation_action(G: FiniteGroup, P: Poset) -> tuple[tuple[int, ..
     return tuple(sorted(perms))
 
 
-def _order_complex_classes(P: Poset, action, chain_cap: int):
-    """Chains of the poset grouped by degree, modulo the optional action."""
-    chains: list[tuple[int, ...]] = []
-
-    def extend(path: list[int]) -> None:
-        chains.append(tuple(path))
-        if len(chains) > chain_cap:
-            raise SizeCapExceeded(f"order complex above the chain cap {chain_cap}")
-        for j in P.above(path[-1]):
-            path.append(j)
-            extend(path)
-            path.pop()
-
-    for i in range(len(P)):
-        extend([i])
-    perms = tuple(action or ())
-
-    def canonical(chain: tuple[int, ...]) -> tuple[int, ...]:
-        best = chain
-        for perm in perms:
-            cand = tuple(perm[i] for i in chain)
-            if cand < best:
-                best = cand
-        return best
-
-    by_degree: dict[int, dict[tuple[int, ...], None]] = {}
-    for chain in chains:
-        canon = canonical(chain)
-        by_degree.setdefault(len(chain) - 1, {})[canon] = None
-    return {k: sorted(v) for k, v in by_degree.items()}, canonical
-
-
 def _reduced_betti_augmented(P: Poset, action=None,
                              chain_cap: int = DEFAULT_CHAIN_CAP) -> tuple[int, list[int]]:
     """Reduced Betti numbers of the order complex, with the degree -1 value.
 
-    Returns (b_{-1}, [b_0, b_1, ...]); the empty poset gives (1, []).
+    The augmented chain complex of the order complex is the reduced orbit
+    complex of P with a top adjoined, every weight 1 and the action fixing
+    the top: a chain c < top sits in degree |c| and the lone top plays the
+    empty simplex. Returns (b_{-1}, [b_0, b_1, ...]); the empty poset gives
+    (1, []).
     """
-    if len(P) == 0:
-        return 1, []
-    classes, canonical = _order_complex_classes(P, action, chain_cap)
-    top = max(classes)
-    bases = [classes.get(k, []) for k in range(top + 1)]
-    index_of = [{c: i for i, c in enumerate(level)} for level in bases]
-    ranks = [0] * (top + 2)
-    # augmentation: every vertex class hits the empty simplex once
-    aug = SparseIntMatrix.from_dict(1, len(bases[0]),
-                                    {(0, j): 1 for j in range(len(bases[0]))})
-    ranks[0] = rank_exact(aug)
-    for k in range(1, top + 1):
-        data: dict[tuple[int, int], int] = {}
-        for col, chain in enumerate(bases[k]):
-            for i in range(k + 1):
-                face = canonical(chain[:i] + chain[i + 1:])
-                key = (index_of[k - 1][face], col)
-                data[key] = data.get(key, 0) + (1 if i % 2 == 0 else -1)
-        ranks[k] = rank_exact(SparseIntMatrix.from_dict(len(bases[k - 1]),
-                                                        len(bases[k]), data))
-    betti = [len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
-    return 1 - ranks[0], betti
+    top = len(P)
+    cone = OrbitPoset(tuple(tuple(P.above(i)) + (top,) for i in range(top)) + ((),),
+                      (1,) * (top + 1),
+                      tuple(tuple(perm) + (top,) for perm in action or ()), top)
+    # P's chains plus the lone top; stop enumerating once P passes the cap
+    chains = list(islice(poset_chains(cone, 1, require_top=True), chain_cap + 2))
+    if len(chains) > chain_cap + 1:
+        raise SizeCapExceeded(f"order complex above the chain cap {chain_cap}")
+    betti = betti_numbers(orbit_complex(cone, orbit_classes(cone, chains), REDUCED)).betti
+    return betti[0], list(betti[1:])
 
 
 def reduced_betti_of_order_complex(P: Poset, action=None,

@@ -8,9 +8,8 @@ than omitted.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup
@@ -40,8 +39,7 @@ class ComputationReport:
 
     ``pi`` are the coinvariant homology dimensions, ``phi`` the reduced
     (collapsed-quotient) ones, ``chains`` the per-degree class counts of the
-    coinvariant complex. Wall time is informational and excluded from
-    equality and JSON output.
+    coinvariant complex.
     """
 
     group: str
@@ -52,7 +50,6 @@ class ComputationReport:
     phi: tuple[int, ...]
     chains: tuple[int, ...]
     euler: int
-    wall_ms: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,7 +74,6 @@ class ComputationReport:
 
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     """Build both complexes at level n and package their homology."""
-    start = time.perf_counter()
     coinv = build_complex(G, n, COINVARIANT)
     reduced = build_complex(G, n, REDUCED)
     pi = betti_numbers(coinv)
@@ -86,8 +82,7 @@ def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     return ComputationReport(
         group=G.label, order=G.order, n=n, n_effective=coinv.n_effective,
         pi=padded(pi.betti, length), phi=padded(phi.betti, length),
-        chains=padded(coinv.dims, length), euler=pi.euler,
-        wall_ms=(time.perf_counter() - start) * 1000.0)
+        chains=padded(coinv.dims, length), euler=pi.euler)
 
 
 def same_homotopy(a: ComputationReport, b: ComputationReport) -> bool:
@@ -141,9 +136,17 @@ class ProfileReport:
         }
 
 
-def _report_for_pickled(args) -> ComputationReport:
-    mul, label, n = args
-    return compute_report(FiniteGroup(mul, label), n)
+_worker_group: FiniteGroup | None = None
+
+
+def _init_worker(mul, label: str) -> None:
+    """Build the probed group once per worker process."""
+    global _worker_group
+    _worker_group = FiniteGroup(mul, label)
+
+
+def _report_in_worker(n: int) -> ComputationReport:
+    return compute_report(_worker_group, n)
 
 
 def _dims_at(C: FilteredChainComplex, n: int) -> list[int]:
@@ -152,10 +155,7 @@ def _dims_at(C: FilteredChainComplex, n: int) -> list[int]:
 
 
 def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
-    """Reports at the given levels from one filtered reduction per flavor.
-
-    The levels share one build and one reduction, so ``wall_ms`` is left 0.
-    """
+    """Reports at the given levels from one filtered reduction per flavor."""
     coinv = build_complex(G, G.order, COINVARIANT)
     reduced = build_complex(G, G.order, REDUCED)
     pi_intervals = persistence_intervals(coinv)
@@ -192,9 +192,9 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
               for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
     probes.append((G.order + 1, len(levels) - 1))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            pending = pool.map(_report_for_pickled,
-                               [(G.mul, G.label, mid) for mid, _ in probes])
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                 initargs=(G.mul, G.label)) as pool:
+            pending = pool.map(_report_in_worker, [mid for mid, _ in probes])
             reports = _read_off_levels(G, levels)
             probed = list(pending)
     else:

@@ -3,9 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_homology import dense_rank_oracle
 
 from spq import (
     GSet,
+    Poset,
     NotASubgroupInclusion,
     SizeCapExceeded,
     all_subgroups,
@@ -208,3 +212,52 @@ def test_order_complex_chain_cap():
     P = interval_poset(G, G.trivial_subgroup)
     with pytest.raises(SizeCapExceeded):
         reduced_betti_of_order_complex(P, chain_cap=5)
+    three = Poset.from_predicate(range(3), lambda a, b: a < b)  # 7 chains
+    assert _reduced_betti_augmented(three, chain_cap=7) == (0, [0, 0, 0])
+    with pytest.raises(SizeCapExceeded):
+        _reduced_betti_augmented(three, chain_cap=6)
+
+
+PAIRS = list(itertools.combinations(range(7), 2))
+
+
+def _poset_from_edges(size, edges):
+    """Strict order on range(size) generated by the masked pairs i < j."""
+    lt = {(i, j) for b, (i, j) in enumerate(PAIRS) if edges >> b & 1 and j < size}
+    for k in range(size):  # Warshall closure; k runs outermost
+        lt |= {(i, j) for i in range(size) for j in range(size)
+               if (i, k) in lt and (k, j) in lt}
+    return Poset.from_predicate(range(size), lambda a, b: (a, b) in lt)
+
+
+def _augmented_betti_oracle(P):
+    """Reduced Betti numbers from the plain augmented order complex, densely."""
+    ids = range(len(P))  # P's order refines the natural order of the ids
+    bases = [[()]]
+    for size in range(1, len(P) + 1):
+        level = [c for c in itertools.combinations(ids, size)
+                 if all(P.lt(a, b) for a, b in zip(c, c[1:]))]
+        if not level:
+            break
+        bases.append(level)
+    ranks = [0] * (len(bases) + 1)
+    for k in range(1, len(bases)):
+        rows = {c: i for i, c in enumerate(bases[k - 1])}
+        dense = [[0] * len(bases[k]) for _ in rows]
+        for col, chain in enumerate(bases[k]):
+            for i in range(len(chain)):
+                dense[rows[chain[:i] + chain[i + 1:]]][col] += (-1) ** i
+        ranks[k] = dense_rank_oracle(dense)
+    betti = [len(b) - ranks[k] - ranks[k + 1] for k, b in enumerate(bases)]
+    return betti[0], betti[1:]
+
+
+@given(st.integers(0, 7), st.integers(0, (1 << len(PAIRS)) - 1))
+@example(0, 0)  # empty poset
+@example(5, 0b1)  # an edge and three isolated points
+@example(6, 1 << PAIRS.index((0, 1)) | 1 << PAIRS.index((1, 2))
+         | 1 << PAIRS.index((3, 4)) | 1 << PAIRS.index((3, 5)))  # two trees
+def test_order_complex_matches_dense_oracle(size, edges):
+    P = _poset_from_edges(size, edges)
+    bm1, betti = _reduced_betti_augmented(P)
+    assert (bm1, betti) == _augmented_betti_oracle(P)
