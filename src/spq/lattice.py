@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -59,6 +61,12 @@ class OrbitPoset:
     permutations of the ids that the action induces, and ``top_id`` the
     greatest element. Chain enumeration, orbit canonicalization and
     boundary assembly read only these four fields.
+
+    ``conj_perms`` together with the identity must form a group Gamma:
+    orbit sizes are read off as |Gamma| / |stabilizer|. For a
+    ``SubgroupLattice`` Gamma is the image of G; the order-complex actions
+    of ``partition`` come from ``subgroup_conjugation_action``, also the
+    image of a group.
     """
 
     def __init__(self, supersets: tuple[tuple[int, ...], ...], orders: tuple[int, ...],
@@ -68,20 +76,40 @@ class OrbitPoset:
         self.conj_perms = conj_perms
         self.top_id = top_id
 
-    def canonical(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        """Least member of the orbit of a chain of ids."""
-        best = ids
-        for perm in self.conj_perms:
-            cand = tuple(perm[i] for i in ids)
-            if cand < best:
-                best = cand
-        return best
+    @cached_property
+    def transporters(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each id i, the members of Gamma sending i to the least id of its orbit."""
+        gamma = (tuple(range(len(self.orders))),) + self.conj_perms
+        return tuple(tuple(p for p in gamma if p[i] == least)
+                     for i, least in enumerate(min(images) for images in zip(*gamma)))
 
-    def orbit(self, ids: tuple[int, ...]) -> set[tuple[int, ...]]:
-        out = {ids}
-        for perm in self.conj_perms:
-            out.add(tuple(perm[i] for i in ids))
-        return out
+    def canonical(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """Least member of the orbit of a tuple of ids (repeats allowed).
+
+        Only the transporters of ``ids[0]`` give the least first entry, so
+        the lexicographic minimum is taken over their images alone.
+        """
+        return min(map(_image(ids), self.transporters[ids[0]]))
+
+    def orbit_size(self, canon: tuple[int, ...]) -> int:
+        """Orbit size of a tuple that is least in its orbit, as |Gamma| / |Stab|.
+
+        A least tuple's stabilizer lies in the transporters of its first id.
+        """
+        stab = list(map(_image(canon), self.transporters[canon[0]])).count(canon)
+        order = len(self.conj_perms) + 1
+        if not stab or order % stab:
+            raise InvariantViolation(
+                f"stabilizer of order {stab} does not divide the action's order {order}")
+        return order // stab
+
+
+def _image(ids: tuple[int, ...]):
+    """The map sending a permutation p to the tuple (p[i] for i in ids)."""
+    if len(ids) == 1:
+        i, = ids
+        return lambda p: (p[i],)
+    return itemgetter(*ids)
 
 
 class SubgroupLattice(OrbitPoset):
@@ -167,7 +195,7 @@ def orbit_classes(P: OrbitPoset, chains: Iterable[Chain]) -> list[list[ChainClas
         canon = P.canonical(chain.subgroup_ids)
         bucket = by_degree.setdefault(chain.degree, {})
         if canon not in bucket:
-            bucket[canon] = len(P.orbit(canon))
+            bucket[canon] = P.orbit_size(canon)
     return [[ChainClass(Chain(ids, P.orders[ids[-1]] // P.orders[ids[0]]), size)
              for ids, size in sorted(by_degree.get(k, {}).items())]
             for k in range(max(by_degree, default=0) + 1)]

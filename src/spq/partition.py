@@ -320,6 +320,14 @@ def subgroup_conjugation_action(G: FiniteGroup, P: Poset) -> tuple[tuple[int, ..
     return tuple(sorted(perms))
 
 
+def _cone(P: Poset, action=None) -> OrbitPoset:
+    """P with a top adjoined, every weight 1 and the action fixing the top."""
+    top = len(P)
+    return OrbitPoset(tuple(tuple(P.above(i)) + (top,) for i in range(top)) + ((),),
+                      (1,) * (top + 1),
+                      tuple(tuple(perm) + (top,) for perm in action or ()), top)
+
+
 def _reduced_betti_augmented(P: Poset, action=None,
                              chain_cap: int = DEFAULT_CHAIN_CAP) -> tuple[int, list[int]]:
     """Reduced Betti numbers of the order complex, with the degree -1 value.
@@ -330,10 +338,7 @@ def _reduced_betti_augmented(P: Poset, action=None,
     empty simplex. Returns (b_{-1}, [b_0, b_1, ...]); the empty poset gives
     (1, []).
     """
-    top = len(P)
-    cone = OrbitPoset(tuple(tuple(P.above(i)) + (top,) for i in range(top)) + ((),),
-                      (1,) * (top + 1),
-                      tuple(tuple(perm) + (top,) for perm in action or ()), top)
+    cone = _cone(P, action)
     # P's chains plus the lone top; stop enumerating once P passes the cap
     chains = list(islice(poset_chains(cone, 1, require_top=True), chain_cap + 2))
     if len(chains) > chain_cap + 1:

@@ -27,17 +27,29 @@ from spq import (
 )
 
 
+def naive_closure(G, members):
+    """Multiply every pair until nothing new appears; the member mask."""
+    members = set(members) | {0}
+    while True:
+        grown = members | {G.mul[a][b] for a in members for b in members}
+        if grown == members:
+            return sum(1 << x for x in members)
+        members = grown
+
+
 def brute_force_subgroups(G, max_generators):
     """Independent oracle: close every generator set of bounded size.
 
     Every subgroup of order m needs at most log2(m) generators (each new
     generator at least doubles the subgroup), so max_generators =
-    floor(log2(|G|)) is exhaustive.
+    floor(log2(|G|)) is exhaustive. Closing S + {g} equals closing
+    <S> + {g}, so each round extends the subgroups found so far by one
+    element instead of walking every generator set.
     """
     masks = {1}
-    for size in range(1, max_generators + 1):
-        for combo in itertools.combinations(range(1, G.order), size):
-            masks.add(G.generated_mask(combo))
+    for _ in range(max_generators):
+        masks |= {naive_closure(G, [x for x in G.elements() if m >> x & 1] + [g])
+                  for m in masks for g in G.elements() if not m >> g & 1}
     return sorted(masks)
 
 

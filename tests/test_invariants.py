@@ -61,6 +61,13 @@ def test_face_left_filtration(monkeypatch):
         build_complex(builtin("S3"), 6, COINVARIANT)
 
 
+def test_stabilizer_must_divide_the_action():
+    # the identity and two transpositions of three ids do not form a group
+    P = spq.lattice.OrbitPoset(((), (), ()), (1, 1, 1), ((1, 0, 2), (0, 2, 1)), 2)
+    with pytest.raises(InvariantViolation, match="stabilizer"):
+        spq.lattice.orbit_classes(P, [spq.lattice.Chain((0,), 1)])
+
+
 def test_quotient_chain_not_simple(monkeypatch):
     monkeypatch.setattr(spq.global_functor, "is_simple", lambda G, masks: False)
     C4 = builtin("C4")

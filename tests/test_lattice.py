@@ -1,8 +1,12 @@
 """Chain enumeration, conjugacy classes of chains, and complex assembly."""
 
+import functools
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spq import (
     COINVARIANT,
@@ -13,8 +17,16 @@ from spq import (
     chains_up_to,
     complex_to_json_dict,
     filtration_levels,
+    interval_poset,
+    subgroup_conjugation_action,
     subgroup_lattice,
 )
+from spq.partition import _cone
+from spq.suites import CATALOG, catalog_group
+
+# sha256 over json.dumps(complex_to_json_dict(...), sort_keys=True) of every
+# CATALOG group in catalog order, n = 1..|G|+1, coinvariant before reduced
+CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102b996c1703c65"
 
 
 def test_chains_level_one_is_discrete():
@@ -186,3 +198,69 @@ def test_complex_json_is_serializable():
     assert [len(level) for level in back["bases"]] == [4, 4]
     total = sum(len(m["entries"]) for m in back["boundaries"])
     assert total == 8  # four edges, two faces each
+
+
+def test_catalog_complexes_are_byte_stable():
+    # a changed representative, orbit size or coefficient shows here; an
+    # intended change is recorded in CHANGES.md with the new digest
+    digest = hashlib.sha256()
+    for spec in CATALOG:
+        G = catalog_group(spec)
+        for n in range(1, G.order + 2):
+            for flavor in (COINVARIANT, REDUCED):
+                C = build_complex(G, n, flavor)
+                digest.update(json.dumps(complex_to_json_dict(C), sort_keys=True).encode())
+    assert digest.hexdigest() == CATALOG_COMPLEXES_SHA256
+
+
+def full_scan_canonical(P, ids):
+    """Reference: the least image of ids under the identity and every permutation."""
+    best = ids
+    for perm in P.conj_perms:
+        cand = tuple(perm[i] for i in ids)
+        if cand < best:
+            best = cand
+    return best
+
+
+def set_orbit(P, ids):
+    return {ids} | {tuple(perm[i] for i in ids) for perm in P.conj_perms}
+
+
+def _check_against_full_scan(P, data):
+    ids = [data.draw(st.integers(0, len(P.orders) - 1))]
+    while P.supersets[ids[-1]] and data.draw(st.booleans()):
+        ids.append(data.draw(st.sampled_from(P.supersets[ids[-1]])))
+    with_repeats = data.draw(st.lists(st.integers(0, len(P.orders) - 1),
+                                      min_size=1, max_size=6))
+    for ids in (tuple(ids), tuple(with_repeats)):
+        canon = P.canonical(ids)
+        assert canon == full_scan_canonical(P, ids)
+        assert P.orbit_size(canon) == len(set_orbit(P, canon))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("S3", "D8", "Q8", "A4", "D16", "SL2F3", "S4")), st.data())
+def test_canonical_and_orbit_size_match_full_scan(spec, data):
+    _check_against_full_scan(subgroup_lattice(catalog_group(spec)), data)
+
+
+@functools.cache
+def _normal_interval_cones(spec):
+    """Order-complex cones of the intervals (N, G), N normal, with conjugation."""
+    G = catalog_group(spec)
+    cones = []
+    for sub in subgroup_lattice(G).subgroups:
+        if any(G.conjugate_mask(sub.members, g) != sub.members for g in G.elements()):
+            continue
+        for lower_closed in (False, True):
+            P = interval_poset(G, sub, lower_closed=lower_closed)
+            cones.append(_cone(P, subgroup_conjugation_action(G, P)))
+    return cones
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("S3", "D8", "Q8", "A4", "SL2F3", "S4")), st.data())
+def test_cone_canonical_and_orbit_size_match_full_scan(spec, data):
+    cone = data.draw(st.sampled_from(_normal_interval_cones(spec)))
+    _check_against_full_scan(cone, data)
