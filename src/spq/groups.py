@@ -9,10 +9,11 @@ lazily on the group object.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidPermutation,
@@ -73,14 +74,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
-    def __getstate__(self):
-        # drop lazy caches; they are rebuilt on demand after unpickling
-        return {"order": self.order, "mul": self.mul, "inv": self.inv,
-                "label": self.label, "generators": self.generators}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -109,16 +102,7 @@ class FiniteGroup:
         """Smallest subset containing ``seed`` closed under multiplication."""
         members = set(seed)
         members.add(0)
-        queue = list(members)
-        mul = self.mul
-        while queue:
-            x = queue.pop()
-            for y in tuple(members):
-                for z in (mul[x][y], mul[y][x]):
-                    if z not in members:
-                        members.add(z)
-                        queue.append(z)
-        return members
+        return _close(self.mul, members, list(members))
 
     def generated_mask(self, seed: Iterable[int]) -> int:
         mask = 0
@@ -171,6 +155,22 @@ class FiniteGroup:
             emb = EmbeddedSubgroup(sub, tuple(elems), pos)
         # setdefault keeps one winner if two threads build concurrently
         return cache.setdefault(mask, emb)
+
+
+def _close(mul: Sequence[Sequence[int]], members: set[int], queue: list[int]) -> set[int]:
+    """Close ``members`` under ``mul`` in place and return it.
+
+    ``queue`` holds the members whose products with every other member have
+    not been taken yet; each new product joins both.
+    """
+    while queue:
+        x = queue.pop()
+        for y in tuple(members):
+            for z in (mul[x][y], mul[y][x]):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return members
 
 
 class EmbeddedSubgroup(NamedTuple):
@@ -234,10 +234,6 @@ class Subgroup:
         return (self.parent is other.parent
                 and self.members & other.members == self.members)
 
-    def conjugate_by(self, g: int) -> Subgroup:
-        return Subgroup(self.parent, self.parent.conjugate_mask(self.members, g),
-                        self.order)
-
     @property
     def as_group(self) -> EmbeddedSubgroup:
         return self.parent.embedded_subgroup(self.members)
@@ -295,20 +291,6 @@ class GroupHom:
                 mask |= 1 << g
         return mask
 
-    def preimage(self, sub: Subgroup) -> Subgroup:
-        if sub.parent is not self.target:
-            raise NotASubgroupInclusion("subgroup does not live in the target group")
-        mask = self.preimage_mask(sub.members)
-        return Subgroup(self.source, mask, mask.bit_count())
-
-    def image_subgroup(self, sub: Subgroup) -> Subgroup:
-        if sub.parent is not self.source:
-            raise NotASubgroupInclusion("subgroup does not live in the source group")
-        mask = 0
-        for g in sub.elements:
-            mask |= 1 << self.image_of[g]
-        return Subgroup(self.target, mask, mask.bit_count())
-
     def then(self, nxt: GroupHom) -> GroupHom:
         """Composite ``nxt o self`` (apply self first)."""
         if nxt.source is not self.target:
@@ -336,57 +318,30 @@ class HomClass:
 
     representative: GroupHom
 
-    @staticmethod
-    def of(hom: GroupHom) -> HomClass:
-        K = hom.target
-        best = hom.image_of
-        for k in range(1, K.order):
-            cand = tuple(K.conjugate(k, x) for x in hom.image_of)
-            if cand < best:
-                best = cand
-        if best == hom.image_of:
-            return HomClass(hom)
-        return HomClass(GroupHom(hom.source, hom.target, best))
-
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def _associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """First failing triple ((a*b)*c != a*(b*c)), or None.
+    """First failing triple ((a*t)*b != a*(t*b)), or None, by Light's test.
 
-    Exhaustive for small tables; Light's test against a generating set above
-    that (checking a*(t*b) == (a*t)*b for generators t suffices, because the
-    set of t satisfying it is closed under multiplication).
+    The set of t with (a*t)*b == a*(t*b) for all a, b is closed under
+    multiplication: if t and u are in it, then
+    (a*(t*u))*b = ((a*t)*u)*b = (a*t)*(u*b) = a*(t*(u*b)) = a*((t*u)*b).
+    So checking t over a set whose products reach every element decides
+    associativity at every table size, in |gens|*n^2 steps instead of n^3.
+    The set is grown greedily: each element not yet reached joins it, and
+    the reached set is closed again.
     """
     n = len(table)
-    if n <= 64:
-        rng = range(n)
-        for a in rng:
-            row_a = table[a]
-            for b in rng:
-                ab = row_a[b]
-                row_b = table[b]
-                for c in rng:
-                    if table[ab][c] != row_a[row_b[c]]:
-                        return (a, b, c)
-        return None
     gens: list[int] = []
     covered = {0}
     for g in range(n):
-        if g in covered:
-            continue
-        gens.append(g)
-        queue = [g]
-        covered.add(g)
-        while queue:
-            x = queue.pop()
-            for y in tuple(covered):
-                for z in (table[x][y], table[y][x]):
-                    if z not in covered:
-                        covered.add(z)
-                        queue.append(z)
+        if g not in covered:
+            gens.append(g)
+            covered.add(g)
+            _close(table, covered, [g])
     for t in gens:
         for a in range(n):
             at = table[a][t]
@@ -505,31 +460,20 @@ def _cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(table, f"C{n}", generators=(1,) if n > 1 else ())
 
 
-def _dihedral(m: int) -> FiniteGroup:
-    # order m = 2k; elements (i, e) = rotation^i * flip^e, index i + k*e
-    k = m // 2
-    table = [[0] * m for _ in range(m)]
+def _inverting_extension(k: int, s: int, label: str) -> FiniteGroup:
+    """<a, b | a^k, b^2 = a^s, b a b^-1 = a^-1> of order 2k, for a central a^s.
+
+    Dihedral with s = 0, dicyclic with s = k/2; a^i b^e has index i + k*e.
+    """
+    n = 2 * k
+    table = [[0] * n for _ in range(n)]
     for i in range(k):
         for e in (0, 1):
             for j in range(k):
                 for f in (0, 1):
-                    r = (i + (j if e == 0 else -j)) % k
+                    r = (i + (-j if e else j) + (s if e and f else 0)) % k
                     table[i + k * e][j + k * f] = r + k * (e ^ f)
-    gens = (k,) if k == 1 else (1, k)
-    return FiniteGroup(table, f"D{m}", generators=gens)
-
-
-def _dicyclic(k: int, label: str) -> FiniteGroup:
-    # order 4k: a of order 2k, b with b^2 = a^k and b a b^-1 = a^-1
-    n = 4 * k
-    table = [[0] * n for _ in range(n)]
-    for i in range(2 * k):
-        for e in (0, 1):
-            for j in range(2 * k):
-                for f in (0, 1):
-                    r = (i + (j if e == 0 else -j) + (k if e and f else 0)) % (2 * k)
-                    table[i + 2 * k * e][j + 2 * k * f] = r + 2 * k * (e ^ f)
-    return FiniteGroup(table, label, generators=(1, 2 * k))
+    return FiniteGroup(table, label, generators=(k,) if k == 1 else (1, k))
 
 
 def _permutation_parity(p: tuple[int, ...]) -> int:
@@ -593,72 +537,41 @@ _ATOM_RE = re.compile(
     r"|EA\((?P<p>\d+),(?P<k>\d+)\)|(?P<sl>SL2F3))$")
 
 
-def _atom_order(m: re.Match) -> int:
-    """Order of the atom spec, validating the grammar constraints."""
+def _elementary_abelian(p: int, k: int) -> FiniteGroup:
+    G = _cyclic(p)
+    for _ in range(k - 1):
+        G = direct_product(G, _cyclic(p))
+    return FiniteGroup(G.mul, f"EA({p},{k})", generators=G.generators)
+
+
+def _atom(m: re.Match) -> tuple[int, Callable[[], FiniteGroup]]:
+    """Order and constructor of one spec atom, validating the grammar constraints."""
     if m["c"]:
         n = int(m["c"])
         if n < 1:
             raise UnknownSpec("cyclic order must be at least 1")
-        return n
+        return n, lambda: _cyclic(n)
     if m["d"]:
         order = int(m["d"])
         if order < 2 or order % 2:
             raise UnknownSpec(f"D{order}: dihedral spec takes an even order >= 2")
-        return order
+        return order, lambda: _inverting_extension(order // 2, 0, f"D{order}")
     if m["s"] or m["a"]:
         n = int(m["s"] or m["a"])
         if not 1 <= n <= 6:
             raise UnknownSpec("symmetric/alternating degrees run from 1 to 6")
-        return _factorial(n) if m["s"] else max(_factorial(n) // 2, 1)
+        alternating = bool(m["a"])
+        order = max(math.factorial(n) // 2, 1) if alternating else math.factorial(n)
+        return order, lambda: _symmetric_or_alternating(n, alternating)
     if m["q"]:
-        return int(m["q"])
+        order = int(m["q"])
+        return order, lambda: _inverting_extension(order // 2, order // 4, f"Q{order}")
     if m["p"]:
         p, k = int(m["p"]), int(m["k"])
         if not _is_prime(p) or k < 1:
             raise UnknownSpec(f"EA({p},{k}): need a prime p and k >= 1")
-        return p ** k
-    return 24
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _build_atom(m: re.Match) -> FiniteGroup:
-    if m["c"]:
-        n = int(m["c"])
-        if n < 1:
-            raise UnknownSpec("cyclic order must be at least 1")
-        return _cyclic(n)
-    if m["d"]:
-        order = int(m["d"])
-        if order < 2 or order % 2:
-            raise UnknownSpec(f"D{order}: dihedral spec takes an even order >= 2")
-        return _dihedral(order)
-    if m["s"]:
-        n = int(m["s"])
-        if not 1 <= n <= 6:
-            raise UnknownSpec("symmetric groups are supported for degree 1..6")
-        return _symmetric_or_alternating(n, alternating=False)
-    if m["a"]:
-        n = int(m["a"])
-        if not 1 <= n <= 6:
-            raise UnknownSpec("alternating groups are supported for degree 1..6")
-        return _symmetric_or_alternating(n, alternating=True)
-    if m["q"]:
-        return _dicyclic(int(m["q"]) // 4, f"Q{m['q']}")
-    if m["p"]:
-        p, k = int(m["p"]), int(m["k"])
-        if not _is_prime(p) or k < 1:
-            raise UnknownSpec(f"EA({p},{k}): need a prime p and k >= 1")
-        G = _cyclic(p)
-        for _ in range(k - 1):
-            G = direct_product(G, _cyclic(p))
-        return FiniteGroup(G.mul, f"EA({p},{k})", generators=G.generators)
-    return _sl2f3()
+        return p ** k, lambda: _elementary_abelian(p, k)
+    return 24, _sl2f3
 
 
 def builtin(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -671,22 +584,20 @@ def builtin(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     text = spec.replace(" ", "")
     if not text:
         raise UnknownSpec("empty group spec")
-    parts = text.split("x")
     matches = []
-    for part in parts:
+    for part in text.split("x"):
         m = _ATOM_RE.match(part)
         if m is None:
             raise UnknownSpec(f"unrecognized group spec {part!r}")
         matches.append(m)
-    total = 1
-    for m in matches:
-        total *= _atom_order(m)
+    atoms = [_atom(m) for m in matches]
+    total = math.prod(order for order, _ in atoms)
     if total > order_cap:
         raise OrderCapExceeded(
             f"spec {spec!r} has order {total}, above the cap {order_cap}")
-    group = _build_atom(matches[0])
-    for m in matches[1:]:
-        group = direct_product(group, _build_atom(m))
+    group = atoms[0][1]()
+    for _, build in atoms[1:]:
+        group = direct_product(group, build())
     if group.label != text:
         group = FiniteGroup(group.mul, text, generators=group.generators)
     return group

@@ -8,7 +8,6 @@ than omitted.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -139,10 +138,10 @@ class ProfileReport:
 _worker_group: FiniteGroup | None = None
 
 
-def _init_worker(mul, label: str) -> None:
-    """Build the probed group once per worker process."""
+def _init_worker(G: FiniteGroup) -> None:
+    """Keep the probed group, with its cached subgroup lattice, in the worker."""
     global _worker_group
-    _worker_group = FiniteGroup(mul, label)
+    _worker_group = G
 
 
 def _report_in_worker(n: int) -> ComputationReport:
@@ -192,8 +191,11 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
               for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
     probes.append((G.order + 1, len(levels) - 1))
     if threads > 1:
+        # imported here: concurrent.futures is a sizable share of `import spq`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                                 initargs=(G.mul, G.label)) as pool:
+                                 initargs=(G,)) as pool:
             pending = pool.map(_report_in_worker, [mid for mid, _ in probes])
             reports = _read_off_levels(G, levels)
             probed = list(pending)

@@ -1,6 +1,10 @@
 """CLI behavior: output formats, exit codes, determinism, JSON round-trips."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 from spq import ComputationReport, builtin, compute_report, profile_report
 from spq.cli import main
@@ -182,3 +186,20 @@ def test_profile_gap_probes_in_pool_match_serial(capsys):
         outputs.append(out)
     assert json.loads(outputs[0])["gap_checks"] == 4
     assert outputs[0] == outputs[1]
+
+
+def test_group_pickles_with_its_lattice():
+    # spawned pool workers receive the group pickled, cached lattice included
+    G = builtin("D16")
+    expected = profile_report(G).to_json_dict()
+    copy = pickle.loads(pickle.dumps(G))
+    assert "_subgroup_lattice" in copy.__dict__
+    assert profile_report(copy).to_json_dict() == expected
+
+
+def test_import_leaves_out_the_process_pool():
+    # only profile --threads N>1 needs concurrent.futures; it is imported there
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import spq, sys; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

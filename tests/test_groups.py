@@ -1,6 +1,8 @@
 """Group construction, subgroup enumeration, quotients and hom search."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -90,6 +92,43 @@ def test_perturbed_c6_reports_witness():
     assert info.value.witness in bad
 
 
+@pytest.mark.parametrize("spec", ["C2", "C3", "C4", "C2xC2", "S3", "C6", "D8", "Q8",
+                                  "A4", "C2xC6", "D16", "SL2F3"])
+def test_associativity_check_matches_exhaustive_reference(spec):
+    # Light's test runs on every table; the n^3 scan is the reference
+    G = builtin(spec)
+    rng = random.Random(spec)
+    n = G.order
+    for _ in range(40):
+        table = [list(row) for row in G.mul]
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randrange(1, n), rng.randrange(1, n)
+            table[a][b] = rng.choice([x for x in range(n) if x != table[a][b]])
+        bad = exhaustive_nonassociative_triples(table)
+        if bad:
+            with pytest.raises(NotAGroup) as info:
+                from_cayley_table(table, "perturbed")
+            assert info.value.witness in bad
+        else:
+            try:
+                from_cayley_table(table, "perturbed")
+            except NotAGroup as err:
+                assert not isinstance(err.witness, tuple), err
+
+
+def test_builtin_tables_golden():
+    # sha256 over repr((label, mul, generators)) of every spec, in this order
+    from spq.suites import CATALOG
+    extra = ("EA(2,2)", "EA(2,4)", "EA(2,5)", "EA(5,2)", "S4", "S5", "A5", "D2", "D4",
+             "D32", "D48", "S1", "S2", "A1", "A2", "A3", "C2xS4", "C3xS4", "Q8xC3")
+    digest = hashlib.sha256()
+    for spec in CATALOG + extra:
+        G = builtin(spec)
+        digest.update(repr((G.label, G.mul, G.generators)).encode())
+    assert digest.hexdigest() == (
+        "bbecf6dd906ea647639e00448cb544fc3802b8ff3995fb590386109ae8b396fe")
+
+
 def test_order_cap():
     table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
     with pytest.raises(OrderCapExceeded):
@@ -145,7 +184,8 @@ def test_builtin_specials():
     assert d4.is_abelian
 
 
-@pytest.mark.parametrize("spec", ["C0", "D7", "S7", "A9", "Q32", "EA(4,2)", "foo", ""])
+@pytest.mark.parametrize("spec", ["C0", "D7", "S7", "A9", "Q32", "EA(4,2)", "foo", "",
+                                  "C2xD7", "S0", "A7", "EA(2,0)", "D0"])
 def test_unknown_specs(spec):
     with pytest.raises(UnknownSpec):
         builtin(spec)
