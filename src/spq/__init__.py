@@ -77,6 +77,7 @@ from .lattice import (
     complex_to_json_dict,
     filtration_levels,
     subgroup_lattice,
+    top_slice,
 )
 from .partition import (
     GSet,

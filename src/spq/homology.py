@@ -15,12 +15,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BasisCapExceeded, InvariantViolation, NotAComplex
-from .intmatrix import SparseIntMatrix, rank_exact, reduce_columns
+from .intmatrix import reduce_columns
 from .lattice import chains_up_to, subgroup_lattice
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
-    from .lattice import FilteredChainComplex
+    from .lattice import OrbitComplex
 
 DEFAULT_BASIS_CAP = 20000
 
@@ -35,13 +35,17 @@ class HomologyResult:
     ranks: tuple[int, ...]
 
 
-def check_boundaries(C: FilteredChainComplex) -> None:
-    """Verify d o d = 0, reporting the earliest bad column otherwise."""
-    for k in range(1, len(C.boundaries) - 1):
-        product = C.boundaries[k].matmul(C.boundaries[k + 1])
-        if not product.is_zero:
-            raise NotAComplex(f"d_{k} after d_{k + 1} is nonzero",
-                              column=product.entries[0][1])
+def check_boundaries(C: OrbitComplex) -> None:
+    """Verify d o d = 0 column by column, reporting the earliest bad column."""
+    for k in range(1, len(C.columns) - 1):
+        lower = C.columns[k]
+        for j, col in enumerate(C.columns[k + 1]):
+            image: dict[int, int] = {}
+            for r, v in col.items():
+                for i, w in lower[r].items():
+                    image[i] = image.get(i, 0) + v * w
+            if any(image.values()):
+                raise NotAComplex(f"d_{k} after d_{k + 1} is nonzero", column=j)
 
 
 def euler_characteristic(betti, dims) -> int:
@@ -53,18 +57,23 @@ def euler_characteristic(betti, dims) -> int:
     return euler
 
 
-def betti_numbers(C: FilteredChainComplex) -> HomologyResult:
+def betti_numbers(C: OrbitComplex) -> HomologyResult:
     """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1}.
 
-    Verifies d o d = 0 first. Reduced-flavor complexes yield the reduced
-    homology of the collapsed quotient space by construction.
+    Verifies d o d = 0 first. Ranks are taken from the top degree down,
+    skipping the columns of d_k that are pivot rows of the reduced d_{k+1}:
+    those reduce to zero (clearing, Chen-Kerber). Reduced-flavor complexes
+    yield the reduced homology of the collapsed quotient space by
+    construction.
     """
     check_boundaries(C)
     dims = C.dims
     top = len(dims) - 1
     ranks = [0] * (top + 1)
-    for k in range(1, top + 1):
-        ranks[k] = rank_exact(C.boundaries[k])
+    pivots: set[int] = set()
+    for k in range(top, 0, -1):
+        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots) if low >= 0}
+        ranks[k] = len(pivots)
     betti = []
     for k in range(top + 1):
         upper = ranks[k + 1] if k < top else 0
@@ -79,7 +88,7 @@ def betti_numbers(C: FilteredChainComplex) -> HomologyResult:
 Interval = tuple[int, int | None]
 
 
-def persistence_intervals(C: FilteredChainComplex) -> tuple[tuple[Interval, ...], ...]:
+def persistence_intervals(C: OrbitComplex) -> tuple[tuple[Interval, ...], ...]:
     """Birth and death levels of the homology classes of C's index filtration.
 
     The level-n complex is the subcomplex spanned by the classes of total
@@ -112,8 +121,9 @@ def persistence_intervals(C: FilteredChainComplex) -> tuple[tuple[Interval, ...]
         if k == 0:
             lows = [-1] * len(values[0])
         else:
-            matrix = C.boundaries[k].permuted(position[k - 1], position[k])
-            lows = reduce_columns(matrix.columns(), cleared=killed)
+            rows = position[k - 1]
+            lows = reduce_columns([{rows[r]: v for r, v in C.columns[k][i].items()}
+                                   for i in order[k]], cleared=killed)
         born = values[k]
         out.append(tuple((born[j], killed.get(j)) for j, low in enumerate(lows)
                          if low < 0 and killed.get(j) != born[j]))

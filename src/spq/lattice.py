@@ -11,7 +11,7 @@ kernel (``poset_chains``, ``orbit_classes``, ``orbit_complex``) reads only an
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 
@@ -205,18 +205,28 @@ def orbit_classes(P: OrbitPoset, chains: Iterable[Chain]) -> list[list[ChainClas
 class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
 
-    ``boundaries[k]`` maps degree k to degree k-1; ``boundaries[0]`` is the
-    empty matrix with zero rows, so rank conventions need no special casing.
+    ``columns[k]`` lists the columns of the boundary d_k from degree k to
+    degree k-1, each as a row -> value dict without zeros; ``columns[0]``
+    holds empty columns into zero rows, so rank conventions need no special
+    casing.
     """
 
     lattice: OrbitPoset
     flavor: str
     bases: tuple[tuple[ChainClass, ...], ...]
-    boundaries: tuple[SparseIntMatrix, ...]
+    columns: tuple[tuple[dict[int, int], ...], ...]
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
+
+    @cached_property
+    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
+        """The boundaries as sorted sparse triples; ``boundaries[k]`` is d_k."""
+        rows = (0,) + self.dims
+        return tuple(SparseIntMatrix(rows[k], len(cols), tuple(sorted(
+            (r, c, v) for c, col in enumerate(cols) for r, v in col.items())))
+            for k, cols in enumerate(self.columns))
 
 
 def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
@@ -231,22 +241,52 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
     index_of: list[dict[tuple[int, ...], int]] = [
         {cls.representative.subgroup_ids: i for i, cls in enumerate(level)}
         for level in classes]
-    boundaries: list[SparseIntMatrix] = [SparseIntMatrix.zero(0, len(classes[0]))]
+    columns: list[tuple[dict[int, int], ...]] = [tuple({} for _ in classes[0])]
     for k in range(1, len(classes)):
-        data: dict[tuple[int, int], int] = {}
         last_face = k if flavor == COINVARIANT else k - 1
-        for col, cls in enumerate(classes[k]):
+        rows = index_of[k - 1]
+        row_of: dict[tuple[int, ...], int] = {}  # classes share faces
+        level = []
+        for cls in classes[k]:
             ids = cls.representative.subgroup_ids
+            col: dict[int, int] = {}
             for i in range(last_face + 1):
                 face = ids[:i] + ids[i + 1:]
                 if P.orders[face[-1]] // P.orders[face[0]] > cls.total_index:
                     raise InvariantViolation("face left the filtration")
-                key = (index_of[k - 1][P.canonical(face)], col)
-                data[key] = data.get(key, 0) + (1 if i % 2 == 0 else -1)
-        boundaries.append(SparseIntMatrix.from_dict(len(classes[k - 1]),
-                                                    len(classes[k]), data))
+                row = row_of.get(face)
+                if row is None:
+                    row = row_of[face] = rows[P.canonical(face)]
+                col[row] = col.get(row, 0) + (1 if i % 2 == 0 else -1)
+            level.append({r: v for r, v in col.items() if v})
+        columns.append(tuple(level))
     return OrbitComplex(P, flavor, tuple(tuple(level) for level in classes),
-                        tuple(boundaries))
+                        tuple(columns))
+
+
+def top_slice(C: OrbitComplex) -> OrbitComplex:
+    """The reduced flavor of a coinvariant complex, sliced out of it.
+
+    The chains not ending at ``top_id`` span a subcomplex, and the reduced
+    complex is the quotient by it. Its basis is the coinvariant classes
+    ending at the top, in the same order (a top-ending chain's orbit holds
+    only top-ending chains), and its boundaries are the coinvariant ones
+    restricted to those rows and columns: the one face that leaves the top
+    is exactly the face the reduced flavor drops. Trailing degrees without
+    such classes are dropped, as ``orbit_classes`` never makes them.
+    """
+    top = C.lattice.top_id
+    keep = [[i for i, cls in enumerate(basis) if cls.representative.subgroup_ids[-1] == top]
+            for basis in C.bases]
+    while len(keep) > 1 and not keep[-1]:
+        keep.pop()
+    bases = tuple(tuple(C.bases[k][i] for i in kept) for k, kept in enumerate(keep))
+    columns = [tuple({} for _ in keep[0])]
+    for k in range(1, len(keep)):
+        new_row = {i: r for r, i in enumerate(keep[k - 1])}
+        columns.append(tuple({new_row[i]: v for i, v in C.columns[k][j].items() if i in new_row}
+                             for j in keep[k]))
+    return replace(C, flavor=REDUCED, bases=bases, columns=tuple(columns))
 
 
 def chains_up_to(G: FiniteGroup, n: int, require_top_G: bool = False) -> list[Chain]:
@@ -287,7 +327,7 @@ def build_complex(G: FiniteGroup, n: int, flavor: str) -> FilteredChainComplex:
     """Assemble the filtered complex of the requested flavor at level n."""
     lat = subgroup_lattice(G)
     C = orbit_complex(lat, chain_classes(G, n, flavor), flavor)
-    return FilteredChainComplex(lat, flavor, C.bases, C.boundaries, G, n, min(n, G.order))
+    return FilteredChainComplex(lat, flavor, C.bases, C.columns, G, n, min(n, G.order))
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:

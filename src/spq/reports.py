@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
-from .lattice import (
-    COINVARIANT,
-    REDUCED,
-    FilteredChainComplex,
-    build_complex,
-    filtration_levels,
-)
+from .lattice import COINVARIANT, OrbitComplex, build_complex, filtration_levels, top_slice
 
 
 def report_length(order: int, n: int) -> int:
@@ -72,11 +66,10 @@ class ComputationReport:
 
 
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
-    """Build both complexes at level n and package their homology."""
+    """Build the coinvariant complex at level n; package its homology and its top slice's."""
     coinv = build_complex(G, n, COINVARIANT)
-    reduced = build_complex(G, n, REDUCED)
     pi = betti_numbers(coinv)
-    phi = betti_numbers(reduced)
+    phi = betti_numbers(top_slice(coinv))
     length = report_length(G.order, n)
     return ComputationReport(
         group=G.label, order=G.order, n=n, n_effective=coinv.n_effective,
@@ -148,15 +141,19 @@ def _report_in_worker(n: int) -> ComputationReport:
     return compute_report(_worker_group, n)
 
 
-def _dims_at(C: FilteredChainComplex, n: int) -> list[int]:
+def _dims_at(C: OrbitComplex, n: int) -> list[int]:
     """Per-degree class counts of the level-n subcomplex of C."""
     return [sum(1 for cls in basis if cls.total_index <= n) for basis in C.bases]
 
 
 def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
-    """Reports at the given levels from one filtered reduction per flavor."""
+    """Reports at the given levels from one filtered reduction per flavor.
+
+    Both flavors come from one build: the reduced complex is the top slice
+    of the coinvariant one.
+    """
     coinv = build_complex(G, G.order, COINVARIANT)
-    reduced = build_complex(G, G.order, REDUCED)
+    reduced = top_slice(coinv)
     pi_intervals = persistence_intervals(coinv)
     phi_intervals = persistence_intervals(reduced)
     reports = []

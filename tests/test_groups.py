@@ -351,7 +351,7 @@ def test_builtin_generators_generate():
 
 
 def test_light_associativity_path():
-    # tables above 64 elements go through the generating-set test
+    # Light's test accepts the 100-element cyclic table and catches one wrong product in it
     n = 100
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     G = from_cayley_table(table, "C100")

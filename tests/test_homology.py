@@ -1,5 +1,6 @@
 """Exact rank, Betti numbers and the semisimplicity cross-check."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,10 +21,16 @@ from spq import (
     coinvariants_of_homology_oracle,
     compute_report,
     filtration_levels,
+    interval_poset,
     profile_report,
     rank_exact,
+    subgroup_conjugation_action,
+    subgroup_lattice,
 )
-from spq.suites import CATALOG
+from spq.groups import is_normal
+from spq.lattice import FLAVORS, orbit_classes, orbit_complex, poset_chains
+from spq.partition import _cone
+from spq.suites import CATALOG, catalog_group
 
 
 def dense_rank_oracle(dense):
@@ -155,16 +162,45 @@ def test_euler_identity_everywhere():
 
 def test_not_a_complex_witness():
     real = build_complex(builtin("C4"), 4, COINVARIANT)
-    broken = SparseIntMatrix.from_dict(
-        real.boundaries[2].rows, real.boundaries[2].cols,
-        {(0, 0): 1})
+    broken = ({0: 1},) + tuple({} for _ in real.columns[2][1:])
     fake = FilteredChainComplex(
         group=real.group, n=real.n, n_effective=real.n_effective,
         flavor=real.flavor, lattice=real.lattice, bases=real.bases,
-        boundaries=(real.boundaries[0], real.boundaries[1], broken))
+        columns=(real.columns[0], real.columns[1], broken))
     with pytest.raises(NotAComplex) as info:
         betti_numbers(fake)
     assert info.value.column == 0
+
+
+def test_not_a_complex_names_the_least_bad_column():
+    # the row-sorted entries of d_1 d_2 list a bad entry of column 1 first
+    real = build_complex(builtin("S3"), 6, COINVARIANT)
+    d2 = [dict(col) for col in real.columns[2]]
+    for r, c in ((0, len(d2) - 1), (real.dims[1] - 1, 0)):
+        d2[c][r] = d2[c].get(r, 0) + 1
+    fake = dataclasses.replace(real, columns=real.columns[:2] + (tuple(d2),))
+    product = fake.boundaries[1].matmul(fake.boundaries[2])
+    assert {c for _, c, _ in product.entries} == {0, 1}
+    assert product.entries[0][1] == 1
+    with pytest.raises(NotAComplex) as info:
+        betti_numbers(fake)
+    assert info.value.column == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CATALOG), st.data())
+def test_clearing_keeps_the_ranks(spec, data):
+    # rank_exact reduces every column; betti_numbers skips the pivot rows of d_{k+1}
+    G = catalog_group(spec)
+    n = data.draw(st.sampled_from(filtration_levels(G) + [G.order + 1]))
+    sub = data.draw(st.sampled_from(subgroup_lattice(G).subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None)
+    complexes = [build_complex(G, n, flavor) for flavor in FLAVORS]
+    complexes.append(orbit_complex(cone, orbit_classes(cone, poset_chains(cone, 1, True)),
+                                   REDUCED))
+    for C in complexes:
+        assert betti_numbers(C).ranks == tuple(rank_exact(m) for m in C.boundaries)
 
 
 def test_betti_independent_of_column_order():

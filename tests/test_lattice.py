@@ -1,5 +1,6 @@
 """Chain enumeration, conjugacy classes of chains, and complex assembly."""
 
+import collections
 import functools
 import hashlib
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spq.lattice
 from spq import (
     COINVARIANT,
     REDUCED,
@@ -16,10 +18,12 @@ from spq import (
     chain_classes,
     chains_up_to,
     complex_to_json_dict,
+    compute_report,
     filtration_levels,
     interval_poset,
     subgroup_conjugation_action,
     subgroup_lattice,
+    top_slice,
 )
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
@@ -166,6 +170,35 @@ def test_reduced_basis_is_top_slice_of_coinvariant():
                 expected = [c for c in coinv[k]
                             if lat.masks(c.representative.subgroup_ids)[-1] == full_mask]
                 assert list(level) == expected
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("S4", "D32", "C2xS4"))
+def test_top_slice_is_the_reduced_build(spec):
+    G = catalog_group(spec)
+    for n in filtration_levels(G) + [G.order + 1]:
+        sliced = top_slice(build_complex(G, n, COINVARIANT))
+        direct = build_complex(G, n, REDUCED)
+        assert sliced.flavor == REDUCED
+        assert sliced.bases == direct.bases
+        assert sliced.dims == direct.dims
+        assert sliced.boundaries == direct.boundaries
+
+
+def test_one_build_per_compute_report(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(spq.lattice, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spq.lattice, name, wrapper)
+
+    counted("orbit_classes")
+    counted("poset_chains")
+    compute_report(catalog_group("D8"), 4)
+    assert calls == {"orbit_classes": 1, "poset_chains": 1}
 
 
 def test_degree_bound():
