@@ -41,11 +41,9 @@ from .global_functor import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    HomClass,
     Subgroup,
     all_subgroups,
     builtin,
-    conjugacy_classes_of_subgroups,
     core_in,
     direct_product,
     enumerate_homomorphisms,
@@ -75,6 +73,7 @@ from .lattice import (
     chain_classes,
     chains_up_to,
     complex_to_json_dict,
+    conjugacy_classes_of_subgroups,
     filtration_levels,
     subgroup_lattice,
     top_slice,

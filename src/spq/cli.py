@@ -26,9 +26,9 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     builtin,
-    conjugacy_classes_of_subgroups,
     group_from_json,
 )
+from .lattice import conjugacy_classes_of_subgroups
 from .partition import GSet, fixed_partition_poset
 from .reports import compute_report, profile_report
 from .suites import run_suite

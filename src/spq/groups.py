@@ -2,8 +2,9 @@
 
 Elements of a group of order m are the indices 0..m-1 and index 0 is always
 the identity. All types are immutable once constructed; derived data
-(subgroup inventory, conjugacy classes, embedded subgroup groups) is cached
-lazily on the group object.
+(subgroup inventory, element orders, embedded subgroup groups) is cached
+lazily on the group object. Conjugacy classes of subgroups are read off the
+conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -305,18 +306,6 @@ class GroupHom:
     @staticmethod
     def conjugation(G: FiniteGroup, g: int) -> GroupHom:
         return GroupHom(G, G, tuple(G.conjugate(g, x) for x in G.elements()))
-
-
-@dataclass(frozen=True)
-class HomClass:
-    """Conjugacy class of homomorphisms.
-
-    Two homomorphisms are identified when one equals the other followed by an
-    inner automorphism of the target. The stored representative is the class
-    member with the smallest image tuple.
-    """
-
-    representative: GroupHom
 
 
 # ---------------------------------------------------------------------------
@@ -654,33 +643,6 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return list(G.__dict__.setdefault("_all_subgroups", tuple(subs)))
 
 
-def conjugacy_classes_of_subgroups(
-        G: FiniteGroup) -> list[tuple[Subgroup, list[Subgroup]]]:
-    """Conjugation orbits on the subgroup list.
-
-    Each entry is (canonically least representative, orbit sorted by key);
-    classes are sorted by the representative's key.
-    """
-    cached = G.__dict__.get("_subgroup_classes")
-    if cached is not None:
-        return [(rep, list(orbit)) for rep, orbit in cached]
-    subs = all_subgroups(G)
-    by_mask = {s.members: s for s in subs}
-    seen: set[int] = set()
-    classes = []
-    for sub in subs:
-        if sub.members in seen:
-            continue
-        orbit_masks = {G.conjugate_mask(sub.members, g) for g in G.elements()}
-        seen |= orbit_masks
-        orbit = sorted((by_mask[m] for m in orbit_masks), key=lambda s: s.key)
-        classes.append((orbit[0], orbit))
-    classes.sort(key=lambda pair: pair[0].key)
-    stored = G.__dict__.setdefault(
-        "_subgroup_classes", tuple((rep, tuple(orb)) for rep, orb in classes))
-    return [(rep, list(orbit)) for rep, orbit in stored]
-
-
 def index(H: Subgroup, K: Subgroup) -> int:
     """[K : H] for H <= K in the same parent group."""
     if not H.is_subgroup_of(K):
@@ -755,8 +717,11 @@ def greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
 
 def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
                             surjective_only: bool = False,
-                            product_cap: int = DEFAULT_PRODUCT_CAP) -> list[HomClass]:
+                            product_cap: int = DEFAULT_PRODUCT_CAP) -> list[GroupHom]:
     """All homomorphisms G -> K up to conjugacy in K.
+
+    Each class is returned as its member with the least image tuple, and the
+    list is sorted by image tuple.
 
     Backtracks over generator images, closing the partial map after each
     assignment and pruning on conflicts and on element-order divisibility.
@@ -813,4 +778,4 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
             if cand < best:
                 best = cand
         classes[best] = None
-    return [HomClass(GroupHom(G, K, img)) for img in sorted(classes)]
+    return [GroupHom(G, K, img) for img in sorted(classes)]

@@ -3,9 +3,9 @@
 Betti numbers come from boundary ranks computed fraction-free; persistence
 intervals give the Betti numbers of every filtration level of a complex from
 one reduction of it. The oracle at the bottom recomputes coinvariant Betti
-numbers along the other route (homology of the full complex first, then the
-averaging idempotent), which is legitimate because rational group algebras
-are semisimple.
+numbers along the other route: homology of the full complex first, then the
+averaging idempotent e, as dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That
+is legitimate because rational group algebras are semisimple.
 """
 
 from __future__ import annotations
@@ -184,52 +184,6 @@ def _nullspace(rows_matrix: list[list[Fraction]], ncols: int) -> list[list[Fract
     return basis
 
 
-class _SpanTracker:
-    """Incremental column span with exact coordinates.
-
-    Keeps an echelonized copy of the accepted vectors plus bookkeeping to
-    express later vectors in terms of them.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[Fraction]] = []   # echelon rows, augmented by coords
-        self.pivots: list[int] = []
-        self.count = 0
-
-    def add(self, vec: list[Fraction]) -> bool:
-        """Try to add; returns True when the vector enlarges the span."""
-        coords = [Fraction(0)] * (self.count + 1)
-        coords[self.count] = Fraction(1)
-        row = list(vec) + coords
-        for er, pc in zip(self.rows, self.pivots):
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, er + [Fraction(0)] *
-                                                 (len(row) - len(er)))]
-        pivot = next((i for i in range(self.dim) if row[i] != 0), None)
-        if pivot is None:
-            return False
-        inv = Fraction(1) / row[pivot]
-        row = [x * inv for x in row]
-        self.rows = [r + [Fraction(0)] for r in self.rows]
-        self.rows.append(row)
-        self.pivots.append(pivot)
-        self.count += 1
-        return True
-
-    def coordinates(self, vec: list[Fraction]) -> list[Fraction] | None:
-        """Coefficients expressing vec in the accepted vectors, or None."""
-        row = list(vec) + [Fraction(0)] * self.count
-        for er, pc in zip(self.rows, self.pivots):
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, er)]
-        if any(row[i] != 0 for i in range(self.dim)):
-            return None
-        return [-x for x in row[self.dim:]]
-
-
 def _dense_rank(mat: list[list[Fraction]]) -> int:
     work = [row[:] for row in mat]
     return len(_row_reduce(work))
@@ -239,11 +193,14 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
                                     basis_cap: int = DEFAULT_BASIS_CAP) -> list[int]:
     """Coinvariant homology dimensions, computed the other way around.
 
-    Builds the full chain complex on all chains (no conjugation quotient),
-    computes its rational homology by dense exact elimination, then returns
-    the rank of the averaging idempotent (1/|G|) sum_g g on each homology
-    degree. Semisimplicity over the rationals makes this the dimension of
-    the coinvariants, so it cross-validates betti_numbers on the coinvariant
+    Builds the full chain complex on all chains (no conjugation quotient)
+    and returns, per degree, the rank of the averaging idempotent
+    e = (1/|G|) sum_g g on its rational homology:
+    dim e.H_k = rank(B_k + e.Z_k) - rank(B_k), where the cycles Z_k come
+    from dense exact elimination and rank(B_k) = dim C_{k+1} - dim Z_{k+1}.
+    Scaling does not change a rank, so e is applied without the 1/|G|.
+    Semisimplicity over the rationals makes this the dimension of the
+    coinvariants, so it cross-validates betti_numbers on the coinvariant
     complex without sharing any code path with it.
     """
     lat = subgroup_lattice(G)
@@ -257,60 +214,44 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     top = max(by_degree)
     bases = [sorted(by_degree.get(k, [])) for k in range(top + 1)]
     index_of = [{ids: i for i, ids in enumerate(level)} for level in bases]
-
-    def boundary_columns(k: int) -> list[list[Fraction]]:
-        rows = len(bases[k - 1])
-        cols = []
-        for ids in bases[k]:
-            col = [Fraction(0)] * rows
-            for i in range(k + 1):
-                face = ids[:i] + ids[i + 1:]
-                col[index_of[k - 1][face]] += 1 if i % 2 == 0 else -1
-            cols.append(col)
-        return cols
-
-    # distinct conjugation permutations of subgroup ids, with multiplicities
-    action = list(zip(lat.conj_perms, lat.conj_counts))
+    # faces[k][j]: the (row, sign) terms of d_k on the j-th chain of degree k
+    faces = [[[(index_of[k - 1][ids[:i] + ids[i + 1:]], 1 if i % 2 == 0 else -1)
+               for i in range(k + 1)] if k else [] for ids in level]
+             for k, level in enumerate(bases)]
+    columns = []  # columns[k]: d_k as dense columns
+    for k, level in enumerate(faces):
+        columns.append([[Fraction(0)] * (len(bases[k - 1]) if k else 0) for _ in level])
+        for col, terms in zip(columns[k], level):
+            for row, sign in terms:
+                col[row] += sign
+    cycles = [_nullspace([list(row) for row in zip(*cols)], len(cols)) for cols in columns]
+    columns.append([])
+    cycles.append([])
     identity_count = G.order - sum(lat.conj_counts)
+    # images[k][p][j]: index of the p-th conjugation applied to the j-th chain
+    images = [[[index_of[k][tuple(perm[s] for s in ids)] for ids in level]
+               for perm in lat.conj_perms] for k, level in enumerate(bases)]
 
     out: list[int] = []
     for k in range(top + 1):
-        dim = len(bases[k])
-        if k == 0:
-            kernel = [[Fraction(1) if i == j else Fraction(0) for i in range(dim)]
-                      for j in range(dim)]
-        else:
-            cols = boundary_columns(k)
-            as_rows = [[cols[j][i] for j in range(dim)]
-                       for i in range(len(bases[k - 1]))]
-            kernel = _nullspace(as_rows, dim)
-        tracker = _SpanTracker(dim)
-        if k < top:
-            for col in boundary_columns(k + 1):
-                tracker.add(col)
-        homology_reps: list[list[Fraction]] = []
-        for vec in kernel:
-            if tracker.add(vec):
-                homology_reps.append(vec)
-        if not homology_reps:
+        boundary_rank = len(columns[k + 1]) - len(cycles[k + 1])
+        if len(cycles[k]) == boundary_rank:
             out.append(0)
             continue
-        boundary_rank = tracker.count - len(homology_reps)
         averaged = []
-        for vec in homology_reps:
-            acc = [v * identity_count for v in vec]
-            for perm, count in action:
-                for i, v in enumerate(vec):
+        for z in cycles[k]:
+            ez = [v * identity_count for v in z]
+            for image, count in zip(images[k], lat.conj_counts):
+                for j, v in enumerate(z):
                     if v:
-                        src = bases[k][i]
-                        img = index_of[k][tuple(perm[s] for s in src)]
-                        acc[img] += v * count
-            averaged.append([Fraction(a, G.order) for a in acc])
-        coords = []
-        for vec in averaged:
-            co = tracker.coordinates(vec)
-            if co is None:
+                        ez[image[j]] += v * count
+            dez: dict[int, Fraction] = {}
+            for j, v in enumerate(ez):
+                if v:
+                    for row, sign in faces[k][j]:
+                        dez[row] = dez.get(row, 0) + sign * v
+            if any(dez.values()):
                 raise InvariantViolation("averaged cycle left the cycle space")
-            coords.append(co[boundary_rank:])
-        out.append(_dense_rank(coords))
+            averaged.append(ez)
+        out.append(_dense_rank(columns[k + 1] + averaged) - boundary_rank)
     return out

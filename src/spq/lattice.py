@@ -158,6 +158,20 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return cached
 
 
+def conjugacy_classes_of_subgroups(
+        G: FiniteGroup) -> list[tuple[Subgroup, list[Subgroup]]]:
+    """Conjugation orbits on the subgroup list, read off the lattice's action.
+
+    Each entry is (least member, orbit); ids follow key order, so orbits are
+    sorted by key and classes by their representative's key.
+    """
+    lat = subgroup_lattice(G)
+    orbits: dict[int, list[Subgroup]] = {}
+    for i, sub in enumerate(lat.subgroups):
+        orbits.setdefault(lat.canonical((i,))[0], []).append(sub)
+    return [(orbit[0], orbit) for orbit in orbits.values()]
+
+
 def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[Chain]:
     """Strict chains of P whose weight ratio is at most n, depth first.
 

@@ -29,12 +29,11 @@ from .groups import (
     GroupHom,
     Subgroup,
     builtin,
-    conjugacy_classes_of_subgroups,
     enumerate_homomorphisms,
 )
 from .homology import betti_numbers, coinvariants_of_homology_oracle
 from .lattice import COINVARIANT, REDUCED, build_complex, chain_classes, \
-    filtration_levels, subgroup_lattice
+    conjugacy_classes_of_subgroups, filtration_levels, subgroup_lattice
 from .partition import (
     GSet,
     _reduced_betti_augmented,
@@ -171,9 +170,8 @@ def _check_cyclic_prime_power() -> list[CheckResult]:
                and catalog_group(s).order <= 24]
     for spec in non_cpp:
         G = catalog_group(spec)
-        found = any(len(compute_report(G, n).pi) > 1
-                    and compute_report(G, n).pi[1] > 0
-                    for n in filtration_levels(G))
+        found = any(len(pi) > 1 and pi[1] > 0
+                    for pi in (compute_report(G, n).pi for n in filtration_levels(G)))
         out.append(_result(f"nonvanishing-pi1:{spec}", found,
                            "some pi_1 > 0", "found" if found else "all zero"))
     return out
@@ -244,9 +242,8 @@ def _surjection_pairs(max_order: int):
             K = catalog_group(kspec)
             if G.order % K.order:
                 continue
-            classes = enumerate_homomorphisms(G, K, surjective_only=True)
-            for cls in classes:
-                yield gspec, kspec, cls.representative
+            for psi in enumerate_homomorphisms(G, K, surjective_only=True):
+                yield gspec, kspec, psi
 
 
 def _check_d0_identity() -> list[CheckResult]:
@@ -307,8 +304,7 @@ def _sample_homs() -> list[GroupHom]:
     for gspec, kspec in (("C4", "C2"), ("S3", "C2"), ("C8", "C4"),
                          ("D8", "C2xC2"), ("Q8", "C2xC2"), ("C2xC6", "C6")):
         G, K = catalog_group(gspec), catalog_group(kspec)
-        homs.extend(c.representative
-                    for c in enumerate_homomorphisms(G, K, surjective_only=True))
+        homs.extend(enumerate_homomorphisms(G, K, surjective_only=True))
     for gspec, order in (("C4", 2), ("S3", 2), ("S3", 3), ("Q8", 4)):
         G = catalog_group(gspec)
         for rep, _ in conjugacy_classes_of_subgroups(G):
@@ -358,10 +354,10 @@ def _check_functoriality() -> list[CheckResult]:
     pairs = []
     c8, c4, c2 = catalog_group("C8"), catalog_group("C4"), catalog_group("C2")
     s3 = catalog_group("S3")
-    proj84 = enumerate_homomorphisms(c8, c4, True)[0].representative
-    proj42 = enumerate_homomorphisms(c4, c2, True)[0].representative
+    proj84 = enumerate_homomorphisms(c8, c4, True)[0]
+    proj42 = enumerate_homomorphisms(c4, c2, True)[0]
     pairs.append((proj84, proj42))
-    sign = enumerate_homomorphisms(s3, c2, True)[0].representative
+    sign = enumerate_homomorphisms(s3, c2, True)[0]
     for rep, _ in conjugacy_classes_of_subgroups(s3):
         if rep.order == 3:
             emb = rep.as_group

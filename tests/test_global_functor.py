@@ -96,7 +96,7 @@ def test_restrict_identity_and_surjection():
     ident = GroupHom.identity(S3)
     for v in class_vectors(S3, 6, 1):
         assert restrict(ident, v) == v
-    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0].representative
+    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0]
     v = basis_vector(C2, 6, (1, 3))
     out = restrict(sign, v)
     a3 = sub_of_order(S3, 3)
@@ -128,7 +128,7 @@ def test_restrict_fractional_coefficients():
 
 def test_double_coset_counting_identity():
     S3, C2 = builtin("S3"), builtin("C2")
-    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0].representative
+    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0]
     homs = [sign, GroupHom.identity(S3)]
     H = sub_of_order(S3, 2)
     emb = H.as_group
@@ -170,8 +170,8 @@ def test_transfer_commutes_with_boundary():
 def test_restrict_commutes_with_boundary():
     cases = []
     S3, C2, C4, C8 = (builtin(s) for s in ("S3", "C2", "C4", "C8"))
-    cases.append(enumerate_homomorphisms(S3, C2, True)[0].representative)
-    cases.append(enumerate_homomorphisms(C8, C4, True)[0].representative)
+    cases.append(enumerate_homomorphisms(S3, C2, True)[0])
+    cases.append(enumerate_homomorphisms(C8, C4, True)[0])
     H = sub_of_order(C4, 2)
     emb = H.as_group
     cases.append(GroupHom(emb.group, C4, emb.to_ambient))
@@ -193,8 +193,8 @@ def test_inner_automorphisms_act_trivially():
 
 def test_restriction_functoriality():
     C8, C4, C2 = builtin("C8"), builtin("C4"), builtin("C2")
-    phi = enumerate_homomorphisms(C8, C4, True)[0].representative
-    psi = enumerate_homomorphisms(C4, C2, True)[0].representative
+    phi = enumerate_homomorphisms(C8, C4, True)[0]
+    psi = enumerate_homomorphisms(C4, C2, True)[0]
     for degree in (0, 1):
         for v in class_vectors(C2, 8, degree):
             assert restrict(phi.then(psi), v) == restrict(phi, restrict(psi, v))
@@ -208,7 +208,7 @@ def test_d0_compatibility_surjections(gspec, kspec):
         for cls in cls_level:
             masks = lat.masks(cls.representative.subgroup_ids)
             for hom in enumerate_homomorphisms(G, K, surjective_only=True):
-                assert verify_d0_compatibility(hom.representative, masks, G.order)
+                assert verify_d0_compatibility(hom, masks, G.order)
 
 
 def test_d0_compatibility_identity_and_nonsurjective():

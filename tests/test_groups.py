@@ -327,7 +327,7 @@ def test_hom_search_matches_exhaustive():
     classes = enumerate_homomorphisms(S3, C2)
     assert len(homs) == 2  # trivial and sign; C2 abelian, classes = maps
     assert len(classes) == 2
-    assert sorted(c.representative.image_of for c in classes) == sorted(homs)
+    assert sorted(hom.image_of for hom in classes) == sorted(homs)
 
 
 def test_hom_classes_relabel_invariant():
@@ -379,7 +379,7 @@ def test_hom_search_with_greedy_generators():
 
 def test_kernel_and_composition():
     S3, C2 = builtin("S3"), builtin("C2")
-    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0].representative
+    sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0]
     assert sign.kernel.order == 3
     doubled = sign.then(GroupHom.identity(C2))
     assert doubled.image_of == sign.image_of

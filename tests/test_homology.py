@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spq import (
@@ -21,6 +21,7 @@ from spq import (
     coinvariants_of_homology_oracle,
     compute_report,
     filtration_levels,
+    from_permutation_generators,
     interval_poset,
     profile_report,
     rank_exact,
@@ -236,6 +237,21 @@ def test_oracle_matches_direct_computation():
             oracle = coinvariants_of_homology_oracle(G, n)
             direct = list(betti_numbers(build_complex(G, n, COINVARIANT)).betti)
             assert oracle == direct, (spec, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_oracle_on_random_permutation_groups(data):
+    # the oracle takes about a second on S4 at its top levels, hence the small cap
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    n = data.draw(st.sampled_from(filtration_levels(G)))
+    try:
+        oracle = coinvariants_of_homology_oracle(G, n, basis_cap=100)
+    except BasisCapExceeded:
+        assume(False)
+    assert oracle == list(betti_numbers(build_complex(G, n, COINVARIANT)).betti)
 
 
 def test_oracle_basis_cap():

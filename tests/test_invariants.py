@@ -5,6 +5,10 @@ also hold under ``python -O``.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,8 +48,9 @@ def test_euler_mismatch():
 
 
 def test_averaged_cycle_left_cycle_space(monkeypatch):
-    monkeypatch.setattr(spq.homology._SpanTracker, "coordinates",
-                        lambda self, vec: None)
+    # every chain passes for a cycle, so the averaged chains are not cycles
+    monkeypatch.setattr(spq.homology, "_nullspace", lambda rows, ncols: [
+        [Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)])
     with pytest.raises(InvariantViolation, match="cycle space"):
         coinvariants_of_homology_oracle(builtin("S3"), 3)
 
@@ -124,3 +129,14 @@ def test_complex_identities_suite_reports_failure(monkeypatch, broken):
     results = spq.suites._check_complex_identities()
     assert results and not any(res.passed for res in results)
     assert all(res.computed.startswith("n=1 ") for res in results)
+
+
+def test_checks_hold_under_optimize():
+    # python -O strips assert statements; the checks above must still fire
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.abspath(__file__), "-k", "not test_checks_hold_under_optimize"],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
