@@ -65,7 +65,6 @@ from .intmatrix import SparseIntMatrix, rank_exact
 from .lattice import (
     COINVARIANT,
     REDUCED,
-    Chain,
     ChainClass,
     FilteredChainComplex,
     SubgroupLattice,
@@ -80,7 +79,6 @@ from .lattice import (
 )
 from .partition import (
     GSet,
-    PartitionPoset,
     Poset,
     check_transitive_iso,
     fixed_partition_poset,

@@ -158,17 +158,18 @@ def transfer(H: Subgroup, v: ChainVector) -> ChainVector:
     idx = G.order // H.order
     out: dict[MaskChain, Fraction] = {}
     for masks, coeff in v.coefficients.items():
-        ambient = tuple(_embed_mask(m, emb.to_ambient) for m in masks)
+        ambient = tuple(_image_mask(m, emb.to_ambient) for m in masks)
         canon = _canonical_masks(G, ambient)
         out[canon] = out.get(canon, Fraction(0)) + coeff * idx
     return ChainVector(G, v.n, v.degree, out)
 
 
-def _embed_mask(mask: int, to_ambient: tuple[int, ...]) -> int:
+def _image_mask(mask: int, images) -> int:
+    """Mask of the images of the members of ``mask``; ``images[g]`` is g's image."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= 1 << to_ambient[low.bit_length() - 1]
+        out |= 1 << images[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -274,16 +275,7 @@ def simple_decomposition(
         raise ChainNotEndingAtTop("simple decomposition needs a chain ending at G")
     core = core_in(_subgroup_of(G, masks[0]), G.full_subgroup)
     Q, proj = quotient(G, core)
-    image = []
-    for m in masks:
-        q_mask = 0
-        x = m
-        while x:
-            low = x & -x
-            q_mask |= 1 << proj.image_of[low.bit_length() - 1]
-            x ^= low
-        image.append(q_mask)
-    image_chain = tuple(image)
+    image_chain = tuple(_image_mask(m, proj.image_of) for m in masks)
     if not is_simple(Q, image_chain):
         raise InvariantViolation("quotient chain failed to be simple")
     return core, image_chain, proj
@@ -302,7 +294,7 @@ def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
             f"|G|^2 = {G.order * G.order} exceeds the cap {product_cap}")
     lat = subgroup_lattice(G)
     classes = chain_classes(G, n, REDUCED)
-    chains = ([lat.masks(c.representative.subgroup_ids) for c in classes[k]]
+    chains = ([lat.masks(c.representative) for c in classes[k]]
               if k < len(classes) else [])
     seen: dict[tuple[int, MaskChain], MaskChain] = {}
     for masks in chains:
@@ -321,7 +313,7 @@ def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
             continue
         q_lat = subgroup_lattice(Q)
         for cls in q_classes[k]:
-            q_masks = q_lat.masks(cls.representative.subgroup_ids)
+            q_masks = q_lat.masks(cls.representative)
             if is_simple(Q, q_masks):
                 expected.add((N.members, q_masks))
     return set(seen) == expected

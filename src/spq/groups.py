@@ -111,11 +111,13 @@ class FiniteGroup:
             mask |= 1 << g
         return mask
 
-    def subgroup(self, elements: Iterable[int]) -> Subgroup:
-        mask = 0
-        for g in elements:
-            mask |= 1 << int(g)
-        mask |= 1
+    def subgroup(self, generators: Iterable[int]) -> Subgroup:
+        """The subgroup generated by the given element indices."""
+        gens = list(generators)
+        bad = [g for g in gens if not 0 <= g < self.order]
+        if bad:
+            raise UnknownSpec(f"element index {bad[0]} out of range 0..{self.order - 1}")
+        mask = self.generated_mask(gens)
         return Subgroup(self, mask, mask.bit_count())
 
     @cached_property
@@ -592,22 +594,47 @@ def builtin(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return group
 
 
-def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def _int_rows(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value)
+
+
+# JSON group input: the key each kind needs, and each key's JSON type
+_JSON_REQUIRED = {"cayley": "table", "permutation": "degree", "builtin": "spec"}
+_JSON_TYPES = {
+    "label": (lambda v: isinstance(v, str), "a string"),
+    "spec": (lambda v: isinstance(v, str), "a string"),
+    "degree": (lambda v: type(v) is int, "an integer"),
+    "table": (_int_rows, "a list of integer lists"),
+    "generators": (_int_rows, "a list of integer lists"),
+}
+
+
+def group_from_json(data, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from the JSON input format.
 
     Expected keys: ``label``, ``kind`` in {"cayley", "permutation", "builtin"}
-    and, by kind, ``table``, ``degree``+``generators``, or ``spec``.
+    and, by kind, ``table``, ``degree``+``generators``, or ``spec``. An input
+    of the wrong shape raises UnknownSpec naming the offending key.
     """
+    if not isinstance(data, dict):
+        raise UnknownSpec("group input must be a JSON object")
     kind = data.get("kind")
+    required = _JSON_REQUIRED.get(kind) if isinstance(kind, str) else None
+    if required is None:
+        raise UnknownSpec(f"unknown group input kind {kind!r}")
+    if required not in data:
+        raise UnknownSpec(f"group input of kind {kind!r} needs the key {required!r}")
+    for key, (valid, expected) in _JSON_TYPES.items():
+        if key in data and not valid(data[key]):
+            raise UnknownSpec(f"group input key {key!r} must be {expected}")
     label = data.get("label", "G")
     if kind == "cayley":
         return from_cayley_table(data["table"], label, order_cap=order_cap)
     if kind == "permutation":
         return from_permutation_generators(data["degree"], data.get("generators", []),
                                            label, order_cap=order_cap)
-    if kind == "builtin":
-        return builtin(data["spec"], order_cap=order_cap)
-    raise UnknownSpec(f"unknown group input kind {kind!r}")
+    return builtin(data["spec"], order_cap=order_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
             f"full complex has {len(chains)} chains, above the cap {basis_cap}")
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for chain in chains:
-        by_degree.setdefault(chain.degree, []).append(chain.subgroup_ids)
+        by_degree.setdefault(len(chain) - 1, []).append(chain)
     top = max(by_degree)
     bases = [sorted(by_degree.get(k, [])) for k in range(top + 1)]
     index_of = [{ids: i for i, ids in enumerate(level)} for level in bases]

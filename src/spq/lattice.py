@@ -25,31 +25,12 @@ FLAVORS = (COINVARIANT, REDUCED)
 
 
 @dataclass(frozen=True)
-class Chain:
-    """Strictly increasing chain of subgroup ids within one SubgroupLattice."""
-
-    subgroup_ids: tuple[int, ...]
-    total_index: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.subgroup_ids) - 1
-
-
-@dataclass(frozen=True)
 class ChainClass:
-    """Conjugacy class of chains; the representative is the least orbit member."""
+    """Conjugacy class of chains of ids; the representative is the least orbit member."""
 
-    representative: Chain
+    representative: tuple[int, ...]
+    total_index: int
     orbit_size: int
-
-    @property
-    def degree(self) -> int:
-        return self.representative.degree
-
-    @property
-    def total_index(self) -> int:
-        return self.representative.total_index
 
 
 class OrbitPoset:
@@ -172,8 +153,8 @@ def conjugacy_classes_of_subgroups(
     return [(orbit[0], orbit) for orbit in orbits.values()]
 
 
-def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[Chain]:
-    """Strict chains of P whose weight ratio is at most n, depth first.
+def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[tuple[int, ...]]:
+    """Strict chains of P, as id tuples, whose weight ratio is at most n, depth first.
 
     Starts from every id in order and climbs through ``supersets``; with
     ``require_top`` only the chains ending at ``top_id`` are yielded.
@@ -184,13 +165,13 @@ def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[Chain]:
         path = [start]
         pending = [iter(supersets[start])]
         if not require_top or start == top:
-            yield Chain((start,), 1)
+            yield (start,)
         while pending:
             for j in pending[-1]:
                 if orders[j] <= limit:
                     path.append(j)
                     if not require_top or j == top:
-                        yield Chain(tuple(path), orders[j] // bottom)
+                        yield tuple(path)
                     pending.append(iter(supersets[j]))
                     break
             else:
@@ -198,7 +179,8 @@ def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[Chain]:
                 path.pop()
 
 
-def orbit_classes(P: OrbitPoset, chains: Iterable[Chain]) -> list[list[ChainClass]]:
+def orbit_classes(P: OrbitPoset,
+                  chains: Iterable[tuple[int, ...]]) -> list[list[ChainClass]]:
     """Orbits of the chains under P's action, grouped by degree.
 
     Within each degree the classes are sorted by their canonical
@@ -206,11 +188,11 @@ def orbit_classes(P: OrbitPoset, chains: Iterable[Chain]) -> list[list[ChainClas
     """
     by_degree: dict[int, dict[tuple[int, ...], int]] = {}
     for chain in chains:
-        canon = P.canonical(chain.subgroup_ids)
-        bucket = by_degree.setdefault(chain.degree, {})
+        canon = P.canonical(chain)
+        bucket = by_degree.setdefault(len(chain) - 1, {})
         if canon not in bucket:
             bucket[canon] = P.orbit_size(canon)
-    return [[ChainClass(Chain(ids, P.orders[ids[-1]] // P.orders[ids[0]]), size)
+    return [[ChainClass(ids, P.orders[ids[-1]] // P.orders[ids[0]], size)
              for ids, size in sorted(by_degree.get(k, {}).items())]
             for k in range(max(by_degree, default=0) + 1)]
 
@@ -253,7 +235,7 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
     the top lands in the collapsed part and contributes nothing.
     """
     index_of: list[dict[tuple[int, ...], int]] = [
-        {cls.representative.subgroup_ids: i for i, cls in enumerate(level)}
+        {cls.representative: i for i, cls in enumerate(level)}
         for level in classes]
     columns: list[tuple[dict[int, int], ...]] = [tuple({} for _ in classes[0])]
     for k in range(1, len(classes)):
@@ -262,7 +244,7 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
         row_of: dict[tuple[int, ...], int] = {}  # classes share faces
         level = []
         for cls in classes[k]:
-            ids = cls.representative.subgroup_ids
+            ids = cls.representative
             col: dict[int, int] = {}
             for i in range(last_face + 1):
                 face = ids[:i] + ids[i + 1:]
@@ -290,7 +272,7 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     such classes are dropped, as ``orbit_classes`` never makes them.
     """
     top = C.lattice.top_id
-    keep = [[i for i, cls in enumerate(basis) if cls.representative.subgroup_ids[-1] == top]
+    keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
             for basis in C.bases]
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
@@ -303,8 +285,9 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     return replace(C, flavor=REDUCED, bases=bases, columns=tuple(columns))
 
 
-def chains_up_to(G: FiniteGroup, n: int, require_top_G: bool = False) -> list[Chain]:
-    """All strict subgroup chains of total index <= min(n, |G|).
+def chains_up_to(G: FiniteGroup, n: int,
+                 require_top_G: bool = False) -> list[tuple[int, ...]]:
+    """All strict subgroup chains of total index <= min(n, |G|), as id tuples.
 
     Depth-first over the inclusion order, starting from every subgroup in
     canonical order; with ``require_top_G`` only chains ending at the full
@@ -363,7 +346,7 @@ def complex_to_json_dict(C: FilteredChainComplex) -> dict:
         "n_effective": C.n_effective,
         "flavor": C.flavor,
         "bases": [
-            [{"chain": list(C.lattice.masks(cls.representative.subgroup_ids)),
+            [{"chain": list(C.lattice.masks(cls.representative)),
               "orbit_size": cls.orbit_size}
              for cls in level]
             for level in C.bases],

@@ -166,14 +166,6 @@ class Poset:
         return out
 
 
-class PartitionPoset(Poset):
-    """Poset of invariant proper nontrivial partitions, ordered by refinement."""
-
-    def __init__(self, gset: GSet, elements, lt_masks):
-        super().__init__(elements, lt_masks)
-        self.gset = gset
-
-
 def _refines(p: Partition, q: Partition) -> bool:
     containing = {}
     for block in q:
@@ -225,15 +217,14 @@ def invariant_partitions(M: GSet) -> list[Partition]:
     return sorted(out)
 
 
-def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> PartitionPoset:
+def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> Poset:
     """Invariant proper nontrivial partitions of M, ordered by refinement."""
     if M.size > size_cap:
         raise SizeCapExceeded(f"G-set of size {M.size} above the cap {size_cap}")
     discrete = tuple((x,) for x in range(M.size))
     indiscrete = (tuple(range(M.size)),)
     elems = [p for p in invariant_partitions(M) if p not in (discrete, indiscrete)]
-    P = Poset.from_predicate(elems, _refines)
-    return PartitionPoset(M, P.elements, P.lt_masks)
+    return Poset.from_predicate(elems, _refines)
 
 
 def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,

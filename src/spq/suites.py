@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import InvariantViolation, NotAComplex
 from .global_functor import (
     ChainVector,
+    _image_mask,
     basis_vector,
     boundary,
     double_coset_decomposition,
@@ -255,7 +256,7 @@ def _check_d0_identity() -> list[CheckResult]:
         classes = chain_classes(K, K.order, COINVARIANT)
         for level in classes[1:3]:
             for cls in level:
-                masks = lat.masks(cls.representative.subgroup_ids)
+                masks = lat.masks(cls.representative)
                 checked += 1
                 if not verify_d0_compatibility(psi, masks, psi.source.order):
                     failures.append((gspec, kspec, masks))
@@ -270,7 +271,7 @@ def _all_class_vector(G: FiniteGroup, n: int, degree: int):
     if degree >= len(classes) or not classes[degree]:
         return None
     lat = subgroup_lattice(G)
-    coeffs = {lat.masks(cls.representative.subgroup_ids): Fraction(1)
+    coeffs = {lat.masks(cls.representative): Fraction(1)
               for cls in classes[degree]}
     return ChainVector(G, n, degree, coeffs)
 
@@ -411,15 +412,12 @@ def _check_tau_realization() -> list[CheckResult]:
         full = (1 << G.order) - 1
         for level in chain_classes(G, G.order, COINVARIANT):
             for cls in level:
-                masks = lat.masks(cls.representative.subgroup_ids)
+                masks = lat.masks(cls.representative)
                 if masks[-1] == full:
                     continue
                 top = Subgroup(G, masks[-1], masks[-1].bit_count())
                 emb = top.as_group
-                sub_masks = tuple(
-                    sum(1 << emb.from_ambient[b]
-                        for b in range(G.order) if m >> b & 1)
-                    for m in masks)
+                sub_masks = tuple(_image_mask(m, emb.from_ambient) for m in masks)
                 v = basis_vector(emb.group, G.order, sub_masks)
                 image = transfer(top, v)
                 expected = basis_vector(G, G.order, masks,

@@ -6,6 +6,8 @@ import pickle
 import subprocess
 import sys
 
+import pytest
+
 from spq import ComputationReport, builtin, compute_report, profile_report
 from spq.cli import main
 
@@ -125,6 +127,43 @@ def test_partition_command(capsys):
                            "--gset", "trivial:1+coset:")
     assert code == 0
     assert "invariant proper partitions: 1" in out
+
+
+def test_coset_gset_is_the_generated_subgroup(capsys):
+    # element 3 of S3 has order 3, so it generates A3, which has two cosets
+    code, out, err = run_cli(capsys, "partition", "-g", "S3", "--gset", "coset:3",
+                             "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["gset_size"] == 2
+
+
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gset", ["coset:99", "coset:-1", "coset:6"])
+def test_coset_gset_rejects_out_of_range_indices(capsys, gset):
+    code, _, err = run_cli(capsys, "partition", "-g", "S3", "--gset", gset)
+    assert_one_error_line(code, err)
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"kind": "cayley"}, "'table'"),
+    ({"kind": "permutation", "generators": [[1, 0, 2]]}, "'degree'"),
+    ({"kind": "builtin"}, "'spec'"),
+    ([1, 2], "JSON object"),
+    ({"kind": "cayley", "table": 5}, "'table'"),
+    ({"kind": "permutation", "degree": "3", "generators": [[1, 0, 2]]}, "'degree'"),
+])
+def test_malformed_group_json_is_a_usage_error(tmp_path, capsys, data, named):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run_cli(capsys, "compute", "-g", f"@{path}", "-n", "2")
+    assert_one_error_line(code, err)
+    assert named in err
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):

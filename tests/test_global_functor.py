@@ -42,7 +42,7 @@ def class_vectors(G, n, degree):
     classes = chain_classes(G, n, COINVARIANT)
     if degree >= len(classes):
         return []
-    return [basis_vector(G, n, lat.masks(c.representative.subgroup_ids))
+    return [basis_vector(G, n, lat.masks(c.representative))
             for c in classes[degree]]
 
 
@@ -206,7 +206,7 @@ def test_d0_compatibility_surjections(gspec, kspec):
     lat = subgroup_lattice(K)
     for cls_level in chain_classes(K, K.order, COINVARIANT)[1:3]:
         for cls in cls_level:
-            masks = lat.masks(cls.representative.subgroup_ids)
+            masks = lat.masks(cls.representative)
             for hom in enumerate_homomorphisms(G, K, surjective_only=True):
                 assert verify_d0_compatibility(hom, masks, G.order)
 
@@ -216,7 +216,7 @@ def test_d0_compatibility_identity_and_nonsurjective():
     ident = GroupHom.identity(C4)
     lat = subgroup_lattice(C4)
     for cls in chain_classes(C4, 4, COINVARIANT)[1]:
-        masks = lat.masks(cls.representative.subgroup_ids)
+        masks = lat.masks(cls.representative)
         assert verify_d0_compatibility(ident, masks, 4)
     # trivial map C4 -> C2 needs the degenerate bookkeeping to balance
     C2 = builtin("C2")
@@ -261,7 +261,7 @@ def test_proper_top_classes_are_transfers():
     lat = subgroup_lattice(G)
     for level in chain_classes(G, G.order, COINVARIANT):
         for cls in level:
-            masks = lat.masks(cls.representative.subgroup_ids)
+            masks = lat.masks(cls.representative)
             if masks[-1] == full_mask(G):
                 continue
             top = next(s for s in all_subgroups(G) if s.members == masks[-1])

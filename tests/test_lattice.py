@@ -34,49 +34,63 @@ CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102
 
 
 def test_chains_level_one_is_discrete():
-    chains = chains_up_to(builtin("S3"), 1)
+    G = builtin("S3")
+    orders = subgroup_lattice(G).orders
+    chains = chains_up_to(G, 1)
     assert len(chains) == 6
-    assert all(c.degree == 0 and c.total_index == 1 for c in chains)
+    assert all(len(c) == 1 and orders[c[-1]] // orders[c[0]] == 1 for c in chains)
 
 
 def test_chains_c4_level_two():
     chains = chains_up_to(builtin("C4"), 2)
     by_degree = {}
     for c in chains:
-        by_degree.setdefault(c.degree, []).append(c)
+        by_degree.setdefault(len(c) - 1, []).append(c)
     assert len(by_degree[0]) == 3
     assert len(by_degree[1]) == 2  # {e}<C2 and C2<C4
     assert 2 not in by_degree
 
 
-def test_chains_s3_ending_at_top():
-    # oracle: enumerate strict chains over the 6-subgroup lattice directly
-    G = builtin("S3")
-    lat = subgroup_lattice(G)
-    masks = [s.members for s in lat.subgroups]
+def brute_force_chains(G, n, require_top):
+    """Strict chains of member masks with total index <= n, straight from the masks."""
+    masks = [s.members for s in subgroup_lattice(G).subgroups]
+    full = (1 << G.order) - 1
 
-    def oracle(prefix, bottom):
+    def extend(prefix, bottom):
         chains = []
-        if prefix[-1] == (1 << 6) - 1:
+        if not require_top or prefix[-1] == full:
             chains.append(tuple(prefix))
         for m in masks:
             if m != prefix[-1] and prefix[-1] & m == prefix[-1] \
-                    and m.bit_count() <= 6 * bottom:
-                chains.extend(oracle(prefix + [m], bottom))
+                    and m.bit_count() <= n * bottom:
+                chains.extend(extend(prefix + [m], bottom))
         return chains
 
-    expected = set()
-    for m in masks:
-        expected |= set(oracle([m], m.bit_count()))
-    got = {tuple(lat.masks(c.subgroup_ids))
-           for c in chains_up_to(G, 6, require_top_G=True)}
-    assert got == expected
+    return {c for m in masks for c in extend([m], m.bit_count())}
+
+
+def test_chains_s3_ending_at_top():
+    G = builtin("S3")
+    lat = subgroup_lattice(G)
+    chains = chains_up_to(G, 6, require_top_G=True)
+    assert {lat.masks(c) for c in chains} == brute_force_chains(G, 6, True)
     by_degree = {}
-    for c in chains_up_to(G, 6, require_top_G=True):
-        by_degree.setdefault(c.degree, []).append(c)
+    for c in chains:
+        by_degree.setdefault(len(c) - 1, []).append(c)
     assert len(by_degree[0]) == 1
     assert len(by_degree[1]) == 5   # {e}<G, A3<G, three conjugate S2<G
     assert len(by_degree[2]) == 4   # {e}<S2<G three ways, {e}<A3<G
+
+
+@pytest.mark.parametrize("require_top", [False, True])
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "C2xC6"])
+def test_chains_match_brute_force(spec, require_top):
+    G = builtin(spec)
+    lat = subgroup_lattice(G)
+    for n in filtration_levels(G) + [G.order + 1]:
+        chains = chains_up_to(G, n, require_top_G=require_top)
+        assert len(set(chains)) == len(chains)
+        assert {lat.masks(c) for c in chains} == brute_force_chains(G, n, require_top)
 
 
 def test_rejects_bad_level():
@@ -93,7 +107,7 @@ def test_chain_classes_s3():
     reduced = chain_classes(builtin("S3"), 3, REDUCED)
     assert [len(level) for level in reduced] == [1, 2]
     lat = subgroup_lattice(builtin("S3"))
-    degree1 = {lat.masks(c.representative.subgroup_ids) for c in reduced[1]}
+    degree1 = {lat.masks(c.representative) for c in reduced[1]}
     orders = sorted(chain[0].bit_count() for chain in degree1)
     assert orders == [2, 3]  # one S2 class, one A3 class, both capped by S3
 
@@ -130,11 +144,11 @@ def test_face_filtration_closure():
     lat = C.lattice
     for level in C.bases[1:]:
         for cls in level:
-            ids = cls.representative.subgroup_ids
+            ids = cls.representative
             for i in range(len(ids)):
                 face = ids[:i] + ids[i + 1:]
                 face_index = lat.orders[face[-1]] // lat.orders[face[0]]
-                assert face_index <= cls.representative.total_index
+                assert face_index <= cls.total_index
 
 
 def test_basis_monotone_in_n():
@@ -168,7 +182,7 @@ def test_reduced_basis_is_top_slice_of_coinvariant():
             red = chain_classes(G, n, REDUCED)
             for k, level in enumerate(red):
                 expected = [c for c in coinv[k]
-                            if lat.masks(c.representative.subgroup_ids)[-1] == full_mask]
+                            if lat.masks(c.representative)[-1] == full_mask]
                 assert list(level) == expected
 
 
