@@ -174,6 +174,15 @@ def _image_mask(mask: int, images) -> int:
     return out
 
 
+def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """Caches of one psi: double-coset representatives per base mask, preimage per mask.
+
+    Kept on psi itself, the way ``FiniteGroup.embedded_subgroup`` caches its
+    results on the group.
+    """
+    return psi.__dict__.setdefault("_restriction_memo", ({}, {}))
+
+
 def _restrict_chain_terms(psi: GroupHom, masks: MaskChain, n: int,
                           keep_degenerate: bool) -> dict[MaskChain, Fraction]:
     """Raw double-coset expansion of one chain class under psi.
@@ -184,12 +193,18 @@ def _restrict_chain_terms(psi: GroupHom, masks: MaskChain, n: int,
     """
     G, K = psi.source, psi.target
     n_eff = min(n, G.order)
-    base = _subgroup_of(K, masks[0])
-    dec = double_coset_decomposition(psi, base)
+    reps_of, preimages = _restriction_memo(psi)
+    reps = reps_of.get(masks[0])
+    if reps is None:
+        dec = double_coset_decomposition(psi, _subgroup_of(K, masks[0]))
+        reps = reps_of[masks[0]] = dec.representatives
     out: dict[MaskChain, Fraction] = {}
-    for k in dec.representatives:
-        conj = tuple(K.conjugate_mask(m, k) for m in masks)
-        pulled = tuple(psi.preimage_mask(m) for m in conj)
+    for k in reps:
+        conj = masks if k == 0 else tuple(K.conjugate_mask(m, k) for m in masks)
+        for m in conj:
+            if m not in preimages:
+                preimages[m] = psi.preimage_mask(m)
+        pulled = tuple(preimages[m] for m in conj)
         coeff = Fraction(G.order // pulled[0].bit_count(),
                          K.order // masks[0].bit_count())
         if not keep_degenerate and any(a == b for a, b in zip(pulled, pulled[1:])):

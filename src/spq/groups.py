@@ -399,7 +399,9 @@ def from_permutation_generators(degree: int, gens: Sequence[Sequence[int]], labe
     """Close a set of permutations under composition and build the group.
 
     Element order is first occurrence in a breadth-first closure from the
-    identity, applying the generators in the given order.
+    identity, applying the generators in the given order. The closure runs
+    on the points some generator moves, which the generators permute among
+    themselves, so nothing of size ``degree`` is built beyond the generators.
     """
     if degree < 1:
         raise InvalidPermutation("degree must be a positive integer")
@@ -409,7 +411,10 @@ def from_permutation_generators(degree: int, gens: Sequence[Sequence[int]], labe
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise InvalidPermutation(f"{list(g)} is not a permutation of 0..{degree - 1}")
         norm.append(p)
-    ident = tuple(range(degree))
+    moved = sorted({i for p in norm for i, x in enumerate(p) if x != i})
+    local = {point: i for i, point in enumerate(moved)}
+    norm = [tuple(local[p[point]] for point in moved) for p in norm]
+    ident = tuple(range(len(moved)))
     elems = [ident]
     pos = {ident: 0}
     queue = [ident]

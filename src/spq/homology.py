@@ -143,7 +143,12 @@ def betti_at(intervals: tuple[tuple[Interval, ...], ...], n: int) -> tuple[int, 
 
 
 def _row_reduce(mat: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
+    """In-place reduced row echelon form; returns the pivot columns.
+
+    The pivot row is zero left of its pivot, so normalizing it and clearing
+    the other rows with it touch only its support: its nonzero columns from
+    the pivot on.
+    """
     if not mat:
         return []
     ncols = len(mat[0])
@@ -154,12 +159,17 @@ def _row_reduce(mat: list[list[Fraction]]) -> list[int]:
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        row = mat[r]
+        support = [j for j in range(c, ncols) if row[j] != 0]
+        if row[c] != 1:
+            inv = Fraction(1) / row[c]
+            for j in support:
+                row[j] *= inv
+        for i, other in enumerate(mat):
+            f = other[c]
+            if i != r and f != 0:
+                for j in support:
+                    other[j] -= f * row[j]
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -180,9 +180,11 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     consecutive realized levels, and one n beyond the group order, is then
     recomputed independently by ``compute_report`` and must reproduce the
     report of the level below; these gap probes check the read-off. With
-    ``threads`` > 1 the probes run in that many worker processes while the
-    levels are read off.
+    ``threads`` > 1 the probes run in up to that many worker processes, one
+    per probe at most, while the levels are read off.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     levels = filtration_levels(G)
     probes = [(levels[i] + 1, i)
               for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
@@ -191,7 +193,9 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
         # imported here: concurrent.futures is a sizable share of `import spq`
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+        # under fork the pool starts every worker up front: start no idle ones
+        with ProcessPoolExecutor(max_workers=min(threads, len(probes)),
+                                 initializer=_init_worker,
                                  initargs=(G,)) as pool:
             pending = pool.map(_report_in_worker, [mid for mid, _ in probes])
             reports = _read_off_levels(G, levels)

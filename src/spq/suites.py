@@ -250,11 +250,13 @@ def _surjection_pairs(max_order: int):
 def _check_d0_identity() -> list[CheckResult]:
     checked = 0
     failures = []
+    classes_of: dict[str, list] = {}
     for gspec, kspec, psi in _surjection_pairs(16):
         K = psi.target
         lat = subgroup_lattice(K)
-        classes = chain_classes(K, K.order, COINVARIANT)
-        for level in classes[1:3]:
+        if kspec not in classes_of:
+            classes_of[kspec] = chain_classes(K, K.order, COINVARIANT)
+        for level in classes_of[kspec][1:3]:
             for cls in level:
                 masks = lat.masks(cls.representative)
                 checked += 1

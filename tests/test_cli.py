@@ -1,5 +1,7 @@
 """CLI behavior: output formats, exit codes, determinism, JSON round-trips."""
 
+import concurrent.futures
+import hashlib
 import json
 import os
 import pickle
@@ -8,8 +10,12 @@ import sys
 
 import pytest
 
+import spq.reports
 from spq import ComputationReport, builtin, compute_report, profile_report
 from spq.cli import main
+
+# sha256 of `spq verify --suite all` stdout; bench/reference.json holds the same
+VERIFY_ALL_SHA256 = "6817534be8fdd1b1a4a2d57f293b859f2c940865aa13351ecad04dddcc6c5369"
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +231,54 @@ def test_profile_gap_probes_in_pool_match_serial(capsys):
         outputs.append(out)
     assert json.loads(outputs[0])["gap_checks"] == 4
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes asked of ProcessPoolExecutor, whose stand-in starts no process."""
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(spq.reports, "_worker_group", None)
+    return sizes
+
+
+def test_profile_pool_has_at_most_one_worker_per_probe(capsys, pool_sizes):
+    # D16 has four gap probes, so a larger pool would only hold idle workers
+    code, serial, _ = run_cli(capsys, "profile", "-g", "D16", "--json")
+    assert code == 0 and pool_sizes == []
+    for threads, size in (("2", 2), ("4", 4), ("64", 4)):
+        code, out, _ = run_cli(capsys, "profile", "-g", "D16", "--json",
+                               "--threads", threads)
+        assert code == 0 and out == serial
+        assert pool_sizes.pop() == size
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_profile_rejects_thread_counts_below_one(capsys, pool_sizes, threads):
+    code, out, err = run_cli(capsys, "profile", "-g", "S3", "--threads", threads)
+    assert_one_error_line(code, err)
+    assert "threads" in err and out == "" and pool_sizes == []
+
+
+def test_verify_all_stdout_digest(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_group_pickles_with_its_lattice():

@@ -1,9 +1,12 @@
 """Transfers, double-coset restrictions, and the simple-chain decomposition."""
 
+import collections
 from fractions import Fraction
 
 import pytest
 
+import spq.global_functor
+import spq.suites
 from spq import (
     COINVARIANT,
     ChainNotEndingAtTop,
@@ -11,6 +14,7 @@ from spq import (
     ChainVector,
     GroupHom,
     FiltrationViolation,
+    Subgroup,
     all_subgroups,
     basis_vector,
     boundary,
@@ -27,6 +31,7 @@ from spq import (
     verify_d0_compatibility,
     verify_projective_decomposition,
 )
+from spq.suites import _check_d0_identity
 
 
 def sub_of_order(G, order):
@@ -124,6 +129,63 @@ def test_restrict_fractional_coefficients():
     # and on the vertex [C2]: both cosets pull back to the whole source
     out2 = restrict(inc, basis_vector(C4, 4, (H.members,)))
     assert out2.coefficients == {(3,): Fraction(1)}
+
+
+def restrict_reference(psi, v):
+    """``restrict`` from its formula, with every double coset walked afresh."""
+    G, K = psi.source, psi.target
+    out = {}
+    for masks, coeff in v.coefficients.items():
+        base = Subgroup(K, masks[0], masks[0].bit_count())
+        for k in double_coset_decomposition(psi, base).representatives:
+            pulled = tuple(psi.preimage_mask(K.conjugate_mask(m, k)) for m in masks)
+            if any(a == b for a, b in zip(pulled, pulled[1:])):
+                continue
+            weight = Fraction(G.order // pulled[0].bit_count(),
+                              K.order // masks[0].bit_count())
+            out[pulled] = out.get(pulled, 0) + coeff * weight
+    return ChainVector(G, v.n, v.degree, out)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "A4"])
+def test_restriction_memo_on_inclusions(spec):
+    # an inclusion of a proper subgroup has several double cosets; one psi
+    # serves every vector, whatever its bottom subgroup, and must agree with
+    # a fresh hom (empty memo) and with the formula
+    K = builtin(spec)
+    for H, _ in conjugacy_classes_of_subgroups(K)[1:-1]:
+        emb = H.as_group
+        psi = GroupHom(emb.group, K, emb.to_ambient)
+        for degree in (0, 1, 2):
+            for v in class_vectors(K, K.order, degree):
+                fresh = GroupHom(psi.source, K, psi.image_of)
+                assert restrict(psi, v) == restrict(fresh, v)
+                assert restrict(psi, v) == restrict_reference(psi, v)
+
+
+def test_d0_identity_builds_once_per_target(monkeypatch):
+    built = []
+    decomposed = collections.Counter()
+    homs = []  # keeps every psi alive, so ids stay distinct
+    chain_classes_ = spq.suites.chain_classes
+    decompose = spq.global_functor.double_coset_decomposition
+
+    def counted_classes(G, n, flavor):
+        built.append(G)
+        return chain_classes_(G, n, flavor)
+
+    def counted_decompose(hom, base):
+        homs.append(hom)
+        decomposed[id(hom), base.members] += 1
+        return decompose(hom, base)
+
+    monkeypatch.setattr(spq.suites, "chain_classes", counted_classes)
+    monkeypatch.setattr(spq.global_functor, "double_coset_decomposition",
+                        counted_decompose)
+    result = _check_d0_identity()
+    assert result[0].passed and result[0].computed == "20949 checks OK"
+    assert len(built) == len({id(G) for G in built}) == 17
+    assert max(decomposed.values()) == 1
 
 
 def test_double_coset_counting_identity():

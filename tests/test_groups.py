@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from spq import (
     enumerate_homomorphisms,
     from_cayley_table,
     from_permutation_generators,
+    group_from_json,
     index,
     normalizer,
     quotient,
@@ -151,6 +153,38 @@ def test_permutation_closure():
         from_permutation_generators(3, [(0, 0, 1)], "bad")
     with pytest.raises(InvalidPermutation):
         from_permutation_generators(0, [], "bad")
+
+
+def _moved_to(perm, slots, degree):
+    """``perm`` acting on ``slots`` inside 0..degree-1, fixing every other point."""
+    out = list(range(degree))
+    for i, x in enumerate(perm):
+        out[slots[i]] = slots[x]
+    return out
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 2, 0), (1, 0, 2)],          # S3
+    [(1, 2, 3, 0), (0, 3, 2, 1)],    # D8
+])
+def test_permutation_closure_ignores_fixed_points(gens):
+    own = from_permutation_generators(len(gens[0]), gens, "G")
+    for slots in (range(len(gens[0])), (8, 2, 5, 0)[:len(gens[0])]):
+        padded = from_permutation_generators(
+            9, [_moved_to(p, slots, 9) for p in gens], "G")
+        assert padded.mul == own.mul
+        assert padded.generators == own.generators
+
+
+def test_huge_degree_builds_nothing_of_its_size():
+    tracemalloc.start()
+    try:
+        G = group_from_json({"kind": "permutation", "degree": 10_000_000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 1
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("spec,order,abelian", [

@@ -29,6 +29,7 @@ from spq import (
     subgroup_lattice,
 )
 from spq.groups import is_normal
+from spq.homology import _dense_rank, _nullspace, _row_reduce
 from spq.lattice import FLAVORS, orbit_classes, orbit_complex, poset_chains
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
@@ -105,6 +106,32 @@ def test_rank_against_dense_oracle_hypothesis(tall, data):
     N = data.draw(sparse_matrices(rows, inner)).matmul(
         data.draw(sparse_matrices(inner, cols)))
     assert rank_exact(N) == dense_rank_oracle(N.to_dense())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_oracle_elimination_against_rank_exact(rows, cols, data):
+    # mostly zeros, so zero rows and columns and short pivot rows are common
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    dense = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    mat = [[Fraction(x) for x in row] for row in dense]
+    rank = rank_exact(SparseIntMatrix.from_dict(
+        rows, cols, {(r, c): x for r, row in enumerate(dense)
+                     for c, x in enumerate(row) if x}))
+    assert _dense_rank(mat) == rank
+    kernel = _nullspace(mat, cols)
+    assert mat == [[Fraction(x) for x in row] for row in dense]  # inputs untouched
+    assert len(kernel) == cols - rank
+    work = [row[:] for row in mat]
+    pivots = _row_reduce(work)
+    # reduced row echelon form: each pivot column is a unit vector
+    assert all(work[i][c] == int(i == j) for j, c in enumerate(pivots)
+               for i in range(rows))
+    free = [c for c in range(cols) if c not in pivots]
+    for i, v in enumerate(kernel):
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat)
+        assert [v[c] for c in free] == [int(i == j) for j in range(len(free))]
 
 
 def test_rank_invariant_under_permutation():
