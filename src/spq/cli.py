@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from .errors import ResourceCapExceeded, SpqError
+from .errors import ResourceCapExceeded, SizeCapExceeded, SpqError
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -29,7 +30,7 @@ from .groups import (
     group_from_json,
 )
 from .lattice import conjugacy_classes_of_subgroups
-from .partition import GSet, fixed_partition_poset
+from .partition import DEFAULT_SIZE_CAP, GSet, fixed_partition_poset
 from .reports import compute_report, profile_report
 from .suites import run_suite
 
@@ -42,19 +43,25 @@ def _load_group(spec: str, order_cap: int) -> FiniteGroup:
 
 
 def _parse_gset(G: FiniteGroup, text: str) -> GSet:
-    parts = []
+    """Build the G-set of a spec; its size is checked against the cap before any term is built."""
+    terms = []  # (size, constructor)
     for term in text.split("+"):
         term = term.strip()
         if term == "regular":
-            parts.append(GSet.regular(G))
+            terms.append((G.order, partial(GSet.regular, G)))
         elif term.startswith("trivial:"):
-            parts.append(GSet.trivial(G, int(term.split(":", 1)[1])))
+            size = int(term.split(":", 1)[1])
+            terms.append((size, partial(GSet.trivial, G, size)))
         elif term.startswith("coset:"):
             body = term.split(":", 1)[1]
-            gens = [int(x) for x in body.split(",") if x != ""]
-            parts.append(GSet.from_cosets(G, G.subgroup(gens)))
+            H = G.subgroup(int(x) for x in body.split(",") if x != "")
+            terms.append((G.order // H.order, partial(GSet.from_cosets, G, H)))
         else:
             raise SpqError(f"unrecognized G-set term {term!r}")
+    size = sum(s for s, _ in terms)
+    if size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"G-set of size {size} above the cap {DEFAULT_SIZE_CAP}")
+    parts = [build() for _, build in terms]
     return parts[0] if len(parts) == 1 else GSet.disjoint_union(parts)
 
 

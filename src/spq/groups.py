@@ -540,7 +540,7 @@ def _elementary_abelian(p: int, k: int) -> FiniteGroup:
     return FiniteGroup(G.mul, f"EA({p},{k})", generators=G.generators)
 
 
-def _atom(m: re.Match) -> tuple[int, Callable[[], FiniteGroup]]:
+def _atom(m: re.Match, order_cap: int) -> tuple[int, Callable[[], FiniteGroup]]:
     """Order and constructor of one spec atom, validating the grammar constraints."""
     if m["c"]:
         n = int(m["c"])
@@ -564,7 +564,12 @@ def _atom(m: re.Match) -> tuple[int, Callable[[], FiniteGroup]]:
         return order, lambda: _inverting_extension(order // 2, order // 4, f"Q{order}")
     if m["p"]:
         p, k = int(m["p"]), int(m["k"])
-        if not _is_prime(p) or k < 1:
+        if p < 2 or k < 1:
+            raise UnknownSpec(f"EA({p},{k}): need a prime p and k >= 1")
+        # p**k >= max(p, 2**k): reject before testing p or computing p**k
+        if p > order_cap or k > order_cap.bit_length():
+            raise OrderCapExceeded(f"EA({p},{k}) has order above the cap {order_cap}")
+        if not _is_prime(p):
             raise UnknownSpec(f"EA({p},{k}): need a prime p and k >= 1")
         return p ** k, lambda: _elementary_abelian(p, k)
     return 24, _sl2f3
@@ -586,11 +591,13 @@ def builtin(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if m is None:
             raise UnknownSpec(f"unrecognized group spec {part!r}")
         matches.append(m)
-    atoms = [_atom(m) for m in matches]
-    total = math.prod(order for order, _ in atoms)
-    if total > order_cap:
-        raise OrderCapExceeded(
-            f"spec {spec!r} has order {total}, above the cap {order_cap}")
+    atoms = [_atom(m, order_cap) for m in matches]
+    total = 1
+    for order, _ in atoms:
+        total *= order
+        if total > order_cap:  # stop before the product can grow huge
+            raise OrderCapExceeded(
+                f"spec {spec!r} has order at least {total}, above the cap {order_cap}")
     group = atoms[0][1]()
     for _, build in atoms[1:]:
         group = direct_product(group, build())

@@ -10,6 +10,7 @@ kernel (``poset_chains``, ``orbit_classes``, ``orbit_complex``) reads only an
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -97,9 +98,11 @@ class SubgroupLattice(OrbitPoset):
     """Subgroup inventory of a group with inclusion and conjugation data.
 
     Subgroups are listed in canonical order (by order, then member list) and
-    referenced by their position in that list. ``conj_perms`` holds the
-    distinct non-identity permutations that conjugation induces on the list,
-    with ``conj_counts[i]`` elements of G inducing ``conj_perms[i]``.
+    referenced by their position in that list. ``element_perms[g]`` is the
+    permutation that conjugation by element g induces on the list (equal
+    permutations are one shared tuple). ``conj_perms`` holds the distinct
+    non-identity ones, with ``conj_counts[i]`` elements of G inducing
+    ``conj_perms[i]``.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -112,13 +115,13 @@ class SubgroupLattice(OrbitPoset):
             tuple(j for j in range(n)
                   if j != i and subs[i].members & subs[j].members == subs[i].members)
             for i in range(n))
-        perm_counts: dict[tuple[int, ...], int] = {}
-        identity = tuple(range(n))
-        for g in group.elements():
-            perm = tuple(self.id_by_mask[group.conjugate_mask(s.members, g)]
-                         for s in subs)
-            perm_counts[perm] = perm_counts.get(perm, 0) + 1
-        perm_counts.pop(identity, None)
+        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.element_perms: tuple[tuple[int, ...], ...] = tuple(
+            interned.setdefault(perm, perm) for perm in (
+                tuple(self.id_by_mask[group.conjugate_mask(s.members, g)] for s in subs)
+                for g in group.elements()))
+        perm_counts = Counter(self.element_perms)
+        perm_counts.pop(tuple(range(n)), None)
         items = sorted(perm_counts.items())
         self.conj_counts: tuple[int, ...] = tuple(c for _, c in items)
         super().__init__(supersets, tuple(s.order for s in subs),

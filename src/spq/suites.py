@@ -28,7 +28,6 @@ from .global_functor import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    Subgroup,
     builtin,
     enumerate_homomorphisms,
 )
@@ -258,10 +257,9 @@ def _check_d0_identity() -> list[CheckResult]:
             classes_of[kspec] = chain_classes(K, K.order, COINVARIANT)
         for level in classes_of[kspec][1:3]:
             for cls in level:
-                masks = lat.masks(cls.representative)
                 checked += 1
-                if not verify_d0_compatibility(psi, masks, psi.source.order):
-                    failures.append((gspec, kspec, masks))
+                if not verify_d0_compatibility(psi, cls.representative, psi.source.order):
+                    failures.append((gspec, kspec, lat.masks(cls.representative)))
     return [_result("d0-identity:surjections<=16", not failures,
                     "restriction commutes with d0",
                     f"{checked} checks OK" if not failures else str(failures[:3]))]
@@ -272,10 +270,8 @@ def _all_class_vector(G: FiniteGroup, n: int, degree: int):
     classes = chain_classes(G, n, COINVARIANT)
     if degree >= len(classes) or not classes[degree]:
         return None
-    lat = subgroup_lattice(G)
-    coeffs = {lat.masks(cls.representative): Fraction(1)
-              for cls in classes[degree]}
-    return ChainVector(G, n, degree, coeffs)
+    return ChainVector(G, n, degree,
+                       {cls.representative: Fraction(1) for cls in classes[degree]})
 
 
 def _check_transfer_boundary() -> list[CheckResult]:
@@ -411,22 +407,22 @@ def _check_tau_realization() -> list[CheckResult]:
     for spec in ("C4", "S3", "D8", "Q8", "C2xC2"):
         G = catalog_group(spec)
         lat = subgroup_lattice(G)
-        full = (1 << G.order) - 1
         for level in chain_classes(G, G.order, COINVARIANT):
             for cls in level:
-                masks = lat.masks(cls.representative)
-                if masks[-1] == full:
+                ids = cls.representative
+                if ids[-1] == lat.top_id:
                     continue
-                top = Subgroup(G, masks[-1], masks[-1].bit_count())
+                top = lat.subgroups[ids[-1]]
                 emb = top.as_group
-                sub_masks = tuple(_image_mask(m, emb.from_ambient) for m in masks)
-                v = basis_vector(emb.group, G.order, sub_masks)
+                sub_lat = subgroup_lattice(emb.group)
+                sub_ids = tuple(sub_lat.id_of_mask(_image_mask(m, emb.from_ambient))
+                                for m in lat.masks(ids))
+                v = basis_vector(emb.group, G.order, sub_ids)
                 image = transfer(top, v)
-                expected = basis_vector(G, G.order, masks,
-                                        G.order // top.order)
+                expected = basis_vector(G, G.order, ids, G.order // top.order)
                 checked += 1
                 if image != expected:
-                    failures.append((spec, masks))
+                    failures.append((spec, lat.masks(ids)))
     return [_result("tau-as-transfer-quotient", not failures,
                     "proper-top classes are transfers from their top",
                     f"{checked} classes OK" if not failures else str(failures))]

@@ -7,11 +7,18 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
 import spq.reports
-from spq import ComputationReport, builtin, compute_report, profile_report
+from spq import (
+    ComputationReport,
+    OrderCapExceeded,
+    builtin,
+    compute_report,
+    profile_report,
+)
 from spq.cli import main
 
 # sha256 of `spq verify --suite all` stdout; bench/reference.json holds the same
@@ -154,6 +161,28 @@ def test_coset_gset_rejects_out_of_range_indices(capsys, gset):
     code, _, err = run_cli(capsys, "partition", "-g", "S3", "--gset", gset)
     assert_one_error_line(code, err)
     assert "out of range" in err
+
+
+def assert_fast_cap_error(capsys, *argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "EA(1000000000000000003,1)", "EA(3,100000000)", "EA(2,100000000)"])
+def test_huge_elementary_abelian_is_over_the_cap_at_once(capsys, spec):
+    # neither the primality test of p nor p**k runs before the cap rejects it
+    with pytest.raises(OrderCapExceeded):
+        builtin(spec)
+    assert_fast_cap_error(capsys, "compute", "-n", "2", "-g", spec)
+
+
+def test_huge_trivial_gset_is_over_the_cap_at_once(capsys):
+    # the term is priced before its action table is built
+    assert_fast_cap_error(capsys, "partition", "-g", "S3", "--gset", "trivial:100000000")
 
 
 @pytest.mark.parametrize("data,named", [

@@ -38,36 +38,61 @@ def sub_of_order(G, order):
     return next(s for s in all_subgroups(G) if s.order == order)
 
 
-def full_mask(G):
-    return (1 << G.order) - 1
-
-
 def class_vectors(G, n, degree):
-    lat = subgroup_lattice(G)
     classes = chain_classes(G, n, COINVARIANT)
     if degree >= len(classes):
         return []
-    return [basis_vector(G, n, lat.masks(c.representative))
-            for c in classes[degree]]
+    return [basis_vector(G, n, c.representative) for c in classes[degree]]
 
 
 def test_chain_vector_normalization():
     G = builtin("S3")
     lat = subgroup_lattice(G)
-    twos = [s.members for s in all_subgroups(G) if s.order == 2]
+    twos = [lat.id_of_mask(s.members) for s in all_subgroups(G) if s.order == 2]
+    bottom = lat.id_of_mask(1)
     # conjugate chains merge into one class
-    v = ChainVector(G, 6, 1, {(1, twos[0]): Fraction(1), (1, twos[1]): Fraction(2)})
+    v = ChainVector(G, 6, 1, {(bottom, twos[0]): Fraction(1),
+                              (bottom, twos[1]): Fraction(2)})
     assert len(v.coefficients) == 1
     assert next(iter(v.coefficients.values())) == 3
     with pytest.raises(ValueError):
         ChainVector(G, 6, 1, {(twos[0], twos[0]): Fraction(1)})
     with pytest.raises(FiltrationViolation):
-        ChainVector(G, 2, 1, {(1, full_mask(G)): Fraction(1)})
+        ChainVector(G, 2, 1, {(bottom, lat.top_id): Fraction(1)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda G: ChainVector(G, 6, -1, {}),
+    lambda G: basis_vector(G, 6, ()),
+    lambda G: ChainVector(G, 6, 1, {(0,): Fraction(1)}),
+    lambda G: basis_vector(G, 6, (0, 63)),
+    lambda G: basis_vector(G, 6, (-1, 5)),
+    lambda G: basis_vector(G, 6, (5, 0)),
+    lambda G: basis_vector(G, 6, (1, 2)),  # two subgroups of order 2
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), (63, 1), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), (), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), (0,), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), (5, 0), 6),
+])
+def test_chain_validation_rejects_non_chains(make):
+    with pytest.raises(ValueError):
+        make(builtin("S3"))
+
+
+def test_chain_validation_checks_the_level():
+    S3 = builtin("S3")
+    lat = subgroup_lattice(S3)
+    with pytest.raises(FiltrationViolation):
+        verify_d0_compatibility(GroupHom.identity(S3), (0, lat.top_id), 5)
+    with pytest.raises(FiltrationViolation):
+        basis_vector(S3, 5, (0, lat.top_id))
+    assert verify_d0_compatibility(GroupHom.identity(S3), (0, lat.top_id), 6)
 
 
 def test_transfer_full_group_is_identity():
     G = builtin("S3")
-    v = basis_vector(G, 6, (1, full_mask(G)))
+    lat = subgroup_lattice(G)
+    v = basis_vector(G, 6, (lat.id_of_mask(1), lat.top_id))
     assert transfer(G.full_subgroup, v) == v
 
 
@@ -75,25 +100,28 @@ def test_transfer_c2_in_c4():
     C4 = builtin("C4")
     H = sub_of_order(C4, 2)
     emb = H.as_group
-    v = basis_vector(emb.group, 4, (1, 3))
+    sub_lat, lat = subgroup_lattice(emb.group), subgroup_lattice(C4)
+    v = basis_vector(emb.group, 4, (sub_lat.id_of_mask(1), sub_lat.id_of_mask(3)))
     out = transfer(H, v)
-    assert out.coefficients == {(1, H.members): Fraction(2)}
+    assert out.coefficients == {
+        (lat.id_of_mask(1), lat.id_of_mask(H.members)): Fraction(2)}
 
 
 def test_transfer_merges_conjugates():
     S3 = builtin("S3")
     H = sub_of_order(S3, 2)
     emb = H.as_group
-    out = transfer(H, basis_vector(emb.group, 6, (3,)))  # the vertex [S2]
+    sub_lat, lat = subgroup_lattice(emb.group), subgroup_lattice(S3)
+    out = transfer(H, basis_vector(emb.group, 6, (sub_lat.id_of_mask(3),)))  # [S2]
     canon = min(s.members for s in all_subgroups(S3) if s.order == 2)
-    assert out.coefficients == {(canon,): Fraction(3)}
+    assert out.coefficients == {(lat.id_of_mask(canon),): Fraction(3)}
 
 
 def test_transfer_wrong_carrier():
     S3 = builtin("S3")
     H = sub_of_order(S3, 2)
     with pytest.raises(ChainNotInSubgroup):
-        transfer(H, basis_vector(builtin("C2"), 6, (1,)))
+        transfer(H, basis_vector(builtin("C2"), 6, (0,)))
 
 
 def test_restrict_identity_and_surjection():
@@ -102,10 +130,11 @@ def test_restrict_identity_and_surjection():
     for v in class_vectors(S3, 6, 1):
         assert restrict(ident, v) == v
     sign = enumerate_homomorphisms(S3, C2, surjective_only=True)[0]
-    v = basis_vector(C2, 6, (1, 3))
+    c2_lat, lat = subgroup_lattice(C2), subgroup_lattice(S3)
+    v = basis_vector(C2, 6, (c2_lat.id_of_mask(1), c2_lat.id_of_mask(3)))
     out = restrict(sign, v)
     a3 = sub_of_order(S3, 3)
-    assert out.coefficients == {(a3.members, full_mask(S3)): Fraction(1)}
+    assert out.coefficients == {(lat.id_of_mask(a3.members), lat.top_id): Fraction(1)}
 
 
 def test_restrict_trivial_inclusion():
@@ -114,8 +143,9 @@ def test_restrict_trivial_inclusion():
     inc = GroupHom(emb.group, C2, emb.to_ambient)
     dec = double_coset_decomposition(inc, C2.trivial_subgroup)
     assert dec.representatives == (0, 1)
-    out = restrict(inc, basis_vector(C2, 2, (1,)))
-    assert out.coefficients == {(1,): Fraction(1)}
+    lat, src_lat = subgroup_lattice(C2), subgroup_lattice(emb.group)
+    out = restrict(inc, basis_vector(C2, 2, (lat.id_of_mask(1),)))
+    assert out.coefficients == {(src_lat.id_of_mask(1),): Fraction(1)}
 
 
 def test_restrict_fractional_coefficients():
@@ -124,18 +154,21 @@ def test_restrict_fractional_coefficients():
     H = sub_of_order(C4, 2)
     emb = H.as_group
     inc = GroupHom(emb.group, C4, emb.to_ambient)
-    out = restrict(inc, basis_vector(C4, 4, (1,)))
-    assert out.coefficients == {(1,): Fraction(1)}
+    lat, src_lat = subgroup_lattice(C4), subgroup_lattice(emb.group)
+    out = restrict(inc, basis_vector(C4, 4, (lat.id_of_mask(1),)))
+    assert out.coefficients == {(src_lat.id_of_mask(1),): Fraction(1)}
     # and on the vertex [C2]: both cosets pull back to the whole source
-    out2 = restrict(inc, basis_vector(C4, 4, (H.members,)))
-    assert out2.coefficients == {(3,): Fraction(1)}
+    out2 = restrict(inc, basis_vector(C4, 4, (lat.id_of_mask(H.members),)))
+    assert out2.coefficients == {(src_lat.id_of_mask(3),): Fraction(1)}
 
 
 def restrict_reference(psi, v):
-    """``restrict`` from its formula, with every double coset walked afresh."""
+    """``restrict`` from its formula, on member masks, with every double coset
+    walked afresh; the pulled-back chains become ids only at the end."""
     G, K = psi.source, psi.target
     out = {}
-    for masks, coeff in v.coefficients.items():
+    for ids, coeff in v.coefficients.items():
+        masks = subgroup_lattice(K).masks(ids)
         base = Subgroup(K, masks[0], masks[0].bit_count())
         for k in double_coset_decomposition(psi, base).representatives:
             pulled = tuple(psi.preimage_mask(K.conjugate_mask(m, k)) for m in masks)
@@ -144,7 +177,9 @@ def restrict_reference(psi, v):
             weight = Fraction(G.order // pulled[0].bit_count(),
                               K.order // masks[0].bit_count())
             out[pulled] = out.get(pulled, 0) + coeff * weight
-    return ChainVector(G, v.n, v.degree, out)
+    lat = subgroup_lattice(G)
+    return ChainVector(G, v.n, v.degree, {
+        tuple(lat.id_of_mask(m) for m in pulled): c for pulled, c in out.items()})
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "A4"])
@@ -208,16 +243,16 @@ def test_double_coset_counting_identity():
 
 def test_boundary_operator():
     S3 = builtin("S3")
-    s2 = sub_of_order(S3, 2)
-    v = basis_vector(S3, 6, (1, s2.members, full_mask(S3)))
-    dv = boundary(v)
     lat = subgroup_lattice(S3)
-    canon2 = lat.masks(lat.canonical((lat.id_of_mask(1), lat.id_of_mask(s2.members))))
-    assert dv.coefficients[(s2.members, full_mask(S3))] == 1
-    assert dv.coefficients[(1, full_mask(S3))] == -1
+    bottom, s2 = lat.id_of_mask(1), lat.id_of_mask(sub_of_order(S3, 2).members)
+    v = basis_vector(S3, 6, (bottom, s2, lat.top_id))
+    dv = boundary(v)
+    canon2 = lat.canonical((bottom, s2))
+    assert dv.coefficients[lat.canonical((s2, lat.top_id))] == 1
+    assert dv.coefficients[(bottom, lat.top_id)] == -1
     assert dv.coefficients[canon2] == 1
     with pytest.raises(ValueError):
-        boundary(basis_vector(S3, 6, (1,)))
+        boundary(basis_vector(S3, 6, (bottom,)))
 
 
 def test_transfer_commutes_with_boundary():
@@ -265,48 +300,51 @@ def test_restriction_functoriality():
 @pytest.mark.parametrize("gspec,kspec", [("C4", "C2"), ("S3", "C2"), ("D8", "C2xC2")])
 def test_d0_compatibility_surjections(gspec, kspec):
     G, K = builtin(gspec), builtin(kspec)
-    lat = subgroup_lattice(K)
     for cls_level in chain_classes(K, K.order, COINVARIANT)[1:3]:
         for cls in cls_level:
-            masks = lat.masks(cls.representative)
             for hom in enumerate_homomorphisms(G, K, surjective_only=True):
-                assert verify_d0_compatibility(hom, masks, G.order)
+                assert verify_d0_compatibility(hom, cls.representative, G.order)
 
 
 def test_d0_compatibility_identity_and_nonsurjective():
     C4 = builtin("C4")
     ident = GroupHom.identity(C4)
-    lat = subgroup_lattice(C4)
     for cls in chain_classes(C4, 4, COINVARIANT)[1]:
-        masks = lat.masks(cls.representative)
-        assert verify_d0_compatibility(ident, masks, 4)
+        assert verify_d0_compatibility(ident, cls.representative, 4)
     # trivial map C4 -> C2 needs the degenerate bookkeeping to balance
     C2 = builtin("C2")
+    lat = subgroup_lattice(C2)
     trivial = GroupHom(C4, C2, (0, 0, 0, 0))
-    assert verify_d0_compatibility(trivial, (1, 3), 4)
+    assert verify_d0_compatibility(trivial, (lat.id_of_mask(1), lat.id_of_mask(3)), 4)
 
 
 def test_is_simple():
     S3 = builtin("S3")
-    s2 = sub_of_order(S3, 2)
-    a3 = sub_of_order(S3, 3)
-    assert is_simple(S3, (1, s2.members, full_mask(S3)))
-    assert not is_simple(S3, (a3.members, full_mask(S3)))
-    assert is_simple(S3, (1, full_mask(S3)))
+    lat = subgroup_lattice(S3)
+    bottom = lat.id_of_mask(1)
+    s2 = lat.id_of_mask(sub_of_order(S3, 2).members)
+    a3 = lat.id_of_mask(sub_of_order(S3, 3).members)
+    assert is_simple(S3, (bottom, s2, lat.top_id))
+    assert not is_simple(S3, (a3, lat.top_id))
+    assert is_simple(S3, (bottom, lat.top_id))
     C4 = builtin("C4")
-    c2 = sub_of_order(C4, 2)
-    assert not is_simple(C4, (c2.members, full_mask(C4)))
+    c4_lat = subgroup_lattice(C4)
+    c2 = c4_lat.id_of_mask(sub_of_order(C4, 2).members)
+    assert not is_simple(C4, (c2, c4_lat.top_id))
 
 
 def test_simple_decomposition():
     C4 = builtin("C4")
+    lat = subgroup_lattice(C4)
     c2 = sub_of_order(C4, 2)
-    N, image, proj = simple_decomposition(C4, (c2.members, full_mask(C4)))
+    c2_id = lat.id_of_mask(c2.members)
+    N, image, proj = simple_decomposition(C4, (c2_id, lat.top_id))
     assert N.members == c2.members
     assert proj.target.order == 2
-    assert image == (1, 3)
+    q_lat = subgroup_lattice(proj.target)
+    assert image == (q_lat.id_of_mask(1), q_lat.id_of_mask(3))
     with pytest.raises(ChainNotEndingAtTop):
-        simple_decomposition(C4, (1, c2.members))
+        simple_decomposition(C4, (lat.id_of_mask(1), c2_id))
 
 
 @pytest.mark.parametrize("spec,n,k", [
@@ -324,12 +362,14 @@ def test_proper_top_classes_are_transfers():
     for level in chain_classes(G, G.order, COINVARIANT):
         for cls in level:
             masks = lat.masks(cls.representative)
-            if masks[-1] == full_mask(G):
+            if masks[-1] == (1 << G.order) - 1:
                 continue
             top = next(s for s in all_subgroups(G) if s.members == masks[-1])
             emb = top.as_group
-            sub_masks = tuple(
-                sum(1 << emb.from_ambient[b] for b in range(G.order) if m >> b & 1)
+            sub_lat = subgroup_lattice(emb.group)
+            sub_ids = tuple(sub_lat.id_of_mask(
+                sum(1 << emb.from_ambient[b] for b in range(G.order) if m >> b & 1))
                 for m in masks)
-            lifted = transfer(top, basis_vector(emb.group, G.order, sub_masks))
-            assert lifted == basis_vector(G, G.order, masks, G.order // top.order)
+            lifted = transfer(top, basis_vector(emb.group, G.order, sub_ids))
+            assert lifted == basis_vector(G, G.order, cls.representative,
+                                          G.order // top.order)

@@ -26,6 +26,7 @@ from spq import (
     coinvariants_of_homology_oracle,
     profile_report,
     simple_decomposition,
+    subgroup_lattice,
 )
 from spq.cli import main
 from spq.homology import euler_characteristic
@@ -75,10 +76,11 @@ def test_stabilizer_must_divide_the_action():
 
 
 def test_quotient_chain_not_simple(monkeypatch):
-    monkeypatch.setattr(spq.global_functor, "is_simple", lambda G, masks: False)
+    monkeypatch.setattr(spq.global_functor, "is_simple", lambda G, ids: False)
     C4 = builtin("C4")
+    lat = subgroup_lattice(C4)
     with pytest.raises(InvariantViolation, match="simple"):
-        simple_decomposition(C4, (1, (1 << C4.order) - 1))
+        simple_decomposition(C4, (lat.id_of_mask(1), lat.top_id))
 
 
 def _jumping_compute_report(monkeypatch):

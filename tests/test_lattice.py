@@ -123,6 +123,21 @@ def test_orbit_sizes():
     assert by_size == [1, 1, 1, 3, 3]
 
 
+@pytest.mark.parametrize("spec", ["C6", "S3", "D8", "Q8", "A4"])
+def test_element_perms_are_conjugations(spec):
+    G = builtin(spec)
+    lat = subgroup_lattice(G)
+    identity = tuple(range(len(lat.subgroups)))
+    assert len(lat.element_perms) == G.order
+    for g, perm in enumerate(lat.element_perms):
+        assert lat.masks(perm) == tuple(G.conjugate_mask(s.members, g)
+                                        for s in lat.subgroups)
+    # equal permutations are one shared tuple, so an abelian group stores one
+    assert len({id(p) for p in lat.element_perms}) == len(set(lat.element_perms))
+    assert set(lat.element_perms) == set(lat.conj_perms) | {identity}
+    assert sum(lat.conj_counts) == G.order - lat.element_perms.count(identity)
+
+
 def test_reduced_boundary_c2():
     C = build_complex(builtin("C2"), 2, REDUCED)
     assert C.dims == (1, 1)
