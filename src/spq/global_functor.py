@@ -149,52 +149,68 @@ def _image_mask(mask: int, images) -> int:
     return out
 
 
-def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
-    """Caches of one psi: double-coset representatives per base id, preimage id per id.
+def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...],
+                                               SubgroupLattice, SubgroupLattice]:
+    """Caches of one psi: coset representatives and preimage ids, with both lattices.
+
+    They are the double-coset representatives per base id, the preimage id
+    of every target id, and the source and target lattices.
 
     Kept on psi itself, the way ``FiniteGroup.embedded_subgroup`` caches its
     results on the group.
     """
     memo = psi.__dict__.get("_restriction_memo")
     if memo is None:
-        source = subgroup_lattice(psi.source)
+        source, target = subgroup_lattice(psi.source), subgroup_lattice(psi.target)
         preimage = tuple(source.id_of_mask(psi.preimage_mask(s.members))
-                         for s in subgroup_lattice(psi.target).subgroups)
-        memo = psi.__dict__.setdefault("_restriction_memo", ({}, preimage))
+                         for s in target.subgroups)
+        memo = psi.__dict__.setdefault("_restriction_memo",
+                                       ({}, preimage, source, target))
     return memo
 
 
-def _restrict_chain_terms(psi: GroupHom, ids: tuple[int, ...], n: int,
-                          keep_degenerate: bool) -> dict[tuple[int, ...], Fraction]:
-    """Raw double-coset expansion of one chain class under psi.
+def _pullback_sums(psi: GroupHom, ids: tuple[int, ...], n: int,
+                   keep_degenerate: bool) -> tuple[dict[tuple[int, ...], int], int]:
+    """Raw double-coset expansion of one chain class under psi, in integers.
+
+    Returns (numerators by canonical chain, denominator): the coefficient
+    [G : psi^-1(k H_0 k^-1)] / [K : H_0] of every term shares the
+    denominator [K : H_0], so only the numerators are summed.
 
     With ``keep_degenerate`` the weakly increasing pullback chains survive
     (the unnormalized simplicial picture); otherwise they are dropped, which
     is the normalized-complex convention used by ``restrict``.
     """
-    G, K = psi.source, psi.target
-    source, target = subgroup_lattice(G), subgroup_lattice(K)
+    G = psi.source
     n_eff = min(n, G.order)
-    reps_of, preimage = _restriction_memo(psi)
+    reps_of, preimage, source, target = _restriction_memo(psi)
     reps = reps_of.get(ids[0])
     if reps is None:
         dec = double_coset_decomposition(psi, target.subgroups[ids[0]])
         reps = reps_of[ids[0]] = dec.representatives
-    out: dict[tuple[int, ...], Fraction] = {}
+    orders = source.orders
+    out: dict[tuple[int, ...], int] = {}
     for k in reps:
         conj = target.element_perms[k]
         pulled = tuple(preimage[conj[i]] for i in ids)
-        coeff = Fraction(G.order // source.orders[pulled[0]],
-                         K.order // target.orders[ids[0]])
         if not keep_degenerate and any(a == b for a, b in zip(pulled, pulled[1:])):
             continue
         # the pullback index never exceeds the original one, so this cannot
         # fire through the public API; kept as a guard on the contract
-        if source.orders[pulled[-1]] // source.orders[pulled[0]] > n_eff:
+        if orders[pulled[-1]] // orders[pulled[0]] > n_eff:
             raise FiltrationViolation("pulled-back chain left the filtration")
         canon = source.canonical(pulled)
-        out[canon] = out.get(canon, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
+        out[canon] = out.get(canon, 0) + G.order // orders[pulled[0]]
+    return out, psi.target.order // target.orders[ids[0]]
+
+
+def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
+                 rhs: dict[tuple[int, ...], int], rhs_den: int) -> bool:
+    """True when lhs / lhs_den and rhs / rhs_den are one vector; zero entries are ignored."""
+    keys = {k for k, v in lhs.items() if v}
+    if keys != {k for k, v in rhs.items() if v}:
+        return False
+    return all(lhs[k] * rhs_den == rhs[k] * lhs_den for k in keys)
 
 
 def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:
@@ -209,9 +225,10 @@ def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:
         raise ValueError("vector does not live over the target of psi")
     out: dict[tuple[int, ...], Fraction] = {}
     for ids, coeff in v.coefficients.items():
-        for key, co in _restrict_chain_terms(psi, ids, v.n,
-                                             keep_degenerate=False).items():
-            out[key] = out.get(key, Fraction(0)) + coeff * co
+        nums, den = _pullback_sums(psi, ids, v.n, keep_degenerate=False)
+        for key, num in nums.items():
+            if num:
+                out[key] = out.get(key, Fraction(0)) + coeff * Fraction(num, den)
     return ChainVector(psi.source, v.n, v.degree, out)
 
 
@@ -237,18 +254,23 @@ def verify_d0_compatibility(psi: GroupHom, ids: tuple[int, ...], n: int) -> bool
     because d_0 alone does not descend to the normalized complex; the full
     boundary does, and its compatibility follows from this face-level
     identity.
+
+    The comparison is exact and integer: each side is a dict of numerators
+    over one denominator, and the sides agree when they have the same keys
+    with a nonzero numerator and lhs[k] * rhs_den == rhs[k] * lhs_den for
+    every key.
     """
     _check_chains(psi.target, n, len(ids) - 1, (ids,))
     if len(ids) < 2:
         raise ValueError("d_0 compatibility needs a chain of degree >= 1")
-    lat = subgroup_lattice(psi.source)
-    lhs = _restrict_chain_terms(psi, ids[1:], n, keep_degenerate=True)
-    rhs: dict[tuple[int, ...], Fraction] = {}
-    for key, co in _restrict_chain_terms(psi, ids, n, keep_degenerate=True).items():
+    lat = _restriction_memo(psi)[2]
+    lhs, lhs_den = _pullback_sums(psi, ids[1:], n, keep_degenerate=True)
+    terms, rhs_den = _pullback_sums(psi, ids, n, keep_degenerate=True)
+    rhs: dict[tuple[int, ...], int] = {}
+    for key, num in terms.items():
         face = lat.canonical(key[1:])
-        rhs[face] = rhs.get(face, Fraction(0)) + co
-    rhs = {k: v for k, v in rhs.items() if v != 0}
-    return lhs == rhs
+        rhs[face] = rhs.get(face, 0) + num
+    return _same_ratios(lhs, lhs_den, rhs, rhs_den)
 
 
 def is_simple(G: FiniteGroup, ids: tuple[int, ...]) -> bool:

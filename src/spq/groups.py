@@ -764,6 +764,11 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
 
     Backtracks over generator images, closing the partial map after each
     assignment and pruning on conflicts and on element-order divisibility.
+    A homomorphism is fixed by its generator images, so the closure walks
+    generator edges only: every known a and assigned generator s give
+    phi(a s) = phi(a) phi(s), and a clash prunes the branch. A closure that
+    is conflict-free on those edges is a homomorphism on the subgroup the
+    assigned generators span, so each step costs O(|domain| * #gens).
     """
     if G.order * K.order > product_cap:
         raise ProductCapExceeded(
@@ -774,20 +779,26 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     k_orders = K.element_orders
     images: list[tuple[int, ...]] = []
 
-    def close(mapping: dict[int, int], g: int, y: int) -> dict[int, int] | None:
+    def close(mapping: dict[int, int], assigned: tuple[int, ...],
+              y: int) -> dict[int, int] | None:
+        """Extend ``mapping`` by assigned[-1] -> y along the edges of ``assigned``."""
+        g = assigned[-1]
         out = dict(mapping)
-        stack = [(g, y)]
-        while stack:
-            a, ia = stack.pop()
-            known = out.get(a)
-            if known is not None:
-                if known != ia:
+        out[g] = y
+        # known elements only lack the edges of the new generator
+        pending = [(a, (g,)) for a in mapping]
+        pending.append((g, assigned))
+        while pending:
+            a, edges = pending.pop()
+            ia = out[a]
+            for s in edges:
+                b, ib = G.mul[a][s], K.mul[ia][out[s]]
+                known = out.get(b)
+                if known is None:
+                    out[b] = ib
+                    pending.append((b, assigned))
+                elif known != ib:
                     return None
-                continue
-            out[a] = ia
-            for b, ib in list(out.items()):
-                stack.append((G.mul[a][b], K.mul[ia][ib]))
-                stack.append((G.mul[b][a], K.mul[ib][ia]))
         return out
 
     def search(mapping: dict[int, int], idx: int) -> None:
@@ -802,7 +813,7 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
         for y in K.elements():
             if g_orders[g] % k_orders[y]:
                 continue
-            grown = close(mapping, g, y)
+            grown = close(mapping, gens[:idx + 1], y)
             if grown is not None:
                 search(grown, idx + 1)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 
 from .errors import NotASubgroupInclusion, SizeCapExceeded
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -166,14 +166,6 @@ class Poset:
         return out
 
 
-def _refines(p: Partition, q: Partition) -> bool:
-    containing = {}
-    for block in q:
-        for x in block:
-            containing[x] = block
-    return all(set(block) <= set(containing[block[0]]) for block in p)
-
-
 def invariant_partitions(M: GSet) -> list[Partition]:
     """All G-invariant partitions of the point set, including the trivial two.
 
@@ -218,13 +210,31 @@ def invariant_partitions(M: GSet) -> list[Partition]:
 
 
 def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> Poset:
-    """Invariant proper nontrivial partitions of M, ordered by refinement."""
+    """Invariant proper nontrivial partitions of M, ordered by refinement.
+
+    p refines q exactly when q puts each two consecutive points of every
+    block of p together, so the up-set of p is the AND of the bitsets
+    ``together[x, y]`` (the partitions with x and y in one block) over those
+    pairs, minus p itself; no pair of partitions is compared.
+    """
     if M.size > size_cap:
         raise SizeCapExceeded(f"G-set of size {M.size} above the cap {size_cap}")
     discrete = tuple((x,) for x in range(M.size))
     indiscrete = (tuple(range(M.size)),)
     elems = [p for p in invariant_partitions(M) if p not in (discrete, indiscrete)]
-    return Poset.from_predicate(elems, _refines)
+    together: dict[tuple[int, int], int] = {}
+    for j, q in enumerate(elems):
+        for block in q:
+            for pair in combinations(block, 2):
+                together[pair] = together.get(pair, 0) | 1 << j
+    masks = []
+    for i, p in enumerate(elems):
+        up = (1 << len(elems)) - 1
+        for block in p:
+            for pair in zip(block, block[1:]):
+                up &= together.get(pair, 0)
+        masks.append(up & ~(1 << i))
+    return Poset(elems, tuple(masks))
 
 
 def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,

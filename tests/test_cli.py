@@ -142,6 +142,15 @@ def test_partition_command(capsys):
     assert "invariant proper partitions: 1" in out
 
 
+def test_trivial_gset_of_eight_points_finishes(capsys):
+    # 4138 invariant partitions; comparing every pair of them took 41.7 s
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "partition", "-g", "S3", "--gset", "trivial:8")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert "invariant proper partitions: 4138" in out
+
+
 def test_coset_gset_is_the_generated_subgroup(capsys):
     # element 3 of S3 has order 3, so it generates A3, which has two cosets
     code, out, err = run_cli(capsys, "partition", "-g", "S3", "--gset", "coset:3",

@@ -1,6 +1,7 @@
 """Transfers, double-coset restrictions, and the simple-chain decomposition."""
 
 import collections
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,8 @@ from spq import (
     verify_d0_compatibility,
     verify_projective_decomposition,
 )
-from spq.suites import _check_d0_identity
+from spq.global_functor import _same_ratios
+from spq.suites import CATALOG, _check_d0_identity, catalog_group
 
 
 def sub_of_order(G, order):
@@ -221,6 +223,50 @@ def test_d0_identity_builds_once_per_target(monkeypatch):
     assert result[0].passed and result[0].computed == "20949 checks OK"
     assert len(built) == len({id(G) for G in built}) == 17
     assert max(decomposed.values()) == 1
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "A4", "S4"])
+def test_d0_compatibility_on_inclusions_and_identity(spec):
+    # an inclusion has several double cosets, so faces of distinct pullbacks
+    # merge; in S4 the face of a least chain need not be least itself
+    K = builtin(spec)
+    homs = [GroupHom.identity(K)]
+    for H, _ in conjugacy_classes_of_subgroups(K)[1:-1]:
+        emb = H.as_group
+        homs.append(GroupHom(emb.group, K, emb.to_ambient))
+    for psi in homs:
+        for level in chain_classes(K, K.order, COINVARIANT)[1:3]:
+            for cls in level:
+                assert verify_d0_compatibility(psi, cls.representative, K.order)
+
+
+def test_d0_identity_memory_stays_small():
+    # with the catalog lattices built, the check holds only per-psi memos;
+    # 1.30 MB here, and 5.04 MB once a memo keyed on chain tails was added
+    for spec in CATALOG:
+        if catalog_group(spec).order <= 16:
+            subgroup_lattice(catalog_group(spec))
+    tracemalloc.start()
+    try:
+        result = _check_d0_identity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[0].passed
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("lhs,lhs_den,rhs,rhs_den,same", [
+    ({(0, 1): 2, (0, 2): 6}, 4, {(0, 1): 1, (0, 2): 3}, 2, True),  # equal ratios
+    ({(0, 1): 1}, 2, {(0, 1): 1}, 3, False),  # equal numerators, other denominators
+    ({(0, 1): 1, (0, 2): 1}, 2, {(0, 1): 1}, 2, False),  # a key on one side only
+    ({(0, 1): 1}, 2, {(0, 1): 1, (0, 2): 1}, 2, False),
+    ({(0, 1): 1, (0, 2): 0}, 2, {(0, 1): 2, (1, 2): 0}, 4, True),  # zeros are ignored
+    ({(0, 1): 0}, 2, {}, 3, True),
+])
+def test_d0_sides_compare_by_cross_multiplying(lhs, lhs_den, rhs, rhs_den, same):
+    assert _same_ratios(lhs, lhs_den, rhs, rhs_den) is same
+    assert _same_ratios(rhs, rhs_den, lhs, lhs_den) is same
 
 
 def test_double_coset_counting_identity():

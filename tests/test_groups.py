@@ -6,6 +6,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spq import (
     GroupHom,
@@ -362,6 +364,64 @@ def test_hom_search_matches_exhaustive():
     assert len(homs) == 2  # trivial and sign; C2 abelian, classes = maps
     assert len(classes) == 2
     assert sorted(hom.image_of for hom in classes) == sorted(homs)
+
+
+def slow_hom_classes(G, K, surjective_only):
+    """Independent slow path: every generator assignment, extended along words.
+
+    Each element of G gets a shortest word in G's generators from a
+    breadth-first walk; an assignment of generator images is extended
+    along those words and kept when phi(ab) = phi(a) phi(b) on all |G|^2
+    pairs. Maps are reduced to K-conjugacy classes by their least conjugate.
+    """
+    gens = [g for g in G.generators if g != 0]
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for i, s in enumerate(gens):
+                b = G.mul[a][s]
+                if b not in words:
+                    words[b] = words[a] + (i,)
+                    nxt.append(b)
+        frontier = nxt
+    assert len(words) == G.order
+    inverse = [next(y for y in K.elements() if K.mul[x][y] == 0) for x in K.elements()]
+    found = set()
+    for assignment in itertools.product(K.elements(), repeat=len(gens)):
+        img = []
+        for a in G.elements():
+            y = 0
+            for i in words[a]:
+                y = K.mul[y][assignment[i]]
+            img.append(y)
+        if any(img[G.mul[a][b]] != K.mul[img[a]][img[b]]
+               for a in G.elements() for b in G.elements()):
+            continue
+        if surjective_only and len(set(img)) != K.order:
+            continue
+        found.add(min(tuple(K.mul[K.mul[k][x]][inverse[k]] for x in img)
+                      for k in K.elements()))
+    return sorted(found)
+
+
+def _small_hom_pairs():
+    from spq.suites import CATALOG, catalog_group
+    pairs = []
+    for gspec in CATALOG:
+        ngens = sum(1 for g in catalog_group(gspec).generators if g != 0)
+        pairs += [(gspec, kspec) for kspec in CATALOG
+                  if catalog_group(kspec).order ** ngens <= 5000]
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_small_hom_pairs()), st.booleans())
+def test_hom_search_matches_slow_path(pair, surjective_only):
+    G, K = (builtin(spec) for spec in pair)
+    classes = enumerate_homomorphisms(G, K, surjective_only=surjective_only)
+    assert [hom.image_of for hom in classes] == slow_hom_classes(G, K, surjective_only)
 
 
 def test_hom_classes_relabel_invariant():

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_homology import dense_rank_oracle
 
@@ -24,6 +24,7 @@ from spq import (
     subgroup_conjugation_action,
 )
 from spq.partition import _reduced_betti_augmented
+from spq.suites import CATALOG, catalog_group
 
 
 def naive_invariant_partitions(M):
@@ -47,6 +48,15 @@ def naive_invariant_partitions(M):
         if all({frozenset(p[x] for x in b) for b in canon} == canon for p in perms):
             out.append(tuple(sorted(tuple(sorted(b)) for b in canon)))
     return sorted(set(out))
+
+
+def refines(p, q):
+    """Reference order: every block of p lies inside one block of q."""
+    containing = {}
+    for block in q:
+        for x in block:
+            containing[x] = block
+    return all(set(block) <= set(containing[block[0]]) for block in p)
 
 
 def sub_of_order(G, order):
@@ -119,6 +129,44 @@ def test_invariant_partitions_match_naive_filter(build):
     M = build()
     assert M.size <= 8
     assert invariant_partitions(M) == naive_invariant_partitions(M)
+
+
+@st.composite
+def small_gsets(draw, max_size):
+    """A catalog group and a sum of regular, trivial and coset terms of at most max_size points."""
+    G = catalog_group(draw(st.sampled_from(CATALOG)))
+    parts, size = [], 0
+    while size < max_size:
+        room = max_size - size
+        kind = draw(st.sampled_from(["regular", "trivial", "coset"]))
+        if kind == "regular" and G.order <= room:
+            part = GSet.regular(G)
+        elif kind == "trivial":
+            part = GSet.trivial(G, draw(st.integers(1, room)))
+        else:
+            fits = [H for H in all_subgroups(G) if G.order // H.order <= room]
+            part = GSet.from_cosets(G, draw(st.sampled_from(fits)))
+        parts.append(part)
+        size += part.size
+        if draw(st.booleans()):
+            break
+    return GSet.disjoint_union(parts)
+
+
+# random draws stop at 6 points, where the pairwise reference takes 0.1 s;
+# the 7-point examples include trivial:7, the most partitions (875) at 7 points
+@settings(max_examples=60, deadline=None)
+@given(small_gsets(max_size=6))
+@example(GSet.trivial(catalog_group("S3"), 7))
+@example(GSet.disjoint_union([GSet.regular(catalog_group("C3")),
+                              GSet.from_cosets(catalog_group("C3"),
+                                               catalog_group("C3").trivial_subgroup),
+                              GSet.trivial(catalog_group("C3"), 1)]))
+@example(GSet.disjoint_union([GSet.trivial(catalog_group("C2"), 1),
+                              GSet.regular(catalog_group("C2"))]))
+def test_refinement_masks_match_pairwise_reference(M):
+    P = fixed_partition_poset(M)
+    assert P.lt_masks == Poset.from_predicate(P.elements, refines).lt_masks
 
 
 def test_interval_posets():
