@@ -4,17 +4,20 @@ A k-chain is a strictly increasing sequence of subgroups H_0 < ... < H_k; it
 sits at filtration level n when its total index [H_k : H_0] is at most n.
 Conjugation permutes chains without reordering them, so the orbit set is an
 honest basis for the coinvariant complex, with no sign twists. The chain
-kernel (``poset_chains``, ``orbit_classes``, ``orbit_complex``) reads only an
-``OrbitPoset``, so the order complexes of ``partition`` run on it too.
+kernel reads only an ``OrbitPoset``, so the order complexes of ``partition``
+run on it too. ``orbit_classes`` walks one least chain per orbit, narrowing
+the stabilizer of each prefix, and never lists the other orbit members;
+``orbit_complex`` assembles the boundaries of those representatives.
+``poset_chains`` lists every chain, for the dense oracle and chain caps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -65,6 +68,24 @@ class OrbitPoset:
         return tuple(tuple(p for p in gamma if p[i] == least)
                      for i, least in enumerate(min(images) for images in zip(*gamma)))
 
+    @cached_property
+    def action_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Gamma as bitsets: for each id i, the members fixing i and those sending it lower.
+
+        Bit 0 stands for the identity and bit b for ``conj_perms[b - 1]``, so
+        a stabilizer is an int, narrowed by AND and trivial when it is 1.
+        """
+        gamma = (tuple(range(len(self.orders))),) + self.conj_perms
+        fixing, lowering = [0] * len(self.orders), [0] * len(self.orders)
+        for b, perm in enumerate(gamma):
+            bit = 1 << b
+            for i, image in enumerate(perm):
+                if image == i:
+                    fixing[i] |= bit
+                elif image < i:
+                    lowering[i] |= bit
+        return tuple(fixing), tuple(lowering)
+
     def canonical(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         """Least member of the orbit of a tuple of ids (repeats allowed).
 
@@ -72,18 +93,6 @@ class OrbitPoset:
         the lexicographic minimum is taken over their images alone.
         """
         return min(map(_image(ids), self.transporters[ids[0]]))
-
-    def orbit_size(self, canon: tuple[int, ...]) -> int:
-        """Orbit size of a tuple that is least in its orbit, as |Gamma| / |Stab|.
-
-        A least tuple's stabilizer lies in the transporters of its first id.
-        """
-        stab = list(map(_image(canon), self.transporters[canon[0]])).count(canon)
-        order = len(self.conj_perms) + 1
-        if not stab or order % stab:
-            raise InvariantViolation(
-                f"stabilizer of order {stab} does not divide the action's order {order}")
-        return order // stab
 
 
 def _image(ids: tuple[int, ...]):
@@ -182,22 +191,58 @@ def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[tuple[int
                 path.pop()
 
 
-def orbit_classes(P: OrbitPoset,
-                  chains: Iterable[tuple[int, ...]]) -> list[list[ChainClass]]:
-    """Orbits of the chains under P's action, grouped by degree.
+def orbit_classes(P: OrbitPoset, n: int, require_top: bool) -> list[list[ChainClass]]:
+    """Orbits of P's strict chains of weight ratio at most n, grouped by degree.
 
-    Within each degree the classes are sorted by their canonical
-    representative.
+    Only the least member of each orbit is visited, by a depth-first walk
+    that extends least chains alone. Order chains lexicographically and let
+    Stab(p) be the stabilizer of a chain p in Gamma. Then:
+
+    - A prefix of a least chain is least: an image g.p < p of a prefix p
+      makes g.c < c for any chain c extending p.
+    - p + (j,) is least exactly when p is least and
+      j == min(g[j] for g in Stab(p)). If p is least and g.(p + (j,)) is
+      smaller, then g.p <= p forces g.p == p, so g lies in Stab(p) and
+      g[j] < j; conversely such a g gives a smaller image.
+
+    So the walk starts from the ids that no member of Gamma sends lower,
+    with their stabilizers, and narrows the stabilizer to the members
+    fixing j at each step; once it is trivial every extension is least.
+    Stabilizers are the bitsets of ``action_masks``.
+    Gamma preserves the order and the weights, so an orbit passes the
+    weight limit exactly when its least member does, and the orbit size is
+    |Gamma| / |Stab(chain)|. With ``require_top`` only the chains ending
+    at ``top_id``, which Gamma fixes, are kept. Within each degree the
+    classes are sorted by their representative.
     """
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for chain in chains:
-        canon = P.canonical(chain)
-        bucket = by_degree.setdefault(len(chain) - 1, {})
-        if canon not in bucket:
-            bucket[canon] = P.orbit_size(canon)
-    return [[ChainClass(ids, P.orders[ids[-1]] // P.orders[ids[0]], size)
-             for ids, size in sorted(by_degree.get(k, {}).items())]
-            for k in range(max(by_degree, default=0) + 1)]
+    orders, supersets, top = P.orders, P.supersets, P.top_id
+    order = len(P.conj_perms) + 1
+    fixing, lowering = P.action_masks
+    by_length: list[list[ChainClass]] = [[] for _ in range(len(orders) + 1)]
+
+    def walk(chain: tuple[int, ...], stab: int, limit: int) -> None:
+        size = stab.bit_count()
+        if order % size:
+            raise InvariantViolation(
+                f"stabilizer of order {size} does not divide the action's order {order}")
+        last = chain[-1]
+        if not require_top or last == top:
+            by_length[len(chain)].append(ChainClass(
+                chain, orders[last] // orders[chain[0]], order // size))
+        for j in supersets[last]:
+            if orders[j] <= limit and not stab & lowering[j]:
+                walk(chain + (j,), stab & fixing[j], limit)
+
+    for start, bottom in enumerate(orders):
+        limit = bottom * n
+        if not lowering[start] and not (require_top and orders[top] > limit):
+            walk((start,), fixing[start], limit)
+    classes = by_length[1:]
+    while len(classes) > 1 and not classes[-1]:
+        classes.pop()
+    for level in classes:
+        level.sort(key=attrgetter("representative"))
+    return classes
 
 
 @dataclass(eq=False)
@@ -234,8 +279,10 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
 
     The boundary of a class is the alternating sum of its representative's
     faces, each re-canonicalized; faces in one orbit accumulate, so
-    coefficients can exceed +-1. In the reduced flavor the face deleting
-    the top lands in the collapsed part and contributes nothing.
+    coefficients can exceed +-1. The last face, a prefix of the least
+    representative, is least already and needs no canonicalization. In the
+    reduced flavor the face deleting the top lands in the collapsed part
+    and contributes nothing.
     """
     index_of: list[dict[tuple[int, ...], int]] = [
         {cls.representative: i for i, cls in enumerate(level)}
@@ -253,9 +300,12 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
                 face = ids[:i] + ids[i + 1:]
                 if P.orders[face[-1]] // P.orders[face[0]] > cls.total_index:
                     raise InvariantViolation("face left the filtration")
-                row = row_of.get(face)
-                if row is None:
-                    row = row_of[face] = rows[P.canonical(face)]
+                if i == k:  # the prefix of a least chain is least
+                    row = rows[face]
+                else:
+                    row = row_of.get(face)
+                    if row is None:
+                        row = row_of[face] = rows[P.canonical(face)]
                 col[row] = col.get(row, 0) + (1 if i % 2 == 0 else -1)
             level.append({r: v for r, v in col.items() if v})
         columns.append(tuple(level))
@@ -272,7 +322,8 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     only top-ending chains), and its boundaries are the coinvariant ones
     restricted to those rows and columns: the one face that leaves the top
     is exactly the face the reduced flavor drops. Trailing degrees without
-    such classes are dropped, as ``orbit_classes`` never makes them.
+    such classes are dropped, as the reduced ``orbit_classes`` ends at the
+    last degree holding a top-ending chain.
     """
     top = C.lattice.top_id
     keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
@@ -310,8 +361,9 @@ def chain_classes(G: FiniteGroup, n: int, flavor: str) -> list[list[ChainClass]]
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return orbit_classes(subgroup_lattice(G),
-                         chains_up_to(G, n, require_top_G=(flavor == REDUCED)))
+    if n < 1:
+        raise ValueError(f"filtration level must be at least 1, got {n}")
+    return orbit_classes(subgroup_lattice(G), min(n, G.order), flavor == REDUCED)
 
 
 @dataclass(eq=False)

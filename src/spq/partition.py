@@ -340,11 +340,11 @@ def _reduced_betti_augmented(P: Poset, action=None,
     (1, []).
     """
     cone = _cone(P, action)
-    # P's chains plus the lone top; stop enumerating once P passes the cap
-    chains = list(islice(poset_chains(cone, 1, require_top=True), chain_cap + 2))
-    if len(chains) > chain_cap + 1:
+    # P's chains plus the lone top; stop counting once P passes the cap
+    counted = sum(1 for _ in islice(poset_chains(cone, 1, require_top=True), chain_cap + 2))
+    if counted > chain_cap + 1:
         raise SizeCapExceeded(f"order complex above the chain cap {chain_cap}")
-    betti = betti_numbers(orbit_complex(cone, orbit_classes(cone, chains), REDUCED)).betti
+    betti = betti_numbers(orbit_complex(cone, orbit_classes(cone, 1, True), REDUCED)).betti
     return betti[0], list(betti[1:])
 
 

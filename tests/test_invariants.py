@@ -72,7 +72,7 @@ def test_stabilizer_must_divide_the_action():
     # the identity and two transpositions of three ids do not form a group
     P = spq.lattice.OrbitPoset(((), (), ()), (1, 1, 1), ((1, 0, 2), (0, 2, 1)), 2)
     with pytest.raises(InvariantViolation, match="stabilizer"):
-        spq.lattice.orbit_classes(P, [(0,)])
+        spq.lattice.orbit_classes(P, 1, False)
 
 
 def test_quotient_chain_not_simple(monkeypatch):

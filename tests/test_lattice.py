@@ -20,11 +20,14 @@ from spq import (
     complex_to_json_dict,
     compute_report,
     filtration_levels,
+    from_permutation_generators,
     interval_poset,
+    is_normal,
     subgroup_conjugation_action,
     subgroup_lattice,
     top_slice,
 )
+from spq.lattice import ChainClass, orbit_classes, poset_chains
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
 
@@ -227,7 +230,8 @@ def test_one_build_per_compute_report(monkeypatch):
     counted("orbit_classes")
     counted("poset_chains")
     compute_report(catalog_group("D8"), 4)
-    assert calls == {"orbit_classes": 1, "poset_chains": 1}
+    # one class walk, and no chain is listed outside it
+    assert (calls["orbit_classes"], calls["poset_chains"]) == (1, 0)
 
 
 def test_degree_bound():
@@ -290,15 +294,44 @@ def set_orbit(P, ids):
 
 
 def _check_against_full_scan(P, data):
-    ids = [data.draw(st.integers(0, len(P.orders) - 1))]
-    while P.supersets[ids[-1]] and data.draw(st.booleans()):
-        ids.append(data.draw(st.sampled_from(P.supersets[ids[-1]])))
+    chain = [data.draw(st.integers(0, len(P.orders) - 1))]
+    while P.supersets[chain[-1]] and data.draw(st.booleans()):
+        chain.append(data.draw(st.sampled_from(P.supersets[chain[-1]])))
     with_repeats = data.draw(st.lists(st.integers(0, len(P.orders) - 1),
                                       min_size=1, max_size=6))
-    for ids in (tuple(ids), tuple(with_repeats)):
-        canon = P.canonical(ids)
-        assert canon == full_scan_canonical(P, ids)
-        assert P.orbit_size(canon) == len(set_orbit(P, canon))
+    for ids in (tuple(chain), tuple(with_repeats)):
+        assert P.canonical(ids) == full_scan_canonical(P, ids)
+    canon = P.canonical(tuple(chain))
+    assert _walked_classes(P)[canon].orbit_size == len(set_orbit(P, canon))
+
+
+@functools.cache
+def _walked_classes(P):
+    """Every class of P's strict chains, by representative.
+
+    The limit orders[top] admits every chain of a subgroup lattice (least
+    weight 1) and of a cone (all weights 1).
+    """
+    n = P.orders[P.top_id]
+    return {cls.representative: cls for level in orbit_classes(P, n, False) for cls in level}
+
+
+def full_scan_classes(P, n, require_top):
+    """Reference classes: every chain reduced by a full scan, sizes counted as sets."""
+    by_degree = {}
+    for chain in poset_chains(P, n, require_top):
+        by_degree.setdefault(len(chain) - 1, set()).add(full_scan_canonical(P, chain))
+    return [[ChainClass(ids, P.orders[ids[-1]] // P.orders[ids[0]], len(set_orbit(P, ids)))
+             for ids in sorted(by_degree.get(k, ()))]
+            for k in range(max(by_degree, default=0) + 1)]
+
+
+def _check_classes(P, n, require_top, classes):
+    assert classes == full_scan_classes(P, n, require_top)
+    # orbit-stabilizer: the orbit sizes of a degree add up to its chain count
+    chains = collections.Counter(len(c) - 1 for c in poset_chains(P, n, require_top))
+    assert {k: sum(c.orbit_size for c in level)
+            for k, level in enumerate(classes) if level} == chains
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,3 +359,35 @@ def _normal_interval_cones(spec):
 def test_cone_canonical_and_orbit_size_match_full_scan(spec, data):
     cone = data.draw(st.sampled_from(_normal_interval_cones(spec)))
     _check_against_full_scan(cone, data)
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_chain_classes_match_full_scan(spec):
+    G = catalog_group(spec)
+    lat = subgroup_lattice(G)
+    for n in filtration_levels(G) + [G.order + 1]:
+        for flavor in (COINVARIANT, REDUCED):
+            _check_classes(lat, n, flavor == REDUCED, chain_classes(G, n, flavor))
+
+
+@pytest.mark.parametrize("spec", ("S3", "D8", "Q8", "A4", "SL2F3", "S4"))
+def test_cone_classes_match_full_scan(spec):
+    for cone in _normal_interval_cones(spec):
+        for require_top in (False, True):
+            _check_classes(cone, 1, require_top, orbit_classes(cone, 1, require_top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_classes_of_random_permutation_groups_match_full_scan(data):
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    lat = subgroup_lattice(G)
+    n = data.draw(st.sampled_from(filtration_levels(G) + [G.order + 1]))
+    require_top = data.draw(st.booleans())
+    _check_classes(lat, n, require_top, orbit_classes(lat, n, require_top))
+    sub = data.draw(st.sampled_from(lat.subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None)
+    _check_classes(cone, 1, require_top, orbit_classes(cone, 1, require_top))
