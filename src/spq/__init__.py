@@ -84,7 +84,6 @@ from .partition import (
     fixed_partition_poset,
     interval_poset,
     invariant_partitions,
-    poset_isomorphic,
     reduced_betti_of_order_complex,
     subgroup_conjugation_action,
 )

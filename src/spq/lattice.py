@@ -49,9 +49,10 @@ class OrbitPoset:
 
     ``conj_perms`` together with the identity must form a group Gamma:
     orbit sizes are read off as |Gamma| / |stabilizer|. For a
-    ``SubgroupLattice`` Gamma is the image of G; the order-complex actions
-    of ``partition`` come from ``subgroup_conjugation_action``, also the
-    image of a group.
+    ``SubgroupLattice`` Gamma is the image of G. The order-complex cones of
+    ``partition`` check that their action is an order-preserving group of
+    permutations; ``subgroup_conjugation_action`` supplies one by
+    restricting a lattice's ``conj_perms`` to an interval.
     """
 
     def __init__(self, supersets: tuple[tuple[int, ...], ...], orders: tuple[int, ...],
@@ -120,9 +121,10 @@ class SubgroupLattice(OrbitPoset):
         self.subgroups: tuple[Subgroup, ...] = tuple(subs)
         self.id_by_mask = {s.members: i for i, s in enumerate(subs)}
         n = len(subs)
+        # sorted by order, so a proper superset of subs[i] sorts after it
         supersets = tuple(
-            tuple(j for j in range(n)
-                  if j != i and subs[i].members & subs[j].members == subs[i].members)
+            tuple(j for j in range(i + 1, n)
+                  if subs[i].members & subs[j].members == subs[i].members)
             for i in range(n))
         interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.element_perms: tuple[tuple[int, ...], ...] = tuple(

@@ -2,9 +2,12 @@
 
 For a transitive G-set G/H the invariant proper nontrivial partitions are
 exactly the coset partitions of the subgroups strictly between H and G, so
-the fixed-point poset recovers the open subgroup interval (H, G). The
-homology of an order complex runs on the orbit-complex kernel of ``lattice``,
-applied to the poset with a top adjoined (the cone).
+the fixed-point poset recovers the open subgroup interval (H, G);
+``check_transitive_iso`` checks the explicit map K -> the cosets of K.
+Interval posets and their conjugation actions are slices of the subgroup
+lattice of ``lattice``. The homology of an order complex runs on that
+module's orbit-complex kernel, applied to the poset with a top adjoined
+(the cone).
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from functools import cached_property
 from itertools import combinations, islice
 
 from .errors import NotASubgroupInclusion, SizeCapExceeded
-from .groups import FiniteGroup, Subgroup, all_subgroups
+from .groups import FiniteGroup, Subgroup, _mask_bits
 from .homology import betti_numbers
-from .lattice import REDUCED, OrbitPoset, orbit_classes, orbit_complex, poset_chains
+from .lattice import (REDUCED, OrbitPoset, orbit_classes, orbit_complex, poset_chains,
+                      subgroup_lattice)
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_CHAIN_CAP = 20000
@@ -157,13 +161,7 @@ class Poset:
         return bool(self.lt_masks[i] >> j & 1)
 
     def above(self, i: int) -> list[int]:
-        out = []
-        m = self.lt_masks[i]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return _mask_bits(self.lt_masks[i])
 
 
 def invariant_partitions(M: GSet) -> list[Partition]:
@@ -239,94 +237,91 @@ def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> Poset:
 
 def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,
                    upper_closed: bool = False) -> Poset:
-    """Subgroups between H and G ordered by inclusion; open bounds by default."""
+    """Subgroups between H and G ordered by inclusion; open bounds by default.
+
+    A slice of the subgroup lattice: H's id and the ids above it, in lattice
+    order, with the strict order read off ``supersets``.
+    """
     if H.parent is not G:
         raise NotASubgroupInclusion("subgroup lives in a different group")
-    full = (1 << G.order) - 1
-    elems = []
-    for sub in all_subgroups(G):
-        if H.members & sub.members != H.members:
-            continue
-        if sub.members == H.members and not lower_closed:
-            continue
-        if sub.members == full and not upper_closed:
-            continue
-        elems.append(sub)
-    return Poset.from_predicate(
-        elems, lambda a, b: a.members != b.members
-        and a.members & b.members == a.members)
-
-
-def poset_isomorphic(P: Poset, Q: Poset) -> bool:
-    """Backtracking isomorphism search with degree-profile pruning."""
-    if len(P) != len(Q):
-        return False
-
-    def profile(poset: Poset, i: int) -> tuple[int, int]:
-        below = sum(1 for j in range(len(poset)) if poset.lt(j, i))
-        above = sum(1 for j in range(len(poset)) if poset.lt(i, j))
-        return (below, above)
-
-    p_prof = [profile(P, i) for i in range(len(P))]
-    q_prof = [profile(Q, i) for i in range(len(Q))]
-    if sorted(p_prof) != sorted(q_prof):
-        return False
-    order = sorted(range(len(P)), key=lambda i: (p_prof[i], i))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in range(len(Q)):
-            if j in used or q_prof[j] != p_prof[i]:
-                continue
-            ok = True
-            for i2, j2 in assigned.items():
-                if P.lt(i, i2) != Q.lt(j, j2) or P.lt(i2, i) != Q.lt(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used.add(j)
-                if extend(pos + 1):
-                    return True
-                del assigned[i]
-                used.discard(j)
-        return False
-
-    return extend(0)
+    lat = subgroup_lattice(G)
+    h = lat.id_of_mask(H.members)
+    ids = [i for i in (h,) + lat.supersets[h]
+           if (lower_closed or i != h) and (upper_closed or i != lat.top_id)]
+    pos = {i: k for k, i in enumerate(ids)}
+    return Poset((lat.subgroups[i] for i in ids),
+                 tuple(sum(1 << pos[j] for j in lat.supersets[i] if j in pos) for i in ids))
 
 
 def check_transitive_iso(G: FiniteGroup, H: Subgroup,
                          size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Compare the fixed-point partition poset of G/H with the interval (H, G)."""
+    """Check that K -> the cosets of K is an isomorphism (H, G) -> fixed poset of G/H.
+
+    The cosets of K partition G/H into the G-translates of the block
+    {kH : k in K}; point 0 of ``GSet.from_cosets`` is H itself. The map must
+    be a bijection onto the fixed-point partition poset that preserves and
+    reflects the order.
+    """
     if H.parent is not G:
         raise NotASubgroupInclusion("subgroup lives in a different group")
     if G.order // H.order > size_cap:
         raise SizeCapExceeded(
             f"index {G.order // H.order} above the cap {size_cap}")
-    fixed = fixed_partition_poset(GSet.from_cosets(G, H), size_cap)
+    M = GSet.from_cosets(G, H)
+    fixed = fixed_partition_poset(M, size_cap)
     interval = interval_poset(G, H)
-    return poset_isomorphic(fixed, interval)
+    index = {p: i for i, p in enumerate(fixed.elements)}
+    image = []
+    for K in interval.elements:
+        block = {M.action[k][0] for k in K.elements}
+        cosets = {tuple(sorted(M.action[g][x] for x in block)) for g in G.elements()}
+        image.append(index.get(tuple(sorted(cosets)), -1))
+    return sorted(image) == list(range(len(fixed))) and all(
+        sum(1 << image[b] for b in interval.above(a)) == fixed.lt_masks[image[a]]
+        for a in range(len(image)))
 
 
 def subgroup_conjugation_action(G: FiniteGroup, P: Poset) -> tuple[tuple[int, ...], ...]:
-    """Distinct permutations that conjugation by G induces on a poset of subgroups."""
-    pos = {sub.members: i for i, sub in enumerate(P.elements)}
-    perms = {tuple(pos[G.conjugate_mask(sub.members, g)] for sub in P.elements)
-             for g in G.elements()}
+    """Distinct permutations that conjugation by G induces on a poset of subgroups.
+
+    The lattice's ``conj_perms`` restricted to P's ids; raises ValueError
+    when conjugation moves a member of P out of P.
+    """
+    lat = subgroup_lattice(G)
+    ids = [lat.id_of_mask(sub.members) for sub in P.elements]
+    pos = {i: k for k, i in enumerate(ids)}
+    try:
+        perms = {tuple(pos[perm[i]] for i in ids) for perm in lat.conj_perms}
+    except KeyError:
+        raise ValueError("the poset is not closed under conjugation by G") from None
     perms.discard(tuple(range(len(P))))
     return tuple(sorted(perms))
 
 
 def _cone(P: Poset, action=None) -> OrbitPoset:
-    """P with a top adjoined, every weight 1 and the action fixing the top."""
+    """P with a top adjoined, every weight 1 and the action fixing the top.
+
+    Raises ValueError unless each member of the action is a permutation of
+    P's ids carrying each up-set onto the up-set of the image, and the
+    members with the identity are closed under composition, so they form a
+    group.
+    """
     top = len(P)
-    return OrbitPoset(tuple(tuple(P.above(i)) + (top,) for i in range(top)) + ((),),
+    ident = tuple(range(top))
+    gamma = {ident}
+    for perm in action or ():
+        perm = tuple(perm)
+        if sorted(perm) != list(ident):
+            raise ValueError(f"{perm} is not a permutation of the {top} poset ids")
+        if any(sum(1 << perm[j] for j in P.above(i)) != P.lt_masks[perm[i]]
+               for i in ident):
+            raise ValueError(f"{perm} does not preserve the order")
+        gamma.add(perm)
+    if any(tuple(p[x] for x in q) not in gamma for p in gamma for q in gamma):
+        raise ValueError("the action is not closed under composition")
+    return OrbitPoset(tuple(tuple(P.above(i)) + (top,) for i in ident) + ((),),
                       (1,) * (top + 1),
-                      tuple(tuple(perm) + (top,) for perm in action or ()), top)
+                      tuple(perm + (top,) for perm in sorted(gamma - {ident})), top)
 
 
 def _reduced_betti_augmented(P: Poset, action=None,

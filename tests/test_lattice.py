@@ -126,6 +126,15 @@ def test_orbit_sizes():
     assert by_size == [1, 1, 1, 3, 3]
 
 
+@pytest.mark.parametrize("spec", CATALOG)
+def test_supersets_match_all_pairs_scan(spec):
+    lat = subgroup_lattice(catalog_group(spec))
+    masks = lat.masks(range(len(lat.subgroups)))
+    assert lat.supersets == tuple(
+        tuple(j for j, b in enumerate(masks) if j != i and a & b == a)
+        for i, a in enumerate(masks))
+
+
 @pytest.mark.parametrize("spec", ["C6", "S3", "D8", "Q8", "A4"])
 def test_element_perms_are_conjugations(spec):
     G = builtin(spec)

@@ -19,10 +19,11 @@ from spq import (
     fixed_partition_poset,
     interval_poset,
     invariant_partitions,
-    poset_isomorphic,
+    is_normal,
     reduced_betti_of_order_complex,
     subgroup_conjugation_action,
 )
+from spq import partition
 from spq.partition import _reduced_betti_augmented
 from spq.suites import CATALOG, catalog_group
 
@@ -184,14 +185,67 @@ def test_interval_posets():
         interval_poset(S3, C4.trivial_subgroup)
 
 
-def test_poset_isomorphism_search():
-    C4 = builtin("C4")
-    S3 = builtin("S3")
-    chain3 = interval_poset(C4, C4.trivial_subgroup,
-                            lower_closed=True, upper_closed=True)
-    anti4 = interval_poset(S3, S3.trivial_subgroup)
-    assert not poset_isomorphic(chain3, anti4)
-    assert poset_isomorphic(anti4, anti4)
+@pytest.mark.parametrize("spec", CATALOG)
+def test_interval_poset_matches_pairwise_reference(spec):
+    G = catalog_group(spec)
+    subs = all_subgroups(G)
+    full = G.full_subgroup.members
+    for H in subs:
+        for lower_closed, upper_closed in itertools.product((False, True), repeat=2):
+            elems = [K for K in subs if K.members & H.members == H.members
+                     and (lower_closed or K != H) and (upper_closed or K.members != full)]
+            ref = Poset.from_predicate(elems, lambda a, b: a != b
+                                       and a.members & b.members == a.members)
+            P = interval_poset(G, H, lower_closed, upper_closed)
+            assert (P.elements, P.lt_masks) == (ref.elements, ref.lt_masks)
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_conjugation_action_matches_conjugate_mask_reference(spec):
+    G = catalog_group(spec)
+    for N in all_subgroups(G):
+        if not is_normal(N):
+            continue
+        for lower_closed in (False, True):
+            P = interval_poset(G, N, lower_closed=lower_closed)
+            pos = {K.members: i for i, K in enumerate(P.elements)}
+            ref = {tuple(pos[G.conjugate_mask(K.members, g)] for K in P.elements)
+                   for g in G.elements()} - {tuple(range(len(P)))}
+            assert subgroup_conjugation_action(G, P) == tuple(sorted(ref))
+
+
+def test_conjugation_action_rejects_a_poset_that_is_not_invariant():
+    G = builtin("S3")
+    P = interval_poset(G, sub_of_order(G, 2), lower_closed=True)
+    with pytest.raises(ValueError, match="not closed under conjugation"):
+        subgroup_conjugation_action(G, P)
+
+
+def _drop_relation(P):
+    i = next(i for i, m in enumerate(P.lt_masks) if m)
+    masks = list(P.lt_masks)
+    masks[i] &= masks[i] - 1
+    return Poset(P.elements, tuple(masks))
+
+
+def _drop_element(P):
+    return Poset(P.elements[1:], tuple(m >> 1 for m in P.lt_masks[1:]))
+
+
+def _replace_element(P):
+    discrete = tuple((x,) for x in range(sum(map(len, P.elements[0]))))
+    return Poset((discrete,) + P.elements[1:], P.lt_masks)
+
+
+@pytest.mark.parametrize("damage", [_drop_relation, _drop_element, _replace_element])
+def test_transitive_iso_rejects_a_damaged_fixed_poset(monkeypatch, damage):
+    G = builtin("D8")
+    H = G.trivial_subgroup
+    assert check_transitive_iso(G, H)
+    original = partition.fixed_partition_poset
+    monkeypatch.setattr(partition, "fixed_partition_poset",
+                        lambda M, size_cap: damage(original(M, size_cap)))
+    assert not check_transitive_iso(G, H)
 
 
 @pytest.mark.parametrize("spec", ["S3", "C4", "C2xC2", "Q8"])
@@ -264,6 +318,28 @@ def test_order_complex_chain_cap():
     assert _reduced_betti_augmented(three, chain_cap=7) == (0, [0, 0, 0])
     with pytest.raises(SizeCapExceeded):
         _reduced_betti_augmented(three, chain_cap=6)
+
+
+ANTICHAIN3 = Poset(range(3), (0, 0, 0))
+CHAIN3 = Poset.from_predicate(range(3), lambda a, b: a < b)
+
+
+@pytest.mark.parametrize("P,action,message", [
+    (ANTICHAIN3, ((1, 2, 0),), "not closed under composition"),
+    (CHAIN3, ((1, 0, 2),), "does not preserve the order"),
+    (CHAIN3, ((0, 0, 1),), "not a permutation"),
+    (CHAIN3, ((2, 1, 0),), "does not preserve the order"),
+    (CHAIN3, ((0, 1),), "not a permutation"),
+])
+def test_order_complex_rejects_invalid_actions(P, action, message):
+    with pytest.raises(ValueError, match=message):
+        reduced_betti_of_order_complex(P, action)
+
+
+def test_order_complex_of_a_valid_action():
+    # C3 rotating three points: the quotient is a single point
+    assert reduced_betti_of_order_complex(ANTICHAIN3) == [2]
+    assert reduced_betti_of_order_complex(ANTICHAIN3, ((1, 2, 0), (2, 0, 1))) == [0]
 
 
 PAIRS = list(itertools.combinations(range(7), 2))
