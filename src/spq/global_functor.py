@@ -1,8 +1,8 @@
 """Chain-level transfer and restriction operators with exact rational coefficients.
 
 Vectors live in the coinvariant complex of one group at one filtration
-level; keys are chains of subgroup ids of ``subgroup_lattice(group)`` in
-canonical (least conjugate) form, the ``ChainClass.representative`` form.
+level; keys are chains of subgroup ids of ``subgroup_lattice(group)``.
+``ChainVector`` puts raw keys into canonical (least conjugate) form.
 Transfer along H <= G multiplies by the index [G : H]; restriction along
 psi: G -> K sums over the double cosets im(psi)\\K/H_0 with coefficient
 [G : psi^-1(k H_0 k^-1)] / [K : H_0].
@@ -132,10 +132,8 @@ def transfer(H: Subgroup, v: ChainVector) -> ChainVector:
     to_ambient = tuple(lat.id_of_mask(_image_mask(s.members, emb.to_ambient))
                        for s in subgroup_lattice(emb.group).subgroups)
     idx = G.order // H.order
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ids, coeff in v.coefficients.items():
-        canon = lat.canonical(tuple(to_ambient[i] for i in ids))
-        out[canon] = out.get(canon, Fraction(0)) + coeff * idx
+    out = {tuple(to_ambient[i] for i in ids): coeff * idx
+           for ids, coeff in v.coefficients.items()}
     return ChainVector(G, v.n, v.degree, out)
 
 
@@ -236,13 +234,11 @@ def boundary(v: ChainVector) -> ChainVector:
     """Alternating sum of face deletions, on coinvariant chain vectors."""
     if v.degree < 1:
         raise ValueError("boundary needs degree at least 1")
-    lat = subgroup_lattice(v.group)
     out: dict[tuple[int, ...], Fraction] = {}
     for ids, coeff in v.coefficients.items():
         for i in range(len(ids)):
-            canon = lat.canonical(ids[:i] + ids[i + 1:])
-            sign = 1 if i % 2 == 0 else -1
-            out[canon] = out.get(canon, Fraction(0)) + coeff * sign
+            face = ids[:i] + ids[i + 1:]
+            out[face] = out.get(face, Fraction(0)) + (coeff if i % 2 == 0 else -coeff)
     return ChainVector(v.group, v.n, v.degree - 1, out)
 
 

@@ -3,8 +3,10 @@
 Elements of a group of order m are the indices 0..m-1 and index 0 is always
 the identity. All types are immutable once constructed; derived data
 (subgroup inventory, element orders, embedded subgroup groups) is cached
-lazily on the group object. Conjugacy classes of subgroups are read off the
-conjugation action in ``lattice``.
+lazily on the group object. ``_check_square`` owns the table-shape checks of
+both table constructors, and ``left_cosets`` the coset listing behind
+``quotient`` and ``partition.GSet.from_cosets``. Conjugacy classes of
+subgroups are read off the conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,20 @@ DEFAULT_ORDER_CAP = 512
 DEFAULT_PRODUCT_CAP = 1 << 16
 
 
+def _check_square(table: Sequence[Sequence[int]]) -> int:
+    """Side of a nonempty square table with entries in 0..side-1; NotAGroup otherwise."""
+    n = len(table)
+    if n == 0:
+        raise NotAGroup("empty multiplication table")
+    for row in table:
+        if len(row) != n:
+            raise NotAGroup("multiplication table is not square")
+        for x in row:
+            if not 0 <= x < n:
+                raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
+    return n
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -44,15 +60,7 @@ class FiniteGroup:
     def __init__(self, mul: Sequence[Sequence[int]], label: str,
                  generators: Iterable[int] | None = None):
         table = tuple(tuple(int(x) for x in row) for row in mul)
-        n = len(table)
-        if n == 0:
-            raise NotAGroup("empty multiplication table")
-        for row in table:
-            if len(row) != n:
-                raise NotAGroup("multiplication table is not square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
+        n = _check_square(table)
         for g in range(n):
             if table[0][g] != g or table[g][0] != g:
                 raise NotAGroup("element 0 is not a two-sided identity", witness=g)
@@ -354,17 +362,9 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str,
     the input numbering.
     """
     rows = [tuple(int(x) for x in row) for row in table]
-    n = len(rows)
-    if n == 0:
-        raise NotAGroup("empty multiplication table")
-    if n > order_cap:
-        raise OrderCapExceeded(f"table side {n} exceeds the order cap {order_cap}")
-    for row in rows:
-        if len(row) != n:
-            raise NotAGroup("multiplication table is not square")
-        for x in row:
-            if not 0 <= x < n:
-                raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
+    if len(rows) > order_cap:
+        raise OrderCapExceeded(f"table side {len(rows)} exceeds the order cap {order_cap}")
+    n = _check_square(rows)
     ident = None
     for e in range(n):
         if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
@@ -372,20 +372,14 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str,
             break
     if ident is None:
         raise NotAGroup("no two-sided identity element")
+    swap = list(range(n))  # an involution: it maps both ways
+    swap[0], swap[ident] = ident, 0
     if ident != 0:
-        swap = list(range(n))
-        swap[0], swap[ident] = ident, 0
         rows = [tuple(swap[rows[swap[i]][swap[j]]] for j in range(n)) for i in range(n)]
-
-    def back(x: int) -> int:
-        if ident == 0:
-            return x
-        return {0: ident, ident: 0}.get(x, x)
-
     witness = _associativity_witness(rows)
     if witness is not None:
         raise NotAGroup("multiplication is not associative",
-                        witness=tuple(back(x) for x in witness))
+                        witness=tuple(swap[x] for x in witness))
     return FiniteGroup(rows, label)
 
 
@@ -716,25 +710,33 @@ def is_normal(N: Subgroup) -> bool:
     return all(G.conjugate_mask(N.members, g) == N.members for g in G.elements())
 
 
+def left_cosets(H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left cosets gH as (coset_of, reps).
+
+    ``reps`` holds the least member of each coset in increasing order, and
+    ``coset_of[g]`` is the index in ``reps`` of g's coset.
+    """
+    G = H.parent
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    for g in G.elements():
+        if coset_of[g] < 0:
+            for h in H.elements:
+                coset_of[G.mul[g][h]] = len(reps)
+            reps.append(g)
+    return tuple(coset_of), tuple(reps)
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """The quotient group on least coset representatives plus the projection."""
     if N.parent is not G:
         raise NotASubgroupInclusion("subgroup does not live in the given group")
     if not is_normal(N):
         raise NotNormal("quotient by a non-normal subgroup")
-    coset_rep = [-1] * G.order
-    reps = []
-    for g in G.elements():
-        if coset_rep[g] >= 0:
-            continue
-        for h in N.elements:
-            coset_rep[G.mul[g][h]] = g
-        reps.append(g)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    table = [[rep_index[coset_rep[G.mul[a][b]]] for b in reps] for a in reps]
+    coset_of, reps = left_cosets(N)
+    table = [[coset_of[G.mul[a][b]] for b in reps] for a in reps]
     Q = FiniteGroup(table, f"{G.label}/{N.order}")
-    proj = GroupHom(G, Q, tuple(rep_index[coset_rep[g]] for g in G.elements()))
-    return Q, proj
+    return Q, GroupHom(G, Q, coset_of)
 
 
 def greedy_generators(G: FiniteGroup) -> tuple[int, ...]:

@@ -5,9 +5,10 @@ exactly the coset partitions of the subgroups strictly between H and G, so
 the fixed-point poset recovers the open subgroup interval (H, G);
 ``check_transitive_iso`` checks the explicit map K -> the cosets of K.
 Interval posets and their conjugation actions are slices of the subgroup
-lattice of ``lattice``. The homology of an order complex runs on that
-module's orbit-complex kernel, applied to the poset with a top adjoined
-(the cone).
+lattice of ``lattice``, and coset G-sets read ``groups.left_cosets``. The
+homology of an order complex runs on that module's orbit-complex kernel,
+applied to the poset with a top adjoined (the cone). Listing stops with
+SizeCapExceeded past PARTITION_CAP invariant partitions.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from functools import cached_property
 from itertools import combinations, islice
 
 from .errors import NotASubgroupInclusion, SizeCapExceeded
-from .groups import FiniteGroup, Subgroup, _mask_bits
+from .groups import FiniteGroup, Subgroup, _mask_bits, left_cosets
 from .homology import betti_numbers
 from .lattice import (REDUCED, OrbitPoset, orbit_classes, orbit_complex, poset_chains,
                       subgroup_lattice)
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_CHAIN_CAP = 20000
+# Bell(9) = 21147 < PARTITION_CAP < Bell(10) = 115975
+PARTITION_CAP = 25000
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -69,17 +72,8 @@ class GSet:
         """Left translation on the cosets gH, with least-element representatives."""
         if H.parent is not G:
             raise NotASubgroupInclusion("subgroup lives in a different group")
-        coset_rep = [-1] * G.order
-        reps = []
-        for g in G.elements():
-            if coset_rep[g] >= 0:
-                continue
-            for h in H.elements:
-                coset_rep[G.mul[g][h]] = g
-            reps.append(g)
-        pos = {r: i for i, r in enumerate(reps)}
-        action = tuple(tuple(pos[coset_rep[G.mul[g][r]]] for r in reps)
-                       for g in G.elements())
+        coset_of, reps = left_cosets(H)
+        action = tuple(tuple(coset_of[G.mul[g][r]] for r in reps) for g in G.elements())
         return GSet(G, len(reps), action)
 
     @staticmethod
@@ -169,6 +163,7 @@ def invariant_partitions(M: GSet) -> list[Partition]:
 
     Builds the block of the least unassigned point, closes it under the
     action, and recurses; each invariant partition is produced exactly once.
+    Raises SizeCapExceeded as soon as there are more than PARTITION_CAP.
     """
     perms = sorted({M.action[g] for g in M.group.elements()} - {tuple(range(M.size))})
     out: list[Partition] = []
@@ -186,6 +181,8 @@ def invariant_partitions(M: GSet) -> list[Partition]:
 
     def recurse(remaining: tuple[int, ...], prefix: list[frozenset[int]]) -> None:
         if not remaining:
+            if len(out) == PARTITION_CAP:
+                raise SizeCapExceeded(f"more than {PARTITION_CAP} invariant partitions")
             out.append(tuple(sorted(tuple(sorted(b)) for b in prefix)))
             return
         p = remaining[0]

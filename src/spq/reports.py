@@ -3,7 +3,7 @@
 Dimension vectors are reported densely up to the degree bound
 floor(log2(min(n, |G|))): a chain of degree k has total index at least 2^k,
 so nothing lives above that bound and trailing zeros are printed rather
-than omitted.
+than omitted. ``_level_report`` alone pads and packs a level's report.
 """
 
 from __future__ import annotations
@@ -65,16 +65,21 @@ class ComputationReport:
             euler=data["euler"])
 
 
+def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> ComputationReport:
+    """Package one level's vectors, padded to the report length of (|G|, n)."""
+    length = report_length(G.order, n)
+    return ComputationReport(
+        group=G.label, order=G.order, n=n, n_effective=min(n, G.order),
+        pi=padded(pi, length), phi=padded(phi, length),
+        chains=padded(chains, length), euler=euler)
+
+
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     """Build the coinvariant complex at level n; package its homology and its top slice's."""
     coinv = build_complex(G, n, COINVARIANT)
     pi = betti_numbers(coinv)
     phi = betti_numbers(top_slice(coinv))
-    length = report_length(G.order, n)
-    return ComputationReport(
-        group=G.label, order=G.order, n=n, n_effective=coinv.n_effective,
-        pi=padded(pi.betti, length), phi=padded(phi.betti, length),
-        chains=padded(coinv.dims, length), euler=pi.euler)
+    return _level_report(G, n, pi.betti, phi.betti, coinv.dims, pi.euler)
 
 
 def same_homotopy(a: ComputationReport, b: ComputationReport) -> bool:
@@ -163,11 +168,7 @@ def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationRepor
         phi = betti_at(phi_intervals, n)
         euler = euler_characteristic(pi, chains)
         euler_characteristic(phi, _dims_at(reduced, n))
-        length = report_length(G.order, n)
-        reports.append(ComputationReport(
-            group=G.label, order=G.order, n=n, n_effective=min(n, G.order),
-            pi=padded(pi, length), phi=padded(phi, length),
-            chains=padded(chains, length), euler=euler))
+        reports.append(_level_report(G, n, pi, phi, chains, euler))
     return reports
 
 

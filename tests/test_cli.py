@@ -23,6 +23,15 @@ from spq.cli import main
 
 # sha256 of `spq verify --suite all` stdout; bench/reference.json holds the same
 VERIFY_ALL_SHA256 = "6817534be8fdd1b1a4a2d57f293b859f2c940865aa13351ecad04dddcc6c5369"
+# sha256 of `spq profile --json -g G` stdout; bench/reference.json holds the same
+PROFILE_SHA256 = {
+    "C2xS4": "addd50d4666a63ae2805d1984a73941ffdac3df83ff1e25dda011ea53f86da49",
+    "EA(2,4)": "d38cd1b076de3555f7ad457b45fe920b77df5b18812c8dcc68d6014491b7df25",
+    "D32": "a0586332eb39fed5f7c91cf32f28e3e3dfbc09ff5a93410d9402fb54a0d9427f",
+    "S4": "5c7462d0a201e97c7756798f8dda24ff9877621a2c649d7f1f0efbf41b4a4c3e",
+    "SL2F3": "ff7dce1b54fd344048ad2530a75985c8abc50076f49e4da280642ae064eddec5",
+    "C30": "e133293cb75c79bf6c14020ac5dec490936961b93957cd42f8e17193433accfd",
+}
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +158,24 @@ def test_trivial_gset_of_eight_points_finishes(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     assert "invariant proper partitions: 4138" in out
+
+
+def test_trivial_gset_of_nine_points_lists_every_partition(capsys):
+    # Bell(9) = 21147 invariant partitions, under PARTITION_CAP
+    code, out, _ = run_cli(capsys, "partition", "-g", "S3", "--gset", "trivial:9")
+    assert code == 0
+    assert "invariant proper partitions: 21145" in out
+
+
+@pytest.mark.parametrize("gset", ["trivial:10", "trivial:12"])
+def test_gset_with_too_many_partitions_fails_fast(capsys, gset):
+    # Bell(10) = 115975 and Bell(12) = 4213597 partitions; listing them took minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "partition", "-g", "S3", "--gset", gset)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "25000" in err
 
 
 def test_coset_gset_is_the_generated_subgroup(capsys):
@@ -317,6 +344,13 @@ def test_verify_all_stdout_digest(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("spec", sorted(PROFILE_SHA256))
+def test_profile_roster_stdout_digest(capsys, spec):
+    code, out, _ = run_cli(capsys, "profile", "--json", "-g", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_SHA256[spec]
 
 
 def test_group_pickles_with_its_lattice():

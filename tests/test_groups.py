@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spq import (
+    FiniteGroup,
     GroupHom,
     InvalidPermutation,
     NotAGroup,
@@ -31,6 +32,8 @@ from spq import (
     normalizer,
     quotient,
 )
+from spq.groups import left_cosets
+from spq.suites import CATALOG
 
 
 def naive_closure(G, members):
@@ -96,6 +99,71 @@ def test_perturbed_c6_reports_witness():
     assert info.value.witness in bad
 
 
+# table, then the NotAGroup message from FiniteGroup(...) and from from_cayley_table(...)
+MALFORMED_TABLES = {
+    "empty": ([], "empty multiplication table", "empty multiplication table"),
+    "ragged": ([[0, 1], [1]], "multiplication table is not square",
+               "multiplication table is not square"),
+    "entry out of range": ([[0, 1], [1, 2]], "table entry 2 out of range 0..1",
+                           "table entry 2 out of range 0..1"),
+    "no identity": ([[0, 0], [0, 0]], "element 0 is not a two-sided identity (witness: 1)",
+                    "no two-sided identity element"),
+    # both elements are left identities, neither is a right identity
+    "identity not two-sided": ([[0, 1], [0, 1]],
+                               "element 0 is not a two-sided identity (witness: 1)",
+                               "no two-sided identity element"),
+    # an associative monoid: 1 * 1 = 1, so 1 has no inverse
+    "missing inverse": ([[0, 1], [1, 1]], "element has no right inverse (witness: 1)",
+                        "element has no right inverse (witness: 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_messages(case):
+    table, direct, untrusted = MALFORMED_TABLES[case]
+    with pytest.raises(NotAGroup) as info:
+        FiniteGroup(table, case)
+    assert str(info.value) == direct
+    with pytest.raises(NotAGroup) as info:
+        from_cayley_table(table, case)
+    assert str(info.value) == untrusted
+
+
+@pytest.mark.parametrize("table", [
+    [[0] * 5 for _ in range(5)],                    # no identity
+    [[0, 1, 2, 3, 4]] * 4 + [[0]],                  # ragged
+    [[9] * 5 for _ in range(5)],                    # entries out of range
+])
+def test_order_cap_comes_before_the_shape_checks(table):
+    with pytest.raises(OrderCapExceeded):
+        from_cayley_table(table, "big", order_cap=4)
+
+
+def test_nonassociative_witness_is_in_the_input_numbering():
+    # C6 relabelled i -> i + 3 (mod 6), so the identity sits at index 3 and
+    # the table is reindexed before the associativity test runs
+    table = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(6):
+            table[(i + 3) % 6][(j + 3) % 6] = (i + j + 3) % 6
+    table[4][5] = 1
+    bad = exhaustive_nonassociative_triples(table)
+    with pytest.raises(NotAGroup) as info:
+        from_cayley_table(table, "shifted")
+    assert info.value.witness in bad
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_left_cosets_match_brute_force(spec):
+    G = builtin(spec)
+    for H in all_subgroups(G):
+        coset_of, reps = left_cosets(H)
+        least = [min(G.mul[g][h] for h in H.elements) for g in G.elements()]
+        assert reps == tuple(sorted(set(least)))
+        assert len(reps) == G.order // H.order
+        assert all(coset_of[g] == reps.index(least[g]) for g in G.elements())
+
+
 @pytest.mark.parametrize("spec", ["C2", "C3", "C4", "C2xC2", "S3", "C6", "D8", "Q8",
                                   "A4", "C2xC6", "D16", "SL2F3"])
 def test_associativity_check_matches_exhaustive_reference(spec):
@@ -122,7 +190,6 @@ def test_associativity_check_matches_exhaustive_reference(spec):
 
 def test_builtin_tables_golden():
     # sha256 over repr((label, mul, generators)) of every spec, in this order
-    from spq.suites import CATALOG
     extra = ("EA(2,2)", "EA(2,4)", "EA(2,5)", "EA(5,2)", "S4", "S5", "A5", "D2", "D4",
              "D32", "D48", "S1", "S2", "A1", "A2", "A3", "C2xS4", "C3xS4", "Q8xC3")
     digest = hashlib.sha256()
@@ -407,7 +474,7 @@ def slow_hom_classes(G, K, surjective_only):
 
 
 def _small_hom_pairs():
-    from spq.suites import CATALOG, catalog_group
+    from spq.suites import catalog_group
     pairs = []
     for gspec in CATALOG:
         ngens = sum(1 for g in catalog_group(gspec).generators if g != 0)

@@ -103,6 +103,16 @@ def test_size_cap():
         check_transitive_iso(G, G.trivial_subgroup, size_cap=8)
 
 
+def test_partition_cap_counts_the_trivial_partitions(monkeypatch):
+    # Bell(4) = 15 partitions of four points, the trivial two included
+    M = GSet.trivial(builtin("C1"), 4)
+    monkeypatch.setattr(partition, "PARTITION_CAP", 15)
+    assert len(invariant_partitions(M)) == 15
+    monkeypatch.setattr(partition, "PARTITION_CAP", 14)
+    with pytest.raises(SizeCapExceeded, match="more than 14"):
+        invariant_partitions(M)
+
+
 def _mixed_c4():
     G = builtin("C4")
     return GSet.disjoint_union([GSet.trivial(G, 2), GSet.regular(G)])
