@@ -49,7 +49,6 @@ from .groups import (
     enumerate_homomorphisms,
     from_cayley_table,
     from_permutation_generators,
-    greedy_generators,
     group_from_json,
     index,
     is_normal,

@@ -41,6 +41,8 @@ def _check_chains(G: FiniteGroup, n: int, degree: int,
     Only a total index above min(n, |G|) raises ``FiltrationViolation``;
     every other defect raises ``ValueError``.
     """
+    if n < 1:
+        raise ValueError(f"filtration level must be at least 1, got {n}")
     if degree < 0:
         raise ValueError(f"chain degree must be at least 0, got {degree}")
     lat = subgroup_lattice(G)
@@ -271,7 +273,7 @@ def verify_d0_compatibility(psi: GroupHom, ids: tuple[int, ...], n: int) -> bool
 
 def is_simple(G: FiniteGroup, ids: tuple[int, ...]) -> bool:
     """True when the bottom subgroup holds no nontrivial normal subgroup of the top."""
-    subs = subgroup_lattice(G).subgroups
+    subs = _check_chains(G, G.order, len(ids) - 1, (ids,)).subgroups
     return core_in(subs[ids[0]], subs[ids[-1]]).order == 1
 
 
@@ -282,7 +284,7 @@ def simple_decomposition(
     Returns (N, image chain, projection) where N is the largest subgroup of
     the bottom normal in G; the image chain in G/N is simple by construction.
     """
-    lat = subgroup_lattice(G)
+    lat = _check_chains(G, G.order, len(ids) - 1, (ids,))
     if ids[-1] != lat.top_id:
         raise ChainNotEndingAtTop("simple decomposition needs a chain ending at G")
     core = core_in(lat.subgroups[ids[0]], G.full_subgroup)
@@ -303,6 +305,8 @@ def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
     (core, image chain in G/core), one to one with pairs of a normal
     subgroup N and a simple reduced class of G/N at the same level.
     """
+    if k < 0:
+        raise ValueError(f"chain degree must be at least 0, got {k}")
     if G.order * G.order > product_cap:
         raise ProductCapExceeded(
             f"|G|^2 = {G.order * G.order} exceeds the cap {product_cap}")

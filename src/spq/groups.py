@@ -2,11 +2,14 @@
 
 Elements of a group of order m are the indices 0..m-1 and index 0 is always
 the identity. All types are immutable once constructed; derived data
-(subgroup inventory, element orders, embedded subgroup groups) is cached
+(generators, subgroup inventory, element orders, embedded subgroups) is cached
 lazily on the group object. ``_check_square`` owns the table-shape checks of
 both table constructors, and ``left_cosets`` the coset listing behind
-``quotient`` and ``partition.GSet.from_cosets``. Conjugacy classes of
-subgroups are read off the conjugation action in ``lattice``.
+``quotient`` and ``partition.GSet.from_cosets``. ``_grow`` is the one closure
+routine: ``closure_set``, Light's associativity test and every group's
+generating set go through it. Every group carries generators, checked when
+given and computed on first use otherwise. Conjugacy classes of subgroups
+are read off the conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``mul[a][b]`` is the index of the product, ``inv[a]`` the inverse.
-    Construction checks identity and inverse axioms; associativity is the
-    caller's responsibility (``from_cayley_table`` verifies it for untrusted
-    tables, the builtin constructors guarantee it).
+    Construction checks identity and inverse axioms, and that given
+    ``generators`` are elements that generate the table; associativity is
+    the caller's responsibility (``from_cayley_table`` verifies it for
+    untrusted tables, the builtin constructors guarantee it).
     """
 
     identity = 0
@@ -78,7 +82,14 @@ class FiniteGroup:
         self.mul = table
         self.inv = tuple(inv)
         self.label = str(label)
-        self.generators = None if generators is None else tuple(generators)
+        if generators is not None:
+            gens = tuple(generators)
+            for g in gens:
+                if not 0 <= g < n:
+                    raise NotAGroup(f"generator {g} out of range 0..{n - 1}")
+            if len(_grow(table, gens)[1]) != n:
+                raise NotAGroup("the given generators do not generate the group")
+            self.generators = gens
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -89,6 +100,11 @@ class FiniteGroup:
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.mul[self.mul[g][x]][self.inv[g]]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each element not yet generated, in index order: at most log2|G| of them."""
+        return _grow(self.mul, self.elements())[0]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -109,9 +125,7 @@ class FiniteGroup:
 
     def closure_set(self, seed: Iterable[int]) -> set[int]:
         """Smallest subset containing ``seed`` closed under multiplication."""
-        members = set(seed)
-        members.add(0)
-        return _close(self.mul, members, list(members))
+        return _grow(self.mul, seed)[1]
 
     def generated_mask(self, seed: Iterable[int]) -> int:
         mask = 0
@@ -126,15 +140,15 @@ class FiniteGroup:
         if bad:
             raise UnknownSpec(f"element index {bad[0]} out of range 0..{self.order - 1}")
         mask = self.generated_mask(gens)
-        return Subgroup(self, mask, mask.bit_count())
+        return Subgroup(self, mask)
 
     @cached_property
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, 1, 1)
+        return Subgroup(self, 1)
 
     @cached_property
     def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, (1 << self.order) - 1, self.order)
+        return Subgroup(self, (1 << self.order) - 1)
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         out = 0
@@ -168,20 +182,30 @@ class FiniteGroup:
         return cache.setdefault(mask, emb)
 
 
-def _close(mul: Sequence[Sequence[int]], members: set[int], queue: list[int]) -> set[int]:
-    """Close ``members`` under ``mul`` in place and return it.
+def _grow(mul: Sequence[Sequence[int]], seed: Iterable[int]) -> tuple[tuple[int, ...], set[int]]:
+    """Adjoin ``seed`` to {0} one element at a time, closing under ``mul``.
 
-    ``queue`` holds the members whose products with every other member have
-    not been taken yet; each new product joins both.
+    Returns the seeds that grew the set, in seed order, and the closure.
+    Each new element is multiplied on both sides by the members present
+    when it is popped; a member that joins later takes its products with it
+    when that member is popped, so every pair is covered.
     """
-    while queue:
-        x = queue.pop()
-        for y in tuple(members):
-            for z in (mul[x][y], mul[y][x]):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-    return members
+    joined: list[int] = []
+    closure = {0}
+    for g in seed:
+        if g in closure:
+            continue
+        joined.append(g)
+        closure.add(g)
+        queue = [g]
+        while queue:
+            x = queue.pop()
+            for y in tuple(closure):
+                for z in (mul[x][y], mul[y][x]):
+                    if z not in closure:
+                        closure.add(z)
+                        queue.append(z)
+    return tuple(joined), closure
 
 
 class EmbeddedSubgroup(NamedTuple):
@@ -207,13 +231,10 @@ class Subgroup:
 
     parent: FiniteGroup
     members: int
-    order: int
 
     def __post_init__(self):
         if self.members & 1 == 0:
             raise NotASubgroupInclusion("subgroup does not contain the identity")
-        if self.members.bit_count() != self.order:
-            raise NotASubgroupInclusion("stated order disagrees with member count")
         mul, inv, mask = self.parent.mul, self.parent.inv, self.members
         elems = _mask_bits(mask)
         for a in elems:
@@ -225,6 +246,10 @@ class Subgroup:
                     raise NotASubgroupInclusion(f"not closed under product at ({a},{b})")
         if self.parent.order % self.order:
             raise NotASubgroupInclusion("order does not divide the parent order")
+
+    @cached_property
+    def order(self) -> int:
+        return self.members.bit_count()
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
@@ -289,11 +314,7 @@ class GroupHom:
 
     @cached_property
     def kernel(self) -> Subgroup:
-        mask = 0
-        for g, img in enumerate(self.image_of):
-            if img == 0:
-                mask |= 1 << g
-        return Subgroup(self.source, mask, mask.bit_count())
+        return Subgroup(self.source, self.preimage_mask(1))
 
     def preimage_mask(self, target_mask: int) -> int:
         mask = 0
@@ -322,25 +343,17 @@ class GroupHom:
 # constructors
 
 
-def _associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """First failing triple ((a*t)*b != a*(t*b)), or None, by Light's test.
+def _associativity_witness(table: Sequence[Sequence[int]],
+                           gens: Sequence[int]) -> tuple[int, int, int] | None:
+    """First failing triple ((a*t)*b != a*(t*b)) with t in ``gens``, or None.
 
-    The set of t with (a*t)*b == a*(t*b) for all a, b is closed under
-    multiplication: if t and u are in it, then
+    Light's test. The set of t with (a*t)*b == a*(t*b) for all a, b is
+    closed under multiplication: if t and u are in it, then
     (a*(t*u))*b = ((a*t)*u)*b = (a*t)*(u*b) = a*(t*(u*b)) = a*((t*u)*b).
-    So checking t over a set whose products reach every element decides
-    associativity at every table size, in |gens|*n^2 steps instead of n^3.
-    The set is grown greedily: each element not yet reached joins it, and
-    the reached set is closed again.
+    So when the products of ``gens`` reach every element, checking t over
+    ``gens`` decides associativity, in |gens|*n^2 steps instead of n^3.
     """
     n = len(table)
-    gens: list[int] = []
-    covered = {0}
-    for g in range(n):
-        if g not in covered:
-            gens.append(g)
-            covered.add(g)
-            _close(table, covered, [g])
     for t in gens:
         for a in range(n):
             at = table[a][t]
@@ -376,11 +389,12 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str,
     swap[0], swap[ident] = ident, 0
     if ident != 0:
         rows = [tuple(swap[rows[swap[i]][swap[j]]] for j in range(n)) for i in range(n)]
-    witness = _associativity_witness(rows)
+    gens = _grow(rows, range(n))[0]
+    witness = _associativity_witness(rows, gens)
     if witness is not None:
         raise NotAGroup("multiplication is not associative",
                         witness=tuple(swap[x] for x in witness))
-    return FiniteGroup(rows, label)
+    return FiniteGroup(rows, label, generators=gens)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -439,9 +453,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup,
     table = [[(A.mul[a1][a2]) * nb + B.mul[b1][b2]
               for a2 in A.elements() for b2 in B.elements()]
              for a1 in A.elements() for b1 in B.elements()]
-    gens = None
-    if A.generators is not None and B.generators is not None:
-        gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
+    gens = tuple(g * nb for g in A.generators) + B.generators
     return FiniteGroup(table, label or f"{A.label}x{B.label}", generators=gens)
 
 
@@ -671,7 +683,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     masks.add(grown)
                     fresh.append(grown)
         frontier = fresh
-    subs = sorted((Subgroup(G, m, m.bit_count()) for m in masks),
+    subs = sorted((Subgroup(G, m) for m in masks),
                   key=lambda s: s.key)
     return list(G.__dict__.setdefault("_all_subgroups", tuple(subs)))
 
@@ -689,7 +701,7 @@ def normalizer(H: Subgroup) -> Subgroup:
     for g in G.elements():
         if G.conjugate_mask(H.members, g) == H.members:
             mask |= 1 << g
-    return Subgroup(G, mask, mask.bit_count())
+    return Subgroup(G, mask)
 
 
 def core_in(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -702,7 +714,7 @@ def core_in(H: Subgroup, K: Subgroup) -> Subgroup:
         mask &= G.conjugate_mask(H.members, k)
         if mask == 1:
             break
-    return Subgroup(G, mask, mask.bit_count())
+    return Subgroup(G, mask)
 
 
 def is_normal(N: Subgroup) -> bool:
@@ -739,23 +751,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     return Q, GroupHom(G, Q, coset_of)
 
 
-def greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set: repeatedly adjoin the element whose closure grows most."""
-    chosen: list[int] = []
-    closed = {0}
-    while len(closed) < G.order:
-        best_g, best_size = -1, -1
-        for g in G.elements():
-            if g in closed:
-                continue
-            size = len(G.closure_set(closed | {g}))
-            if size > best_size:
-                best_g, best_size = g, size
-        chosen.append(best_g)
-        closed = G.closure_set(closed | {best_g})
-    return tuple(chosen)
-
-
 def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
                             surjective_only: bool = False,
                             product_cap: int = DEFAULT_PRODUCT_CAP) -> list[GroupHom]:
@@ -775,8 +770,7 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     if G.order * K.order > product_cap:
         raise ProductCapExceeded(
             f"|G|*|K| = {G.order * K.order} exceeds the cap {product_cap}")
-    gens = G.generators if G.generators is not None else greedy_generators(G)
-    gens = tuple(g for g in gens if g != 0)
+    gens = tuple(g for g in G.generators if g != 0)
     g_orders = G.element_orders
     k_orders = K.element_orders
     images: list[tuple[int, ...]] = []

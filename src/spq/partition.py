@@ -112,7 +112,7 @@ class GSet:
         for g in self.group.elements():
             if self.action[g][point] == point:
                 mask |= 1 << g
-        return Subgroup(self.group, mask, mask.bit_count())
+        return Subgroup(self.group, mask)
 
     @cached_property
     def is_isotypical(self) -> bool:

@@ -91,6 +91,12 @@ def test_chain_validation_checks_the_level():
     assert verify_d0_compatibility(GroupHom.identity(S3), (0, lat.top_id), 6)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_chain_vector_rejects_a_level_below_one(n):
+    with pytest.raises(ValueError, match="filtration level must be at least 1"):
+        ChainVector(builtin("D8"), n, 0, {})
+
+
 def test_transfer_full_group_is_identity():
     G = builtin("S3")
     lat = subgroup_lattice(G)
@@ -171,7 +177,7 @@ def restrict_reference(psi, v):
     out = {}
     for ids, coeff in v.coefficients.items():
         masks = subgroup_lattice(K).masks(ids)
-        base = Subgroup(K, masks[0], masks[0].bit_count())
+        base = Subgroup(K, masks[0])
         for k in double_coset_decomposition(psi, base).representatives:
             pulled = tuple(psi.preimage_mask(K.conjugate_mask(m, k)) for m in masks)
             if any(a == b for a, b in zip(pulled, pulled[1:])):
@@ -393,12 +399,28 @@ def test_simple_decomposition():
         simple_decomposition(C4, (lat.id_of_mask(1), c2_id))
 
 
+@pytest.mark.parametrize("ids", [(-2, 5), (5, 5), (-1, 5), (99,), ()])
+def test_simple_chain_checks_reject_bad_ids(ids):
+    S3 = builtin("S3")
+    assert subgroup_lattice(S3).top_id == 5
+    with pytest.raises(ValueError):
+        is_simple(S3, ids)
+    with pytest.raises(ValueError):
+        simple_decomposition(S3, ids)
+
+
 @pytest.mark.parametrize("spec,n,k", [
     ("C4", 4, 1), ("S3", 6, 1), ("C1", 1, 0),
     ("C2xC2", 4, 1), ("D8", 8, 2), ("Q8", 8, 2),
 ])
 def test_projective_decomposition(spec, n, k):
     assert verify_projective_decomposition(builtin(spec), n, k)
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_projective_decomposition_rejects_a_negative_degree(k):
+    with pytest.raises(ValueError):
+        verify_projective_decomposition(builtin("D8"), 8, k)
 
 
 def test_proper_top_classes_are_transfers():

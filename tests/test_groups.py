@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +30,12 @@ from spq import (
     from_permutation_generators,
     group_from_json,
     index,
+    is_normal,
     normalizer,
     quotient,
 )
-from spq.groups import left_cosets
-from spq.suites import CATALOG
+from spq.groups import _grow, left_cosets
+from spq.suites import CATALOG, catalog_group
 
 
 def naive_closure(G, members):
@@ -323,7 +325,7 @@ def test_subgroup_invariants():
             for b in sub.elements:
                 assert G.mul[a][b] in sub
     with pytest.raises(NotASubgroupInclusion):
-        Subgroup(G, 0b000110, 2)  # {1, 2} misses the identity
+        Subgroup(G, 0b000110)  # {1, 2} misses the identity
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -474,7 +476,6 @@ def slow_hom_classes(G, K, surjective_only):
 
 
 def _small_hom_pairs():
-    from spq.suites import catalog_group
     pairs = []
     for gspec in CATALOG:
         ngens = sum(1 for g in catalog_group(gspec).generators if g != 0)
@@ -526,16 +527,93 @@ def test_light_associativity_path():
         assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
-def test_hom_search_with_greedy_generators():
-    # a table-built group exposes no generators; the greedy fallback kicks in
+def test_hom_search_on_a_table_built_group():
+    # a table-built group carries the generators its associativity test used
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     G = from_cayley_table(table, "C6-table")
-    assert G.generators is None
-    from spq import greedy_generators
-    gens = greedy_generators(G)
-    assert len(G.closure_set(gens)) == 6
+    assert len(G.closure_set(G.generators)) == 6
     classes = enumerate_homomorphisms(G, builtin("C2"))
     assert len(classes) == 2
+
+
+@pytest.mark.parametrize("gens", [(2,), (), (99,), (-1,)])
+def test_given_generators_must_generate(gens):
+    S3 = builtin("S3")
+    with pytest.raises(NotAGroup):
+        FiniteGroup(S3.mul, "S3", generators=gens)
+
+
+@st.composite
+def derived_groups(draw):
+    """(kind, group): a permutation group of degree <= 4, or a quotient,
+    an embedded subgroup or a relabelled Cayley-table copy of one."""
+    degree = draw(st.integers(1, 4))
+    perms = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    G = from_permutation_generators(degree, perms, "P")
+    kind = draw(st.sampled_from(("permutation", "quotient", "subgroup", "table")))
+    if kind == "quotient":
+        normal = [N for N in all_subgroups(G) if is_normal(N)]
+        return kind, quotient(G, draw(st.sampled_from(normal)))[0]
+    if kind == "subgroup":
+        H = draw(st.sampled_from(all_subgroups(G))).as_group.group
+        return ("permutation" if H is G else kind), H  # the full subgroup is G
+    if kind == "table":
+        relabel = draw(st.permutations(range(G.order)))
+        table = [[0] * G.order for _ in G.elements()]
+        for a in G.elements():
+            for b in G.elements():
+                table[relabel[a]][relabel[b]] = relabel[G.mul[a][b]]
+        return kind, from_cayley_table(table, "T")
+    return kind, G
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_groups())
+def test_every_group_carries_generators(case):
+    kind, G = case
+    assert len(G.closure_set(G.generators)) == G.order
+    # computed generators each at least double the subgroup they extend
+    computed = FiniteGroup(G.mul, G.label).generators
+    assert len(G.closure_set(computed)) == G.order
+    assert 2 ** len(computed) <= G.order
+    if kind != "permutation":
+        assert G.generators == computed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CATALOG), st.data())
+def test_closure_set_matches_fixpoint(spec, data):
+    G = builtin(spec)
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    closure = G.closure_set(seed)
+    assert sum(1 << x for x in closure) == naive_closure(G, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_grow_closes_tables_that_are_not_groups(n, data):
+    # Light's test grows its set on unchecked tables, where 0 is only an identity
+    table = [[i if j == 0 else j if i == 0 else data.draw(st.integers(0, n - 1))
+              for j in range(n)] for i in range(n)]
+    seed = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    joined, closure = _grow(table, seed)
+    assert sum(1 << x for x in closure) == naive_closure(SimpleNamespace(mul=table), seed)
+    assert _grow(table, joined)[1] == closure
+    for i, g in enumerate(joined):
+        assert g in seed and g not in _grow(table, joined[:i])[1]
+
+
+SMALL_CATALOG = tuple(spec for spec in CATALOG if catalog_group(spec).order <= 16)
+
+
+@pytest.mark.parametrize("gspec", SMALL_CATALOG)
+def test_hom_search_ignores_which_generators(gspec):
+    G = catalog_group(gspec)
+    bare = FiniteGroup(G.mul, G.label)
+    for kspec in SMALL_CATALOG:
+        K = catalog_group(kspec)
+        assert ([hom.image_of for hom in enumerate_homomorphisms(G, K)]
+                == [hom.image_of for hom in enumerate_homomorphisms(bare, K)])
 
 
 def test_kernel_and_composition():
