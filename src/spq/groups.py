@@ -6,10 +6,12 @@ the identity. All types are immutable once constructed; derived data
 lazily on the group object. ``_check_square`` owns the table-shape checks of
 both table constructors, and ``left_cosets`` the coset listing behind
 ``quotient`` and ``partition.GSet.from_cosets``. ``_grow`` is the one closure
-routine: ``closure_set``, Light's associativity test and every group's
-generating set go through it. Every group carries generators, checked when
-given and computed on first use otherwise. Conjugacy classes of subgroups
-are read off the conjugation action in ``lattice``.
+routine: ``closure_set``, Light's associativity test and every computed
+generating set go through it. Every group carries generators: given ones are
+checked by ``_walk``, a breadth-first walk of the Cayley graph over them that
+relies on associativity, and missing ones are computed on first use.
+Conjugacy classes of subgroups are read off the conjugation action in
+``lattice``.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class FiniteGroup:
             for g in gens:
                 if not 0 <= g < n:
                     raise NotAGroup(f"generator {g} out of range 0..{n - 1}")
-            if len(_grow(table, gens)[1]) != n:
+            if len(_walk(table, gens)) != n:
                 raise NotAGroup("the given generators do not generate the group")
             self.generators = gens
 
@@ -206,6 +208,25 @@ def _grow(mul: Sequence[Sequence[int]], seed: Iterable[int]) -> tuple[tuple[int,
                         closure.add(z)
                         queue.append(z)
     return tuple(joined), closure
+
+
+def _walk(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> set[int]:
+    """The elements reached from 0 by right products with ``gens``.
+
+    Breadth-first over the Cayley graph, in |G|*|gens| lookups. In an
+    associative table these are the products of nonempty words in
+    ``gens``, which in a finite group is the subgroup that they generate.
+    """
+    reached = {0}
+    queue = [0]
+    for x in queue:
+        row = mul[x]
+        for g in gens:
+            z = row[g]
+            if z not in reached:
+                reached.add(z)
+                queue.append(z)
+    return reached
 
 
 class EmbeddedSubgroup(NamedTuple):

@@ -139,15 +139,17 @@ def betti_at(intervals: tuple[tuple[Interval, ...], ...], n: int) -> tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra over Fraction (oracle machinery)
+# dense exact linear algebra over the rationals on Python ints (oracle machinery)
 
 
-def _row_reduce(mat: list[list[Fraction]]) -> list[int]:
+def _row_reduce(mat: list[list[int | Fraction]]) -> list[int]:
     """In-place reduced row echelon form; returns the pivot columns.
 
-    The pivot row is zero left of its pivot, so normalizing it and clearing
-    the other rows with it touch only its support: its nonzero columns from
-    the pivot on.
+    Entries are ints or Fractions, and mixing them is exact. The pivot row
+    is zero left of its pivot, so normalizing it and clearing the other rows
+    with it touch only its support: its nonzero columns from the pivot on.
+    A pivot of -1 is normalized by negation, so an int matrix whose pivots
+    are all +-1 stays in ints; only another pivot brings in a Fraction.
     """
     if not mat:
         return []
@@ -161,8 +163,12 @@ def _row_reduce(mat: list[list[Fraction]]) -> list[int]:
         mat[r], mat[sel] = mat[sel], mat[r]
         row = mat[r]
         support = [j for j in range(c, ncols) if row[j] != 0]
-        if row[c] != 1:
-            inv = Fraction(1) / row[c]
+        pivot = row[c]
+        if pivot == -1:
+            for j in support:
+                row[j] = -row[j]
+        elif pivot != 1:
+            inv = Fraction(1) / pivot
             for j in support:
                 row[j] *= inv
         for i, other in enumerate(mat):
@@ -177,7 +183,8 @@ def _row_reduce(mat: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def _nullspace(rows_matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows_matrix: list[list[int | Fraction]],
+               ncols: int) -> list[list[int | Fraction]]:
     """Kernel basis of the matrix given as a list of rows, acting on ncols coords."""
     mat = [row[:] for row in rows_matrix]
     pivots = _row_reduce(mat)
@@ -186,15 +193,15 @@ def _nullspace(rows_matrix: list[list[Fraction]], ncols: int) -> list[list[Fract
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec: list[int | Fraction] = [0] * ncols
+        vec[free] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -mat[r][free]
         basis.append(vec)
     return basis
 
 
-def _dense_rank(mat: list[list[Fraction]]) -> int:
+def _dense_rank(mat: list[list[int | Fraction]]) -> int:
     work = [row[:] for row in mat]
     return len(_row_reduce(work))
 
@@ -207,8 +214,10 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     and returns, per degree, the rank of the averaging idempotent
     e = (1/|G|) sum_g g on its rational homology:
     dim e.H_k = rank(B_k + e.Z_k) - rank(B_k), where the cycles Z_k come
-    from dense exact elimination and rank(B_k) = dim C_{k+1} - dim Z_{k+1}.
-    Scaling does not change a rank, so e is applied without the 1/|G|.
+    from dense exact elimination over the rationals (on Python ints, with a
+    Fraction only at a pivot other than +-1) and
+    rank(B_k) = dim C_{k+1} - dim Z_{k+1}. Scaling does not change a rank,
+    so e is applied without the 1/|G|, and integral cycles stay integral.
     Semisimplicity over the rationals makes this the dimension of the
     coinvariants, so it cross-validates betti_numbers on the coinvariant
     complex without sharing any code path with it.
@@ -230,7 +239,7 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
              for k, level in enumerate(bases)]
     columns = []  # columns[k]: d_k as dense columns
     for k, level in enumerate(faces):
-        columns.append([[Fraction(0)] * (len(bases[k - 1]) if k else 0) for _ in level])
+        columns.append([[0] * (len(bases[k - 1]) if k else 0) for _ in level])
         for col, terms in zip(columns[k], level):
             for row, sign in terms:
                 col[row] += sign
@@ -255,7 +264,7 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
                 for j, v in enumerate(z):
                     if v:
                         ez[image[j]] += v * count
-            dez: dict[int, Fraction] = {}
+            dez: dict[int, int | Fraction] = {}
             for j, v in enumerate(ez):
                 if v:
                     for row, sign in faces[k][j]:

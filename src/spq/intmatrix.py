@@ -33,52 +33,12 @@ class SparseIntMatrix:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
 
-    @staticmethod
-    def from_dict(rows: int, cols: int, data: dict[tuple[int, int], int]) -> SparseIntMatrix:
-        entries = tuple(sorted((r, c, v) for (r, c), v in data.items() if v != 0))
-        return SparseIntMatrix(rows, cols, entries)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> SparseIntMatrix:
-        return SparseIntMatrix(rows, cols, ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def columns(self) -> list[dict[int, int]]:
         """Every column as a row -> value dict, in one pass over the entries."""
         out: list[dict[int, int]] = [{} for _ in range(self.cols)]
         for r, c, v in self.entries:
             out[c][r] = v
         return out
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
-    def matmul(self, other: SparseIntMatrix) -> SparseIntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for r, c, v in self.entries:
-            by_col.setdefault(c, []).append((r, v))
-        acc: dict[tuple[int, int], int] = {}
-        for rr, cc, vv in other.entries:
-            for r, v in by_col.get(rr, ()):
-                key = (r, cc)
-                acc[key] = acc.get(key, 0) + v * vv
-        return SparseIntMatrix.from_dict(self.rows, other.cols, acc)
-
-    def permuted(self, row_perm: list[int] | None = None,
-                 col_perm: list[int] | None = None) -> SparseIntMatrix:
-        entries = []
-        for r, c, v in self.entries:
-            entries.append((row_perm[r] if row_perm else r,
-                            col_perm[c] if col_perm else c, v))
-        return SparseIntMatrix(self.rows, self.cols, tuple(sorted(entries)))
 
 
 def reduce_columns(columns: list[dict[int, int]],

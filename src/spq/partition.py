@@ -136,18 +136,6 @@ class Poset:
         self.elements = tuple(elements)
         self.lt_masks = lt_masks
 
-    @staticmethod
-    def from_predicate(elements, is_lt) -> Poset:
-        elems = tuple(elements)
-        masks = []
-        for i, a in enumerate(elems):
-            m = 0
-            for j, b in enumerate(elems):
-                if i != j and is_lt(a, b):
-                    m |= 1 << j
-            masks.append(m)
-        return Poset(elems, tuple(masks))
-
     def __len__(self) -> int:
         return len(self.elements)
 

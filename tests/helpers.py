@@ -1,0 +1,58 @@
+"""Reference constructions that only the tests use.
+
+Dense views, products and relabelings of ``SparseIntMatrix``, and posets
+built by testing a strict order on every pair. They stay out of ``spq`` so
+that a reference never ships with the code that it checks.
+"""
+
+from __future__ import annotations
+
+from spq import Poset, SparseIntMatrix
+
+
+def sparse_from_dict(rows: int, cols: int,
+                     data: dict[tuple[int, int], int]) -> SparseIntMatrix:
+    """The matrix with the given (row, col) -> value entries; zeros are dropped."""
+    entries = tuple(sorted((r, c, v) for (r, c), v in data.items() if v != 0))
+    return SparseIntMatrix(rows, cols, entries)
+
+
+def to_dense(M: SparseIntMatrix) -> list[list[int]]:
+    out = [[0] * M.cols for _ in range(M.rows)]
+    for r, c, v in M.entries:
+        out[r][c] = v
+    return out
+
+
+def matmul(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
+    if A.cols != B.rows:
+        raise ValueError("inner dimensions disagree")
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for r, c, v in A.entries:
+        by_col.setdefault(c, []).append((r, v))
+    acc: dict[tuple[int, int], int] = {}
+    for rr, cc, vv in B.entries:
+        for r, v in by_col.get(rr, ()):
+            key = (r, cc)
+            acc[key] = acc.get(key, 0) + v * vv
+    return sparse_from_dict(A.rows, B.cols, acc)
+
+
+def permuted(M: SparseIntMatrix, row_perm: list[int],
+             col_perm: list[int]) -> SparseIntMatrix:
+    """M with row r moved to row_perm[r] and column c to col_perm[c]."""
+    return SparseIntMatrix(M.rows, M.cols, tuple(sorted(
+        (row_perm[r], col_perm[c], v) for r, c, v in M.entries)))
+
+
+def poset_from_predicate(elements, is_lt) -> Poset:
+    """The poset whose strict order is ``is_lt``, tested on every pair."""
+    elems = tuple(elements)
+    masks = []
+    for i, a in enumerate(elems):
+        m = 0
+        for j, b in enumerate(elems):
+            if i != j and is_lt(a, b):
+                m |= 1 << j
+        masks.append(m)
+    return Poset(elems, tuple(masks))

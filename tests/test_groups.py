@@ -34,7 +34,7 @@ from spq import (
     normalizer,
     quotient,
 )
-from spq.groups import _grow, left_cosets
+from spq.groups import _grow, _walk, left_cosets
 from spq.suites import CATALOG, catalog_group
 
 
@@ -534,6 +534,15 @@ def test_hom_search_on_a_table_built_group():
     assert len(G.closure_set(G.generators)) == 6
     classes = enumerate_homomorphisms(G, builtin("C2"))
     assert len(classes) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_generator_walk_reaches_the_closure(degree, data):
+    perms = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    G = from_permutation_generators(degree, perms, "P")
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    assert _walk(G.mul, gens) == G.closure_set(gens)
 
 
 @pytest.mark.parametrize("gens", [(2,), (), (99,), (-1,)])

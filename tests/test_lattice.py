@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import matmul
 
 import spq.lattice
 from spq import (
@@ -163,7 +164,7 @@ def test_boundary_squares_to_zero():
             for flavor in (COINVARIANT, REDUCED):
                 C = build_complex(G, n, flavor)
                 for k in range(2, len(C.bases)):
-                    assert C.boundaries[k - 1].matmul(C.boundaries[k]).is_zero
+                    assert matmul(C.boundaries[k - 1], C.boundaries[k]).entries == ()
 
 
 def test_face_filtration_closure():

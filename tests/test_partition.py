@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import poset_from_predicate
 from test_homology import dense_rank_oracle
 
 from spq import (
@@ -177,7 +178,7 @@ def small_gsets(draw, max_size):
                               GSet.regular(catalog_group("C2"))]))
 def test_refinement_masks_match_pairwise_reference(M):
     P = fixed_partition_poset(M)
-    assert P.lt_masks == Poset.from_predicate(P.elements, refines).lt_masks
+    assert P.lt_masks == poset_from_predicate(P.elements, refines).lt_masks
 
 
 def test_interval_posets():
@@ -204,7 +205,7 @@ def test_interval_poset_matches_pairwise_reference(spec):
         for lower_closed, upper_closed in itertools.product((False, True), repeat=2):
             elems = [K for K in subs if K.members & H.members == H.members
                      and (lower_closed or K != H) and (upper_closed or K.members != full)]
-            ref = Poset.from_predicate(elems, lambda a, b: a != b
+            ref = poset_from_predicate(elems, lambda a, b: a != b
                                        and a.members & b.members == a.members)
             P = interval_poset(G, H, lower_closed, upper_closed)
             assert (P.elements, P.lt_masks) == (ref.elements, ref.lt_masks)
@@ -324,14 +325,14 @@ def test_order_complex_chain_cap():
     P = interval_poset(G, G.trivial_subgroup)
     with pytest.raises(SizeCapExceeded):
         reduced_betti_of_order_complex(P, chain_cap=5)
-    three = Poset.from_predicate(range(3), lambda a, b: a < b)  # 7 chains
+    three = poset_from_predicate(range(3), lambda a, b: a < b)  # 7 chains
     assert _reduced_betti_augmented(three, chain_cap=7) == (0, [0, 0, 0])
     with pytest.raises(SizeCapExceeded):
         _reduced_betti_augmented(three, chain_cap=6)
 
 
 ANTICHAIN3 = Poset(range(3), (0, 0, 0))
-CHAIN3 = Poset.from_predicate(range(3), lambda a, b: a < b)
+CHAIN3 = poset_from_predicate(range(3), lambda a, b: a < b)
 
 
 @pytest.mark.parametrize("P,action,message", [
@@ -361,7 +362,7 @@ def _poset_from_edges(size, edges):
     for k in range(size):  # Warshall closure; k runs outermost
         lt |= {(i, j) for i in range(size) for j in range(size)
                if (i, k) in lt and (k, j) in lt}
-    return Poset.from_predicate(range(size), lambda a, b: (a, b) in lt)
+    return poset_from_predicate(range(size), lambda a, b: (a, b) in lt)
 
 
 def _augmented_betti_oracle(P):
