@@ -10,6 +10,7 @@ psi: G -> K sums over the double cosets im(psi)\\K/H_0 with coefficient
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .groups import (
     is_normal,
     quotient,
 )
-from .lattice import REDUCED, SubgroupLattice, chain_classes, subgroup_lattice
+from .lattice import SubgroupLattice, build_complex, subgroup_lattice, top_slice
 
 
 def _check_chains(G: FiniteGroup, n: int, degree: int,
@@ -297,6 +298,28 @@ def simple_decomposition(
     return core, image_chain, proj
 
 
+def _fiber_keys(G: FiniteGroup, n: int) -> tuple[list[set | None], dict[int, set]]:
+    """Per degree, the (core, image chain) keys of G's reduced classes at level n
+    (None if two classes share a key) and the (N, simple class of G/N) pairs
+    they must match, from one walk of G and of each quotient."""
+    seen: list[set[tuple[int, tuple[int, ...]]] | None] = []
+    for level in top_slice(build_complex(G, n)).bases:
+        keys = set()
+        for cls in level:
+            core, image_chain, proj = simple_decomposition(G, cls.representative)
+            keys.add((core.members, subgroup_lattice(proj.target).canonical(image_chain)))
+        seen.append(keys if len(keys) == len(level) else None)
+    expected: dict[int, set[tuple[int, tuple[int, ...]]]] = defaultdict(set)
+    for N in all_subgroups(G):
+        if not is_normal(N):
+            continue
+        Q, _ = quotient(G, N)
+        for k, level in enumerate(top_slice(build_complex(Q, n)).bases):
+            expected[k].update((N.members, cls.representative)
+                               for cls in level if is_simple(Q, cls.representative))
+    return seen, expected
+
+
 def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
                                     product_cap: int = DEFAULT_PRODUCT_CAP) -> bool:
     """Check the simple-chain fiber decomposition of degree-k classes.
@@ -310,23 +333,5 @@ def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
     if G.order * G.order > product_cap:
         raise ProductCapExceeded(
             f"|G|^2 = {G.order * G.order} exceeds the cap {product_cap}")
-    classes = chain_classes(G, n, REDUCED)
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for cls in classes[k] if k < len(classes) else ():
-        core, image_chain, proj = simple_decomposition(G, cls.representative)
-        key = (core.members, subgroup_lattice(proj.target).canonical(image_chain))
-        if key in seen:
-            return False
-        seen.add(key)
-    expected: set[tuple[int, tuple[int, ...]]] = set()
-    for N in all_subgroups(G):
-        if not is_normal(N):
-            continue
-        Q, _ = quotient(G, N)
-        q_classes = chain_classes(Q, n, REDUCED)
-        if k >= len(q_classes):
-            continue
-        for cls in q_classes[k]:
-            if is_simple(Q, cls.representative):
-                expected.add((N.members, cls.representative))
-    return seen == expected
+    seen, expected = _fiber_keys(G, n)
+    return (seen[k] if k < len(seen) else set()) == expected[k]

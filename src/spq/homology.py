@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import BasisCapExceeded, InvariantViolation, NotAComplex
@@ -62,9 +63,8 @@ def betti_numbers(C: OrbitComplex) -> HomologyResult:
 
     Verifies d o d = 0 first. Ranks are taken from the top degree down,
     skipping the columns of d_k that are pivot rows of the reduced d_{k+1}:
-    those reduce to zero (clearing, Chen-Kerber). Reduced-flavor complexes
-    yield the reduced homology of the collapsed quotient space by
-    construction.
+    those reduce to zero (clearing, Chen-Kerber). On a ``top_slice`` this
+    is the homology of the quotient by the chains not ending at the top.
     """
     check_boundaries(C)
     dims = C.dims
@@ -217,7 +217,8 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     from dense exact elimination over the rationals (on Python ints, with a
     Fraction only at a pivot other than +-1) and
     rank(B_k) = dim C_{k+1} - dim Z_{k+1}. Scaling does not change a rank,
-    so e is applied without the 1/|G|, and integral cycles stay integral.
+    so e is applied without the 1/|G|, integral cycles stay integral, and
+    each integral e.z is divided by the gcd of its entries.
     Semisimplicity over the rationals makes this the dimension of the
     coinvariants, so it cross-validates betti_numbers on the coinvariant
     complex without sharing any code path with it.
@@ -271,6 +272,8 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
                         dez[row] = dez.get(row, 0) + sign * v
             if any(dez.values()):
                 raise InvariantViolation("averaged cycle left the cycle space")
+            if all(type(v) is int for v in ez) and (content := gcd(*ez)) > 1:
+                ez = [v // content for v in ez]  # fewer non-unit pivots
             averaged.append(ez)
         out.append(_dense_rank(columns[k + 1] + averaged) - boundary_rank)
     return out

@@ -7,8 +7,9 @@ honest basis for the coinvariant complex, with no sign twists. The chain
 kernel reads only an ``OrbitPoset``, so the order complexes of ``partition``
 run on it too. ``orbit_classes`` walks one least chain per orbit, narrowing
 the stabilizer of each prefix, and never lists the other orbit members;
-``orbit_complex`` assembles the boundaries of those representatives.
-``poset_chains`` lists every chain, for the dense oracle and chain caps.
+``orbit_complex`` assembles the coinvariant boundaries of those
+representatives, and ``top_slice`` alone cuts the reduced complex out of
+them. ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .intmatrix import SparseIntMatrix
 
 COINVARIANT = "coinvariant"
 REDUCED = "reduced"
-FLAVORS = (COINVARIANT, REDUCED)
 
 
 @dataclass(frozen=True)
@@ -167,25 +167,22 @@ def conjugacy_classes_of_subgroups(
     return [(orbit[0], orbit) for orbit in orbits.values()]
 
 
-def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[tuple[int, ...]]:
+def poset_chains(P: OrbitPoset, n: int) -> Iterator[tuple[int, ...]]:
     """Strict chains of P, as id tuples, whose weight ratio is at most n, depth first.
 
-    Starts from every id in order and climbs through ``supersets``; with
-    ``require_top`` only the chains ending at ``top_id`` are yielded.
+    Starts from every id in order and climbs through ``supersets``.
     """
-    orders, supersets, top = P.orders, P.supersets, P.top_id
+    orders, supersets = P.orders, P.supersets
     for start, bottom in enumerate(orders):
         limit = bottom * n
         path = [start]
         pending = [iter(supersets[start])]
-        if not require_top or start == top:
-            yield (start,)
+        yield (start,)
         while pending:
             for j in pending[-1]:
                 if orders[j] <= limit:
                     path.append(j)
-                    if not require_top or j == top:
-                        yield tuple(path)
+                    yield tuple(path)
                     pending.append(iter(supersets[j]))
                     break
             else:
@@ -193,7 +190,7 @@ def poset_chains(P: OrbitPoset, n: int, require_top: bool) -> Iterator[tuple[int
                 path.pop()
 
 
-def orbit_classes(P: OrbitPoset, n: int, require_top: bool) -> list[list[ChainClass]]:
+def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
     """Orbits of P's strict chains of weight ratio at most n, grouped by degree.
 
     Only the least member of each orbit is visited, by a depth-first walk
@@ -213,11 +210,10 @@ def orbit_classes(P: OrbitPoset, n: int, require_top: bool) -> list[list[ChainCl
     Stabilizers are the bitsets of ``action_masks``.
     Gamma preserves the order and the weights, so an orbit passes the
     weight limit exactly when its least member does, and the orbit size is
-    |Gamma| / |Stab(chain)|. With ``require_top`` only the chains ending
-    at ``top_id``, which Gamma fixes, are kept. Within each degree the
-    classes are sorted by their representative.
+    |Gamma| / |Stab(chain)|. Within each degree the classes are sorted by
+    their representative.
     """
-    orders, supersets, top = P.orders, P.supersets, P.top_id
+    orders, supersets = P.orders, P.supersets
     order = len(P.conj_perms) + 1
     fixing, lowering = P.action_masks
     by_length: list[list[ChainClass]] = [[] for _ in range(len(orders) + 1)]
@@ -228,16 +224,15 @@ def orbit_classes(P: OrbitPoset, n: int, require_top: bool) -> list[list[ChainCl
             raise InvariantViolation(
                 f"stabilizer of order {size} does not divide the action's order {order}")
         last = chain[-1]
-        if not require_top or last == top:
-            by_length[len(chain)].append(ChainClass(
-                chain, orders[last] // orders[chain[0]], order // size))
+        by_length[len(chain)].append(ChainClass(
+            chain, orders[last] // orders[chain[0]], order // size))
         for j in supersets[last]:
             if orders[j] <= limit and not stab & lowering[j]:
                 walk(chain + (j,), stab & fixing[j], limit)
 
     for start, bottom in enumerate(orders):
         limit = bottom * n
-        if not lowering[start] and not (require_top and orders[top] > limit):
+        if not lowering[start]:
             walk((start,), fixing[start], limit)
     classes = by_length[1:]
     while len(classes) > 1 and not classes[-1]:
@@ -275,30 +270,26 @@ class OrbitComplex:
             for k, cols in enumerate(self.columns))
 
 
-def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
-                  flavor: str) -> OrbitComplex:
-    """Assemble the boundaries of the given chain classes of P.
+def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComplex:
+    """Assemble the coinvariant boundaries of the given chain classes of P.
 
     The boundary of a class is the alternating sum of its representative's
     faces, each re-canonicalized; faces in one orbit accumulate, so
     coefficients can exceed +-1. The last face, a prefix of the least
-    representative, is least already and needs no canonicalization. In the
-    reduced flavor the face deleting the top lands in the collapsed part
-    and contributes nothing.
+    representative, is least already and needs no canonicalization.
     """
     index_of: list[dict[tuple[int, ...], int]] = [
         {cls.representative: i for i, cls in enumerate(level)}
         for level in classes]
     columns: list[tuple[dict[int, int], ...]] = [tuple({} for _ in classes[0])]
     for k in range(1, len(classes)):
-        last_face = k if flavor == COINVARIANT else k - 1
         rows = index_of[k - 1]
         row_of: dict[tuple[int, ...], int] = {}  # classes share faces
         level = []
         for cls in classes[k]:
             ids = cls.representative
             col: dict[int, int] = {}
-            for i in range(last_face + 1):
+            for i in range(k + 1):
                 face = ids[:i] + ids[i + 1:]
                 if P.orders[face[-1]] // P.orders[face[0]] > cls.total_index:
                     raise InvariantViolation("face left the filtration")
@@ -311,21 +302,20 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]],
                 col[row] = col.get(row, 0) + (1 if i % 2 == 0 else -1)
             level.append({r: v for r, v in col.items() if v})
         columns.append(tuple(level))
-    return OrbitComplex(P, flavor, tuple(tuple(level) for level in classes),
+    return OrbitComplex(P, COINVARIANT, tuple(tuple(level) for level in classes),
                         tuple(columns))
 
 
 def top_slice(C: OrbitComplex) -> OrbitComplex:
-    """The reduced flavor of a coinvariant complex, sliced out of it.
+    """The reduced complex: a coinvariant complex modulo its chains not ending at the top.
 
-    The chains not ending at ``top_id`` span a subcomplex, and the reduced
-    complex is the quotient by it. Its basis is the coinvariant classes
-    ending at the top, in the same order (a top-ending chain's orbit holds
-    only top-ending chains), and its boundaries are the coinvariant ones
-    restricted to those rows and columns: the one face that leaves the top
-    is exactly the face the reduced flavor drops. Trailing degrees without
-    such classes are dropped, as the reduced ``orbit_classes`` ends at the
-    last degree holding a top-ending chain.
+    Those chains span a subcomplex, as their faces miss the top too. The
+    basis is the coinvariant classes ending at ``top_id``, in the same
+    order (a top-ending chain's orbit holds only top-ending chains), and
+    the boundaries are the coinvariant ones restricted to those rows and
+    columns: the one face that deletes the top lands in the subcomplex.
+    Trailing degrees without such classes are dropped. This is the only
+    route to a ``REDUCED`` complex.
     """
     top = C.lattice.top_id
     keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
@@ -341,31 +331,18 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     return replace(C, flavor=REDUCED, bases=bases, columns=tuple(columns))
 
 
-def chains_up_to(G: FiniteGroup, n: int,
-                 require_top_G: bool = False) -> list[tuple[int, ...]]:
-    """All strict subgroup chains of total index <= min(n, |G|), as id tuples.
-
-    Depth-first over the inclusion order, starting from every subgroup in
-    canonical order; with ``require_top_G`` only chains ending at the full
-    group are returned.
-    """
+def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
+    """All strict subgroup chains of total index <= min(n, |G|), as id tuples, depth first."""
     if n < 1:
         raise ValueError(f"filtration level must be at least 1, got {n}")
-    return list(poset_chains(subgroup_lattice(G), min(n, G.order), require_top_G))
+    return list(poset_chains(subgroup_lattice(G), min(n, G.order)))
 
 
-def chain_classes(G: FiniteGroup, n: int, flavor: str) -> list[list[ChainClass]]:
-    """Conjugacy classes of filtered chains, grouped by degree.
-
-    Coinvariant flavor takes every chain; reduced flavor only chains ending
-    at the full group. Within each degree the classes are sorted by their
-    canonical representative.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
+def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
+    """Conjugacy classes of filtered chains by degree, each sorted by representative."""
     if n < 1:
         raise ValueError(f"filtration level must be at least 1, got {n}")
-    return orbit_classes(subgroup_lattice(G), min(n, G.order), flavor == REDUCED)
+    return orbit_classes(subgroup_lattice(G), min(n, G.order))
 
 
 @dataclass(eq=False)
@@ -377,11 +354,11 @@ class FilteredChainComplex(OrbitComplex):
     n_effective: int
 
 
-def build_complex(G: FiniteGroup, n: int, flavor: str) -> FilteredChainComplex:
-    """Assemble the filtered complex of the requested flavor at level n."""
+def build_complex(G: FiniteGroup, n: int) -> FilteredChainComplex:
+    """Assemble the coinvariant filtered complex at level n; ``top_slice`` reduces it."""
     lat = subgroup_lattice(G)
-    C = orbit_complex(lat, chain_classes(G, n, flavor), flavor)
-    return FilteredChainComplex(lat, flavor, C.bases, C.columns, G, n, min(n, G.order))
+    C = orbit_complex(lat, chain_classes(G, n))
+    return FilteredChainComplex(lat, C.flavor, C.bases, C.columns, G, n, min(n, G.order))
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:

@@ -6,8 +6,8 @@ the fixed-point poset recovers the open subgroup interval (H, G);
 ``check_transitive_iso`` checks the explicit map K -> the cosets of K.
 Interval posets and their conjugation actions are slices of the subgroup
 lattice of ``lattice``, and coset G-sets read ``groups.left_cosets``. The
-homology of an order complex runs on that module's orbit-complex kernel,
-applied to the poset with a top adjoined (the cone). Listing stops with
+homology of an order complex is the top slice of that module's orbit
+complex of the poset with a top adjoined (the cone). Listing stops with
 SizeCapExceeded past PARTITION_CAP invariant partitions.
 """
 
@@ -20,8 +20,8 @@ from itertools import combinations, islice
 from .errors import NotASubgroupInclusion, SizeCapExceeded
 from .groups import FiniteGroup, Subgroup, _mask_bits, left_cosets
 from .homology import betti_numbers
-from .lattice import (REDUCED, OrbitPoset, orbit_classes, orbit_complex, poset_chains,
-                      subgroup_lattice)
+from .lattice import (OrbitPoset, orbit_classes, orbit_complex, poset_chains, subgroup_lattice,
+                      top_slice)
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_CHAIN_CAP = 20000
@@ -313,18 +313,19 @@ def _reduced_betti_augmented(P: Poset, action=None,
                              chain_cap: int = DEFAULT_CHAIN_CAP) -> tuple[int, list[int]]:
     """Reduced Betti numbers of the order complex, with the degree -1 value.
 
-    The augmented chain complex of the order complex is the reduced orbit
-    complex of P with a top adjoined, every weight 1 and the action fixing
-    the top: a chain c < top sits in degree |c| and the lone top plays the
-    empty simplex. Returns (b_{-1}, [b_0, b_1, ...]); the empty poset gives
-    (1, []).
+    The augmented chain complex of the order complex is the top slice of
+    the orbit complex of P with a top adjoined, every weight 1 and the
+    action fixing the top: a chain c < top sits in degree |c| and the lone
+    top plays the empty simplex. Returns (b_{-1}, [b_0, b_1, ...]); the
+    empty poset gives (1, []).
     """
     cone = _cone(P, action)
     # P's chains plus the lone top; stop counting once P passes the cap
-    counted = sum(1 for _ in islice(poset_chains(cone, 1, require_top=True), chain_cap + 2))
+    top_chains = (c for c in poset_chains(cone, 1) if c[-1] == cone.top_id)
+    counted = sum(1 for _ in islice(top_chains, chain_cap + 2))
     if counted > chain_cap + 1:
         raise SizeCapExceeded(f"order complex above the chain cap {chain_cap}")
-    betti = betti_numbers(orbit_complex(cone, orbit_classes(cone, 1, True), REDUCED)).betti
+    betti = betti_numbers(top_slice(orbit_complex(cone, orbit_classes(cone, 1)))).betti
     return betti[0], list(betti[1:])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
-from .lattice import COINVARIANT, OrbitComplex, build_complex, filtration_levels, top_slice
+from .lattice import OrbitComplex, build_complex, filtration_levels, top_slice
 
 
 def report_length(order: int, n: int) -> int:
@@ -76,7 +76,7 @@ def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> Comput
 
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     """Build the coinvariant complex at level n; package its homology and its top slice's."""
-    coinv = build_complex(G, n, COINVARIANT)
+    coinv = build_complex(G, n)
     pi = betti_numbers(coinv)
     phi = betti_numbers(top_slice(coinv))
     return _level_report(G, n, pi.betti, phi.betti, coinv.dims, pi.euler)
@@ -157,7 +157,7 @@ def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationRepor
     Both flavors come from one build: the reduced complex is the top slice
     of the coinvariant one.
     """
-    coinv = build_complex(G, G.order, COINVARIANT)
+    coinv = build_complex(G, G.order)
     reduced = top_slice(coinv)
     pi_intervals = persistence_intervals(coinv)
     phi_intervals = persistence_intervals(reduced)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import InvariantViolation, NotAComplex
 from .global_functor import (
     ChainVector,
+    _fiber_keys,
     _image_mask,
     basis_vector,
     boundary,
@@ -23,7 +24,6 @@ from .global_functor import (
     restrict,
     transfer,
     verify_d0_compatibility,
-    verify_projective_decomposition,
 )
 from .groups import (
     FiniteGroup,
@@ -32,8 +32,8 @@ from .groups import (
     enumerate_homomorphisms,
 )
 from .homology import betti_numbers, coinvariants_of_homology_oracle
-from .lattice import COINVARIANT, REDUCED, build_complex, chain_classes, \
-    conjugacy_classes_of_subgroups, filtration_levels, subgroup_lattice
+from .lattice import COINVARIANT, build_complex, chain_classes, conjugacy_classes_of_subgroups, \
+    filtration_levels, subgroup_lattice, top_slice
 from .partition import (
     GSet,
     _reduced_betti_augmented,
@@ -190,14 +190,19 @@ def known_values_suite() -> list[CheckResult]:
 # properties suite
 
 
-def _complex_identity_failure(G: FiniteGroup, n: int, flavor: str) -> str | None:
+def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
     try:
-        result = betti_numbers(build_complex(G, n, flavor))
+        coinv = build_complex(G, n)
     except (NotAComplex, InvariantViolation) as exc:
-        return f"n={n} {flavor}: {exc}"
-    alternating = sum(d if k % 2 == 0 else -d for k, d in enumerate(result.dims))
-    if result.euler != alternating:
-        return f"n={n} {flavor}: euler {result.euler} != {alternating}"
+        return f"n={n} {COINVARIANT}: {exc}"
+    for C in (coinv, top_slice(coinv)):
+        try:
+            result = betti_numbers(C)
+        except (NotAComplex, InvariantViolation) as exc:
+            return f"n={n} {C.flavor}: {exc}"
+        alternating = sum(d if k % 2 == 0 else -d for k, d in enumerate(result.dims))
+        if result.euler != alternating:
+            return f"n={n} {C.flavor}: euler {result.euler} != {alternating}"
     return None
 
 
@@ -206,9 +211,7 @@ def _check_complex_identities() -> list[CheckResult]:
     for spec in CATALOG:
         G = catalog_group(spec)
         levels = filtration_levels(G)
-        failures = (_complex_identity_failure(G, n, flavor)
-                    for n in levels for flavor in (COINVARIANT, REDUCED))
-        bad = next(filter(None, failures), None)
+        bad = next(filter(None, (_complex_identity_failure(G, n) for n in levels)), None)
         out.append(_result(f"complex-identities:{spec}", bad is None,
                            "d2=0 and Euler identity",
                            f"{2 * len(levels)} complexes OK" if bad is None else bad))
@@ -224,7 +227,7 @@ def _check_semisimplicity() -> list[CheckResult]:
         bad = None
         for n in filtration_levels(G):
             oracle = coinvariants_of_homology_oracle(G, n)
-            direct = betti_numbers(build_complex(G, n, COINVARIANT)).betti
+            direct = betti_numbers(build_complex(G, n)).betti
             if not _pad_eq(oracle, direct):
                 bad = (n, oracle, list(direct))
                 break
@@ -254,7 +257,7 @@ def _check_d0_identity() -> list[CheckResult]:
         K = psi.target
         lat = subgroup_lattice(K)
         if kspec not in classes_of:
-            classes_of[kspec] = chain_classes(K, K.order, COINVARIANT)
+            classes_of[kspec] = chain_classes(K, K.order)
         for level in classes_of[kspec][1:3]:
             for cls in level:
                 checked += 1
@@ -267,7 +270,7 @@ def _check_d0_identity() -> list[CheckResult]:
 
 def _all_class_vector(G: FiniteGroup, n: int, degree: int):
     """Sum of every degree-``degree`` class of the coinvariant basis, or None."""
-    classes = chain_classes(G, n, COINVARIANT)
+    classes = chain_classes(G, n)
     if degree >= len(classes) or not classes[degree]:
         return None
     return ChainVector(G, n, degree,
@@ -407,7 +410,7 @@ def _check_tau_realization() -> list[CheckResult]:
     for spec in ("C4", "S3", "D8", "Q8", "C2xC2"):
         G = catalog_group(spec)
         lat = subgroup_lattice(G)
-        for level in chain_classes(G, G.order, COINVARIANT):
+        for level in chain_classes(G, G.order):
             for cls in level:
                 ids = cls.representative
                 if ids[-1] == lat.top_id:
@@ -434,12 +437,10 @@ def _check_projective_decomposition() -> list[CheckResult]:
         G = catalog_group(spec)
         bad = None
         for n in filtration_levels(G):
-            top = len(chain_classes(G, n, REDUCED))
-            for k in range(top):
-                if not verify_projective_decomposition(G, n, k):
-                    bad = (n, k)
-                    break
-            if bad:
+            seen, expected = _fiber_keys(G, n)
+            k = next((k for k, keys in enumerate(seen) if keys != expected[k]), None)
+            if k is not None:
+                bad = (n, k)
                 break
         out.append(_result(f"simple-chain-fibers:{spec}", bad is None,
                            "chain classes match (core, simple class) pairs",

@@ -9,7 +9,6 @@ import pytest
 import spq.global_functor
 import spq.suites
 from spq import (
-    COINVARIANT,
     ChainNotEndingAtTop,
     ChainNotInSubgroup,
     ChainVector,
@@ -19,6 +18,7 @@ from spq import (
     all_subgroups,
     basis_vector,
     boundary,
+    build_complex,
     builtin,
     chain_classes,
     conjugacy_classes_of_subgroups,
@@ -28,11 +28,12 @@ from spq import (
     restrict,
     simple_decomposition,
     subgroup_lattice,
+    top_slice,
     transfer,
     verify_d0_compatibility,
     verify_projective_decomposition,
 )
-from spq.global_functor import _same_ratios
+from spq.global_functor import _fiber_keys, _same_ratios
 from spq.suites import CATALOG, _check_d0_identity, catalog_group
 
 
@@ -41,7 +42,7 @@ def sub_of_order(G, order):
 
 
 def class_vectors(G, n, degree):
-    classes = chain_classes(G, n, COINVARIANT)
+    classes = chain_classes(G, n)
     if degree >= len(classes):
         return []
     return [basis_vector(G, n, c.representative) for c in classes[degree]]
@@ -213,9 +214,9 @@ def test_d0_identity_builds_once_per_target(monkeypatch):
     chain_classes_ = spq.suites.chain_classes
     decompose = spq.global_functor.double_coset_decomposition
 
-    def counted_classes(G, n, flavor):
+    def counted_classes(G, n):
         built.append(G)
-        return chain_classes_(G, n, flavor)
+        return chain_classes_(G, n)
 
     def counted_decompose(hom, base):
         homs.append(hom)
@@ -241,7 +242,7 @@ def test_d0_compatibility_on_inclusions_and_identity(spec):
         emb = H.as_group
         homs.append(GroupHom(emb.group, K, emb.to_ambient))
     for psi in homs:
-        for level in chain_classes(K, K.order, COINVARIANT)[1:3]:
+        for level in chain_classes(K, K.order)[1:3]:
             for cls in level:
                 assert verify_d0_compatibility(psi, cls.representative, K.order)
 
@@ -352,7 +353,7 @@ def test_restriction_functoriality():
 @pytest.mark.parametrize("gspec,kspec", [("C4", "C2"), ("S3", "C2"), ("D8", "C2xC2")])
 def test_d0_compatibility_surjections(gspec, kspec):
     G, K = builtin(gspec), builtin(kspec)
-    for cls_level in chain_classes(K, K.order, COINVARIANT)[1:3]:
+    for cls_level in chain_classes(K, K.order)[1:3]:
         for cls in cls_level:
             for hom in enumerate_homomorphisms(G, K, surjective_only=True):
                 assert verify_d0_compatibility(hom, cls.representative, G.order)
@@ -361,7 +362,7 @@ def test_d0_compatibility_surjections(gspec, kspec):
 def test_d0_compatibility_identity_and_nonsurjective():
     C4 = builtin("C4")
     ident = GroupHom.identity(C4)
-    for cls in chain_classes(C4, 4, COINVARIANT)[1]:
+    for cls in chain_classes(C4, 4)[1]:
         assert verify_d0_compatibility(ident, cls.representative, 4)
     # trivial map C4 -> C2 needs the degenerate bookkeeping to balance
     C2 = builtin("C2")
@@ -417,6 +418,20 @@ def test_projective_decomposition(spec, n, k):
     assert verify_projective_decomposition(builtin(spec), n, k)
 
 
+@pytest.mark.parametrize("spec", ["C4", "C2xC2", "S3", "D8"])
+def test_fiber_keys_cover_every_reduced_class(spec):
+    G = builtin(spec)
+    seen, expected = _fiber_keys(G, G.order)
+    assert [len(keys) for keys in seen] == [len(b) for b in top_slice(build_complex(G, G.order)).bases]
+    assert all(keys == expected[k] for k, keys in enumerate(seen))
+
+
+def test_projective_decomposition_fails_on_extra_pairs(monkeypatch):
+    # counting every quotient class as simple adds pairs no class of G meets
+    monkeypatch.setattr(spq.global_functor, "is_simple", lambda Q, ids: True)
+    assert not verify_projective_decomposition(builtin("D8"), 8, 1)
+
+
 @pytest.mark.parametrize("k", [-1, -2])
 def test_projective_decomposition_rejects_a_negative_degree(k):
     with pytest.raises(ValueError):
@@ -427,7 +442,7 @@ def test_proper_top_classes_are_transfers():
     # every class with top H < G is [G:H]^-1 times a transfer from H
     G = builtin("D8")
     lat = subgroup_lattice(G)
-    for level in chain_classes(G, G.order, COINVARIANT):
+    for level in chain_classes(G, G.order):
         for cls in level:
             masks = lat.masks(cls.representative)
             if masks[-1] == (1 << G.order) - 1:

@@ -18,7 +18,6 @@ import spq.lattice
 import spq.reports
 import spq.suites
 from spq import (
-    COINVARIANT,
     InvariantViolation,
     betti_numbers,
     build_complex,
@@ -37,7 +36,7 @@ def test_negative_betti_number(monkeypatch):
     monkeypatch.setattr(spq.homology, "reduce_columns",
                         lambda columns, cleared: list(range(len(columns) + 1)))
     with pytest.raises(InvariantViolation, match="negative Betti"):
-        betti_numbers(build_complex(builtin("S3"), 3, COINVARIANT))
+        betti_numbers(build_complex(builtin("S3"), 3))
 
 
 def test_euler_mismatch():
@@ -59,20 +58,20 @@ def test_averaged_cycle_left_cycle_space(monkeypatch):
 def test_face_left_filtration(monkeypatch):
     original = spq.lattice.chain_classes
 
-    def understated(G, n, flavor):
+    def understated(G, n):
         return [[dataclasses.replace(cls, total_index=1) for cls in level]
-                for level in original(G, n, flavor)]
+                for level in original(G, n)]
 
     monkeypatch.setattr(spq.lattice, "chain_classes", understated)
     with pytest.raises(InvariantViolation, match="face left"):
-        build_complex(builtin("S3"), 6, COINVARIANT)
+        build_complex(builtin("S3"), 6)
 
 
 def test_stabilizer_must_divide_the_action():
     # the identity and two transpositions of three ids do not form a group
     P = spq.lattice.OrbitPoset(((), (), ()), (1, 1, 1), ((1, 0, 2), (0, 2, 1)), 2)
     with pytest.raises(InvariantViolation, match="stabilizer"):
-        spq.lattice.orbit_classes(P, 1, False)
+        spq.lattice.orbit_classes(P, 1)
 
 
 def test_quotient_chain_not_simple(monkeypatch):

@@ -14,6 +14,7 @@ import spq.lattice
 from spq import (
     COINVARIANT,
     REDUCED,
+    betti_numbers,
     build_complex,
     builtin,
     chain_classes,
@@ -28,7 +29,8 @@ from spq import (
     subgroup_lattice,
     top_slice,
 )
-from spq.lattice import ChainClass, orbit_classes, poset_chains
+from spq.homology import _dense_rank
+from spq.lattice import ChainClass, orbit_classes, orbit_complex, poset_chains
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
 
@@ -76,7 +78,7 @@ def brute_force_chains(G, n, require_top):
 def test_chains_s3_ending_at_top():
     G = builtin("S3")
     lat = subgroup_lattice(G)
-    chains = chains_up_to(G, 6, require_top_G=True)
+    chains = [c for c in chains_up_to(G, 6) if c[-1] == lat.top_id]
     assert {lat.masks(c) for c in chains} == brute_force_chains(G, 6, True)
     by_degree = {}
     for c in chains:
@@ -92,7 +94,7 @@ def test_chains_match_brute_force(spec, require_top):
     G = builtin(spec)
     lat = subgroup_lattice(G)
     for n in filtration_levels(G) + [G.order + 1]:
-        chains = chains_up_to(G, n, require_top_G=require_top)
+        chains = [c for c in chains_up_to(G, n) if not require_top or c[-1] == lat.top_id]
         assert len(set(chains)) == len(chains)
         assert {lat.masks(c) for c in chains} == brute_force_chains(G, n, require_top)
 
@@ -101,14 +103,12 @@ def test_rejects_bad_level():
     with pytest.raises(ValueError):
         chains_up_to(builtin("C4"), 0)
     with pytest.raises(ValueError):
-        build_complex(builtin("C4"), -3, COINVARIANT)
-    with pytest.raises(ValueError):
-        build_complex(builtin("C4"), 2, "plain")
+        build_complex(builtin("C4"), -3)
 
 
 def test_chain_classes_s3():
-    assert [len(level) for level in chain_classes(builtin("S3"), 1, COINVARIANT)] == [4]
-    reduced = chain_classes(builtin("S3"), 3, REDUCED)
+    assert [len(level) for level in chain_classes(builtin("S3"), 1)] == [4]
+    reduced = top_slice(build_complex(builtin("S3"), 3)).bases
     assert [len(level) for level in reduced] == [1, 2]
     lat = subgroup_lattice(builtin("S3"))
     degree1 = {lat.masks(c.representative) for c in reduced[1]}
@@ -117,11 +117,11 @@ def test_chain_classes_s3():
 
 
 def test_chain_classes_trivial_group():
-    assert [len(level) for level in chain_classes(builtin("C1"), 5, COINVARIANT)] == [1]
+    assert [len(level) for level in chain_classes(builtin("C1"), 5)] == [1]
 
 
 def test_orbit_sizes():
-    classes = chain_classes(builtin("S3"), 6, COINVARIANT)
+    classes = chain_classes(builtin("S3"), 6)
     by_size = sorted(c.orbit_size for c in classes[1])
     # {e}<S2 and S2<S3 have orbit size 3; {e}<A3, A3<S3 and {e}<S3 are fixed
     assert by_size == [1, 1, 1, 3, 3]
@@ -152,7 +152,7 @@ def test_element_perms_are_conjugations(spec):
 
 
 def test_reduced_boundary_c2():
-    C = build_complex(builtin("C2"), 2, REDUCED)
+    C = top_slice(build_complex(builtin("C2"), 2))
     assert C.dims == (1, 1)
     assert C.boundaries[1].entries == ((0, 0, 1),)
 
@@ -161,14 +161,13 @@ def test_boundary_squares_to_zero():
     for spec in ("C4", "C30", "S3", "D8", "Q8", "A4", "D16", "SL2F3"):
         G = builtin(spec)
         for n in filtration_levels(G):
-            for flavor in (COINVARIANT, REDUCED):
-                C = build_complex(G, n, flavor)
+            for C in (build_complex(G, n), top_slice(build_complex(G, n))):
                 for k in range(2, len(C.bases)):
                     assert matmul(C.boundaries[k - 1], C.boundaries[k]).entries == ()
 
 
 def test_face_filtration_closure():
-    C = build_complex(builtin("SL2F3"), 8, COINVARIANT)
+    C = build_complex(builtin("SL2F3"), 8)
     lat = C.lattice
     for level in C.bases[1:]:
         for cls in level:
@@ -181,10 +180,10 @@ def test_face_filtration_closure():
 
 def test_basis_monotone_in_n():
     G = builtin("SL2F3")
-    for flavor in (COINVARIANT, REDUCED):
+    for cut in (lambda C: C, top_slice):
         for n in range(1, G.order + 1):
-            small = build_complex(G, n, flavor)
-            big = build_complex(G, n + 1, flavor)
+            small = cut(build_complex(G, n))
+            big = cut(build_complex(G, n + 1))
             for k, level in enumerate(small.bases):
                 larger = set(big.bases[k]) if k < len(big.bases) else set()
                 assert set(level) <= larger
@@ -192,9 +191,9 @@ def test_basis_monotone_in_n():
 
 def test_clamping_above_group_order():
     G = builtin("S3")
-    full = build_complex(G, 6, COINVARIANT)
+    full = build_complex(G, 6)
     for n in (7, 9, 1000):
-        C = build_complex(G, n, COINVARIANT)
+        C = build_complex(G, n)
         assert C.n_effective == 6
         assert C.bases == full.bases
         assert C.boundaries == full.boundaries
@@ -206,24 +205,81 @@ def test_reduced_basis_is_top_slice_of_coinvariant():
         lat = subgroup_lattice(G)
         full_mask = (1 << G.order) - 1
         for n in filtration_levels(G):
-            coinv = chain_classes(G, n, COINVARIANT)
-            red = chain_classes(G, n, REDUCED)
+            coinv = chain_classes(G, n)
+            red = top_slice(build_complex(G, n)).bases
             for k, level in enumerate(red):
                 expected = [c for c in coinv[k]
                             if lat.masks(c.representative)[-1] == full_mask]
                 assert list(level) == expected
 
 
+def reference_reduced(P, n):
+    """Reference reduced complex of P at level n, assembled from the full scan.
+
+    The basis is the top-ending full-scan classes; the boundary of a class
+    sums its faces i < k with alternating signs, each reduced by a full
+    scan, and drops face k, which deletes the top.
+    """
+    bases = full_scan_classes(P, n, True)
+    rows = [{cls.representative: r for r, cls in enumerate(level)} for level in bases]
+    columns = [tuple({} for _ in bases[0])]
+    for k in range(1, len(bases)):
+        level = []
+        for cls in bases[k]:
+            ids, col = cls.representative, collections.Counter()
+            for i in range(k):
+                col[rows[k - 1][full_scan_canonical(P, ids[:i] + ids[i + 1:])]] += (-1) ** i
+            level.append({r: v for r, v in col.items() if v})
+        columns.append(tuple(level))
+    return bases, tuple(columns)
+
+
+def _check_slice_against_reference(P, n, sliced):
+    bases, columns = reference_reduced(P, n)
+    assert sliced.flavor == REDUCED
+    assert [list(level) for level in sliced.bases] == bases
+    assert sliced.dims == tuple(len(level) for level in bases)
+    assert sliced.columns == columns
+
+
 @pytest.mark.parametrize("spec", CATALOG + ("S4", "D32", "C2xS4"))
 def test_top_slice_is_the_reduced_build(spec):
     G = catalog_group(spec)
+    lat = subgroup_lattice(G)
     for n in filtration_levels(G) + [G.order + 1]:
-        sliced = top_slice(build_complex(G, n, COINVARIANT))
-        direct = build_complex(G, n, REDUCED)
-        assert sliced.flavor == REDUCED
-        assert sliced.bases == direct.bases
-        assert sliced.dims == direct.dims
-        assert sliced.boundaries == direct.boundaries
+        _check_slice_against_reference(lat, min(n, G.order), top_slice(build_complex(G, n)))
+
+
+@pytest.mark.parametrize("spec", ("S3", "D8", "Q8", "A4", "SL2F3", "S4"))
+def test_cone_top_slice_is_the_reduced_build(spec):
+    for cone in _normal_interval_cones(spec):
+        _check_slice_against_reference(
+            cone, 1, top_slice(orbit_complex(cone, orbit_classes(cone, 1))))
+
+
+def _dense_betti(bases, columns):
+    """Betti numbers dims[k] - rank d_k - rank d_{k+1}, ranks by dense elimination."""
+    ranks = [0] + [_dense_rank([[col.get(r, 0) for col in columns[k]]
+                                for r in range(len(bases[k - 1]))])
+                   for k in range(1, len(bases))] + [0]
+    return tuple(len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(bases))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_top_slice_betti_of_random_permutation_groups_match_reference(data):
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    lat = subgroup_lattice(G)
+    n = data.draw(st.sampled_from(filtration_levels(G) + [G.order + 1]))
+    sliced = top_slice(build_complex(G, n))
+    assert betti_numbers(sliced).betti == _dense_betti(*reference_reduced(lat, min(n, G.order)))
+    sub = data.draw(st.sampled_from(lat.subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None)
+    sliced = top_slice(orbit_complex(cone, orbit_classes(cone, 1)))
+    assert betti_numbers(sliced).betti == _dense_betti(*reference_reduced(cone, 1))
 
 
 def test_one_build_per_compute_report(monkeypatch):
@@ -248,7 +304,7 @@ def test_degree_bound():
     for spec in ("C30", "D16", "SL2F3"):
         G = builtin(spec)
         for n in filtration_levels(G):
-            C = build_complex(G, n, COINVARIANT)
+            C = build_complex(G, n)
             assert len(C.bases) - 1 <= max(0, min(n, G.order).bit_length() - 1)
 
 
@@ -265,7 +321,7 @@ def test_filtration_levels(spec, levels):
 
 
 def test_complex_json_is_serializable():
-    C = build_complex(builtin("S3"), 3, COINVARIANT)
+    C = build_complex(builtin("S3"), 3)
     data = complex_to_json_dict(C)
     text = json.dumps(data)
     back = json.loads(text)
@@ -283,8 +339,7 @@ def test_catalog_complexes_are_byte_stable():
     for spec in CATALOG:
         G = catalog_group(spec)
         for n in range(1, G.order + 2):
-            for flavor in (COINVARIANT, REDUCED):
-                C = build_complex(G, n, flavor)
+            for C in (build_complex(G, n), top_slice(build_complex(G, n))):
                 digest.update(json.dumps(complex_to_json_dict(C), sort_keys=True).encode())
     assert digest.hexdigest() == CATALOG_COMPLEXES_SHA256
 
@@ -323,13 +378,18 @@ def _walked_classes(P):
     weight 1) and of a cone (all weights 1).
     """
     n = P.orders[P.top_id]
-    return {cls.representative: cls for level in orbit_classes(P, n, False) for cls in level}
+    return {cls.representative: cls for level in orbit_classes(P, n) for cls in level}
+
+
+def full_scan_chains(P, n, require_top):
+    """The chains of ``poset_chains``, with ``require_top`` only those ending at the top."""
+    return [c for c in poset_chains(P, n) if not require_top or c[-1] == P.top_id]
 
 
 def full_scan_classes(P, n, require_top):
     """Reference classes: every chain reduced by a full scan, sizes counted as sets."""
     by_degree = {}
-    for chain in poset_chains(P, n, require_top):
+    for chain in full_scan_chains(P, n, require_top):
         by_degree.setdefault(len(chain) - 1, set()).add(full_scan_canonical(P, chain))
     return [[ChainClass(ids, P.orders[ids[-1]] // P.orders[ids[0]], len(set_orbit(P, ids)))
              for ids in sorted(by_degree.get(k, ()))]
@@ -339,9 +399,20 @@ def full_scan_classes(P, n, require_top):
 def _check_classes(P, n, require_top, classes):
     assert classes == full_scan_classes(P, n, require_top)
     # orbit-stabilizer: the orbit sizes of a degree add up to its chain count
-    chains = collections.Counter(len(c) - 1 for c in poset_chains(P, n, require_top))
+    chains = collections.Counter(len(c) - 1 for c in full_scan_chains(P, n, require_top))
     assert {k: sum(c.orbit_size for c in level)
             for k, level in enumerate(classes) if level} == chains
+
+
+def slice_classes(C):
+    """The bases of ``top_slice(C)``, as lists like those of ``orbit_classes``."""
+    return [list(level) for level in top_slice(C).bases]
+
+
+def walked_classes(P, n, require_top):
+    """``orbit_classes(P, n)``, or with ``require_top`` the bases of its top slice."""
+    classes = orbit_classes(P, n)
+    return slice_classes(orbit_complex(P, classes)) if require_top else classes
 
 
 @settings(max_examples=300, deadline=None)
@@ -376,15 +447,15 @@ def test_chain_classes_match_full_scan(spec):
     G = catalog_group(spec)
     lat = subgroup_lattice(G)
     for n in filtration_levels(G) + [G.order + 1]:
-        for flavor in (COINVARIANT, REDUCED):
-            _check_classes(lat, n, flavor == REDUCED, chain_classes(G, n, flavor))
+        _check_classes(lat, n, False, chain_classes(G, n))
+        _check_classes(lat, n, True, slice_classes(build_complex(G, n)))
 
 
 @pytest.mark.parametrize("spec", ("S3", "D8", "Q8", "A4", "SL2F3", "S4"))
 def test_cone_classes_match_full_scan(spec):
     for cone in _normal_interval_cones(spec):
         for require_top in (False, True):
-            _check_classes(cone, 1, require_top, orbit_classes(cone, 1, require_top))
+            _check_classes(cone, 1, require_top, walked_classes(cone, 1, require_top))
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,8 +467,8 @@ def test_classes_of_random_permutation_groups_match_full_scan(data):
     lat = subgroup_lattice(G)
     n = data.draw(st.sampled_from(filtration_levels(G) + [G.order + 1]))
     require_top = data.draw(st.booleans())
-    _check_classes(lat, n, require_top, orbit_classes(lat, n, require_top))
+    _check_classes(lat, n, require_top, walked_classes(lat, n, require_top))
     sub = data.draw(st.sampled_from(lat.subgroups))
     P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
     cone = _cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None)
-    _check_classes(cone, 1, require_top, orbit_classes(cone, 1, require_top))
+    _check_classes(cone, 1, require_top, walked_classes(cone, 1, require_top))
