@@ -170,13 +170,15 @@ def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[
     return memo
 
 
-def _pullback_sums(psi: GroupHom, ids: tuple[int, ...], n: int,
-                   keep_degenerate: bool) -> tuple[dict[tuple[int, ...], int], int]:
-    """Raw double-coset expansion of one chain class under psi, in integers.
+def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
+                   keep_degenerate: bool) -> list[tuple[dict[tuple[int, ...], int], int]]:
+    """Raw double-coset expansions of chain classes under psi, in integers.
 
-    Returns (numerators by canonical chain, denominator): the coefficient
-    [G : psi^-1(k H_0 k^-1)] / [K : H_0] of every term shares the
-    denominator [K : H_0], so only the numerators are summed.
+    Returns one (numerators by canonical chain, denominator) pair per chain,
+    in the order given: the coefficient [G : psi^-1(k H_0 k^-1)] / [K : H_0]
+    of every term of one chain shares the denominator [K : H_0], so only the
+    numerators are summed. psi's memo and both lattices' tables are read
+    once per batch.
 
     With ``keep_degenerate`` the weakly increasing pullback chains survive
     (the unnormalized simplicial picture); otherwise they are dropped, which
@@ -185,24 +187,27 @@ def _pullback_sums(psi: GroupHom, ids: tuple[int, ...], n: int,
     G = psi.source
     n_eff = min(n, G.order)
     reps_of, preimage, source, target = _restriction_memo(psi)
-    reps = reps_of.get(ids[0])
-    if reps is None:
-        dec = double_coset_decomposition(psi, target.subgroups[ids[0]])
-        reps = reps_of[ids[0]] = dec.representatives
-    orders = source.orders
-    out: dict[tuple[int, ...], int] = {}
-    for k in reps:
-        conj = target.element_perms[k]
-        pulled = tuple(preimage[conj[i]] for i in ids)
-        if not keep_degenerate and any(a == b for a, b in zip(pulled, pulled[1:])):
-            continue
-        # the pullback index never exceeds the original one, so this cannot
-        # fire through the public API; kept as a guard on the contract
-        if orders[pulled[-1]] // orders[pulled[0]] > n_eff:
-            raise FiltrationViolation("pulled-back chain left the filtration")
-        canon = source.canonical(pulled)
-        out[canon] = out.get(canon, 0) + G.order // orders[pulled[0]]
-    return out, psi.target.order // target.orders[ids[0]]
+    orders, element_perms, canonical = source.orders, target.element_perms, source.canonical
+    out = []
+    for ids in chains:
+        reps = reps_of.get(ids[0])
+        if reps is None:
+            dec = double_coset_decomposition(psi, target.subgroups[ids[0]])
+            reps = reps_of[ids[0]] = dec.representatives
+        sums: dict[tuple[int, ...], int] = {}
+        for k in reps:
+            conj = element_perms[k]
+            pulled = tuple([preimage[conj[i]] for i in ids])
+            if not keep_degenerate and any(a == b for a, b in zip(pulled, pulled[1:])):
+                continue
+            # the pullback index never exceeds the original one, so this cannot
+            # fire through the public API; kept as a guard on the contract
+            if orders[pulled[-1]] // orders[pulled[0]] > n_eff:
+                raise FiltrationViolation("pulled-back chain left the filtration")
+            canon = canonical(pulled)
+            sums[canon] = sums.get(canon, 0) + G.order // orders[pulled[0]]
+        out.append((sums, psi.target.order // target.orders[ids[0]]))
+    return out
 
 
 def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
@@ -225,8 +230,8 @@ def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:
     if v.group is not psi.target:
         raise ValueError("vector does not live over the target of psi")
     out: dict[tuple[int, ...], Fraction] = {}
-    for ids, coeff in v.coefficients.items():
-        nums, den = _pullback_sums(psi, ids, v.n, keep_degenerate=False)
+    expanded = _pullback_sums(psi, v.coefficients, v.n, keep_degenerate=False)
+    for coeff, (nums, den) in zip(v.coefficients.values(), expanded):
         for key, num in nums.items():
             if num:
                 out[key] = out.get(key, Fraction(0)) + coeff * Fraction(num, den)
@@ -245,31 +250,40 @@ def boundary(v: ChainVector) -> ChainVector:
     return ChainVector(v.group, v.n, v.degree - 1, out)
 
 
-def verify_d0_compatibility(psi: GroupHom, ids: tuple[int, ...], n: int) -> bool:
-    """Check that restriction commutes with the bottom face d_0.
+def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int) -> bool:
+    """Check that restriction commutes with the bottom face d_0 on every chain.
 
-    ``ids`` is a chain over the target of psi at level n. Both sides are
-    expanded as raw simplicial sums (degenerate pullback chains retained),
-    because d_0 alone does not descend to the normalized complex; the full
-    boundary does, and its compatibility follows from this face-level
-    identity.
+    ``chains`` are chains of one degree (at least 1) over the target of psi
+    at level n; the answer is True when the identity holds for all of them.
+    Both sides are expanded as raw simplicial sums (degenerate pullback
+    chains retained), because d_0 alone does not descend to the normalized
+    complex; the full boundary does, and its compatibility follows from
+    this face-level identity. Each distinct tail ids[1:] is expanded once
+    per call; nothing is kept after it returns.
 
     The comparison is exact and integer: each side is a dict of numerators
     over one denominator, and the sides agree when they have the same keys
     with a nonzero numerator and lhs[k] * rhs_den == rhs[k] * lhs_den for
     every key.
     """
-    _check_chains(psi.target, n, len(ids) - 1, (ids,))
-    if len(ids) < 2:
+    chains = tuple(chains)
+    if not chains:
+        raise ValueError("d_0 compatibility needs at least one chain")
+    _check_chains(psi.target, n, len(chains[0]) - 1, chains)
+    if len(chains[0]) < 2:
         raise ValueError("d_0 compatibility needs a chain of degree >= 1")
-    lat = _restriction_memo(psi)[2]
-    lhs, lhs_den = _pullback_sums(psi, ids[1:], n, keep_degenerate=True)
-    terms, rhs_den = _pullback_sums(psi, ids, n, keep_degenerate=True)
-    rhs: dict[tuple[int, ...], int] = {}
-    for key, num in terms.items():
-        face = lat.canonical(key[1:])
-        rhs[face] = rhs.get(face, 0) + num
-    return _same_ratios(lhs, lhs_den, rhs, rhs_den)
+    canonical = _restriction_memo(psi)[2].canonical
+    tails = tuple(dict.fromkeys(ids[1:] for ids in chains))
+    lhs_of = dict(zip(tails, _pullback_sums(psi, tails, n, keep_degenerate=True)))
+    expanded = _pullback_sums(psi, chains, n, keep_degenerate=True)
+    for ids, (terms, rhs_den) in zip(chains, expanded):
+        rhs: dict[tuple[int, ...], int] = {}
+        for key, num in terms.items():
+            face = canonical(key[1:])
+            rhs[face] = rhs.get(face, 0) + num
+        if not _same_ratios(*lhs_of[ids[1:]], rhs, rhs_den):
+            return False
+    return True
 
 
 def is_simple(G: FiniteGroup, ids: tuple[int, ...]) -> bool:

@@ -32,8 +32,16 @@ from .groups import (
     enumerate_homomorphisms,
 )
 from .homology import betti_numbers, coinvariants_of_homology_oracle
-from .lattice import COINVARIANT, build_complex, chain_classes, conjugacy_classes_of_subgroups, \
-    filtration_levels, subgroup_lattice, top_slice
+from .lattice import (
+    COINVARIANT,
+    REDUCED,
+    build_complex,
+    chain_classes,
+    conjugacy_classes_of_subgroups,
+    filtration_levels,
+    subgroup_lattice,
+    top_slice,
+)
 from .partition import (
     GSet,
     _reduced_betti_augmented,
@@ -42,7 +50,7 @@ from .partition import (
     interval_poset,
     subgroup_conjugation_action,
 )
-from .reports import compute_report, padded, profile_report, same_report
+from .reports import ComputationReport, compute_report, padded, profile_report, same_report
 
 CATALOG: tuple[str, ...] = (
     "C1", "C2", "C3", "C4", "C6", "C8", "C9", "C27", "C30",
@@ -105,26 +113,36 @@ def _check_table(spec: str) -> CheckResult:
                    [(s, e, tuple(pi)) for s, e, pi in got])
 
 
-def _check_steinberg() -> list[CheckResult]:
+def _report(reports: dict, G: FiniteGroup, n: int) -> ComputationReport:
+    """``compute_report(G, n)``, built once per key (G.label, n) of ``reports``."""
+    key = (G.label, n)
+    if key not in reports:
+        reports[key] = compute_report(G, n)
+    return reports[key]
+
+
+def _check_steinberg(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     out = []
     for p, k, expected in STEINBERG_CASES:
         G = catalog_group(f"EA({p},{k})")
-        rep = compute_report(G, p ** k - 1)
+        rep = _report(reports, G, p ** k - 1)
         got = rep.pi[k - 1] if k - 1 < len(rep.pi) else 0
         out.append(_result(f"steinberg:p={p},k={k}", got == expected,
                            expected, got))
     return out
 
 
-def _check_boundary_cases() -> list[CheckResult]:
+def _check_boundary_cases(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     out = []
     for spec in CATALOG:
         G = catalog_group(spec)
         classes = len(conjugacy_classes_of_subgroups(G))
-        at_one = compute_report(G, 1)
+        at_one = _report(reports, G, 1)
         ok_one = at_one.pi == (classes,)
-        at_top = compute_report(G, G.order)
-        beyond = compute_report(G, G.order + 7)
+        at_top = _report(reports, G, G.order)
+        beyond = _report(reports, G, G.order + 7)
         contractible = (at_top.pi[0] == 1 and all(x == 0 for x in at_top.pi[1:])
                         and same_report(at_top, beyond)
                         and beyond.n_effective == G.order)
@@ -134,16 +152,20 @@ def _check_boundary_cases() -> list[CheckResult]:
     return out
 
 
-def _check_divisor_jump() -> list[CheckResult]:
+def _check_divisor_jump(reports: dict | None = None) -> list[CheckResult]:
+    """Each n that is not a realized level reports as the realized level below it."""
+    reports = {} if reports is None else reports
     out = []
     for spec in CATALOG:
         G = catalog_group(spec)
         levels = filtration_levels(G)
-        at_level = {n: compute_report(G, n) for n in levels}
+        at_level = {n: _report(reports, G, n) for n in levels}
         bad = None
         for n in range(1, G.order + 2):
+            if n in at_level:
+                continue
             floor_level = max(l for l in levels if l <= n)
-            if not same_report(compute_report(G, n), at_level[floor_level]):
+            if not same_report(_report(reports, G, n), at_level[floor_level]):
                 bad = n
                 break
         out.append(_result(f"divisor-jump:{spec}", bad is None,
@@ -152,13 +174,14 @@ def _check_divisor_jump() -> list[CheckResult]:
     return out
 
 
-def _check_cyclic_prime_power() -> list[CheckResult]:
+def _check_cyclic_prime_power(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     out = []
     for spec in CYCLIC_PRIME_POWERS:
         G = catalog_group(spec)
         bad = None
         for n in range(1, G.order + 2):
-            rep = compute_report(G, n)
+            rep = _report(reports, G, n)
             if any(x != 0 for x in rep.pi[1:]):
                 bad = n
                 break
@@ -171,18 +194,20 @@ def _check_cyclic_prime_power() -> list[CheckResult]:
     for spec in non_cpp:
         G = catalog_group(spec)
         found = any(len(pi) > 1 and pi[1] > 0
-                    for pi in (compute_report(G, n).pi for n in filtration_levels(G)))
+                    for pi in (_report(reports, G, n).pi for n in filtration_levels(G)))
         out.append(_result(f"nonvanishing-pi1:{spec}", found,
                            "some pi_1 > 0", "found" if found else "all zero"))
     return out
 
 
 def known_values_suite() -> list[CheckResult]:
+    # one report per (group, n) for this run only, so the checks share builds
+    reports: dict = {}
     results = [_check_table(spec) for spec in EXPECTED_TABLES]
-    results += _check_steinberg()
-    results += _check_boundary_cases()
-    results += _check_divisor_jump()
-    results += _check_cyclic_prime_power()
+    results += _check_steinberg(reports)
+    results += _check_boundary_cases(reports)
+    results += _check_divisor_jump(reports)
+    results += _check_cyclic_prime_power(reports)
     return results
 
 
@@ -195,7 +220,11 @@ def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
         coinv = build_complex(G, n)
     except (NotAComplex, InvariantViolation) as exc:
         return f"n={n} {COINVARIANT}: {exc}"
-    for C in (coinv, top_slice(coinv)):
+    try:
+        reduced = top_slice(coinv)
+    except (NotAComplex, InvariantViolation) as exc:
+        return f"n={n} {REDUCED}: {exc}"
+    for C in (coinv, reduced):
         try:
             result = betti_numbers(C)
         except (NotAComplex, InvariantViolation) as exc:
@@ -250,19 +279,26 @@ def _surjection_pairs(max_order: int):
 
 
 def _check_d0_identity() -> list[CheckResult]:
+    """Restriction along each surjection of catalog groups of order <= 16 commutes
+    with d_0 on the target's degree-1 and degree-2 classes.
+
+    One ``verify_d0_compatibility`` call takes all classes of one degree;
+    only a failing batch is re-checked chain by chain, to name its masks.
+    """
     checked = 0
     failures = []
-    classes_of: dict[str, list] = {}
+    chains_of: dict[str, list] = {}
     for gspec, kspec, psi in _surjection_pairs(16):
-        K = psi.target
+        K, n = psi.target, psi.source.order
         lat = subgroup_lattice(K)
-        if kspec not in classes_of:
-            classes_of[kspec] = chain_classes(K, K.order)
-        for level in classes_of[kspec][1:3]:
-            for cls in level:
-                checked += 1
-                if not verify_d0_compatibility(psi, cls.representative, psi.source.order):
-                    failures.append((gspec, kspec, lat.masks(cls.representative)))
+        if kspec not in chains_of:
+            chains_of[kspec] = [[cls.representative for cls in level]
+                                for level in chain_classes(K, K.order)[1:3]]
+        for chains in chains_of[kspec]:
+            checked += len(chains)
+            if not verify_d0_compatibility(psi, chains, n):
+                failures.extend((gspec, kspec, lat.masks(ids)) for ids in chains
+                                if not verify_d0_compatibility(psi, (ids,), n))
     return [_result("d0-identity:surjections<=16", not failures,
                     "restriction commutes with d0",
                     f"{checked} checks OK" if not failures else str(failures[:3]))]

@@ -5,9 +5,13 @@ see them. The checks are shared with ``spq verify`` (suites module), so the
 CLI and the test suite certify the same facts.
 """
 
+import collections
+
+import spq.suites
 from spq import builtin, compute_report, filtration_levels
 from spq.suites import (
     CATALOG,
+    STEINBERG_CASES,
     CheckResult,
     _check_boundary_cases,
     _check_complex_identities,
@@ -25,6 +29,8 @@ from spq.suites import (
     _check_table,
     _check_tau_realization,
     _check_transfer_boundary,
+    catalog_group,
+    known_values_suite,
 )
 
 
@@ -103,3 +109,22 @@ def test_catalog_sanity():
         rep = compute_report(G, 1)
         assert rep.euler == rep.pi[0]
     print(f"PASS catalog sanity ({len(CATALOG)} groups)")
+
+
+def test_known_values_suite_builds_each_report_once(monkeypatch):
+    requested = collections.Counter()
+    original = spq.suites.compute_report
+
+    def counted(G, n):
+        requested[G.label, n] += 1
+        return original(G, n)
+
+    monkeypatch.setattr(spq.suites, "compute_report", counted)
+    assert all(r.passed for r in known_values_suite())
+    # every n from 1 to |G| + 1 and |G| + 7 per catalog group, and the Steinberg levels
+    expected = {(f"EA({p},{k})", p ** k - 1) for p, k, _ in STEINBERG_CASES}
+    for spec in CATALOG:
+        order = catalog_group(spec).order
+        expected |= {(spec, n) for n in range(1, order + 2)} | {(spec, order + 7)}
+    assert set(requested) == expected and len(expected) == 254
+    assert set(requested.values()) == {1}

@@ -72,10 +72,10 @@ def test_chain_vector_normalization():
     lambda G: basis_vector(G, 6, (-1, 5)),
     lambda G: basis_vector(G, 6, (5, 0)),
     lambda G: basis_vector(G, 6, (1, 2)),  # two subgroups of order 2
-    lambda G: verify_d0_compatibility(GroupHom.identity(G), (63, 1), 6),
-    lambda G: verify_d0_compatibility(GroupHom.identity(G), (), 6),
-    lambda G: verify_d0_compatibility(GroupHom.identity(G), (0,), 6),
-    lambda G: verify_d0_compatibility(GroupHom.identity(G), (5, 0), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), ((63, 1),), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), ((),), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), ((0,),), 6),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), ((5, 0),), 6),
 ])
 def test_chain_validation_rejects_non_chains(make):
     with pytest.raises(ValueError):
@@ -86,10 +86,10 @@ def test_chain_validation_checks_the_level():
     S3 = builtin("S3")
     lat = subgroup_lattice(S3)
     with pytest.raises(FiltrationViolation):
-        verify_d0_compatibility(GroupHom.identity(S3), (0, lat.top_id), 5)
+        verify_d0_compatibility(GroupHom.identity(S3), ((0, lat.top_id),), 5)
     with pytest.raises(FiltrationViolation):
         basis_vector(S3, 5, (0, lat.top_id))
-    assert verify_d0_compatibility(GroupHom.identity(S3), (0, lat.top_id), 6)
+    assert verify_d0_compatibility(GroupHom.identity(S3), ((0, lat.top_id),), 6)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -244,7 +244,74 @@ def test_d0_compatibility_on_inclusions_and_identity(spec):
     for psi in homs:
         for level in chain_classes(K, K.order)[1:3]:
             for cls in level:
-                assert verify_d0_compatibility(psi, cls.representative, K.order)
+                assert verify_d0_compatibility(psi, (cls.representative,), K.order)
+
+
+def planted(psi, a, b):
+    """A copy of psi whose cached preimages of target ids a and b are swapped."""
+    _, preimage, source, target = spq.global_functor._restriction_memo(psi)
+    swapped = list(preimage)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    fault = GroupHom(psi.source, psi.target, psi.image_of)
+    fault.__dict__["_restriction_memo"] = ({}, tuple(swapped), source, target)
+    return fault
+
+
+def planted_d8_onto_klein():
+    # the first order-2 subgroup of C2xC2 trades preimages with the top;
+    # of the three degree-2 classes only the first then breaks the identity
+    psi = enumerate_homomorphisms(builtin("D8"), builtin("C2xC2"), True)[0]
+    return planted(psi, 1, subgroup_lattice(psi.target).top_id)
+
+
+def test_d0_batch_fails_on_a_planted_fault(monkeypatch):
+    fault = planted_d8_onto_klein()
+    K = fault.target
+    lat = subgroup_lattice(K)
+    assert lat.subgroups[1].order == 2
+    chains = [cls.representative for cls in chain_classes(K, K.order)[2]]
+    assert [verify_d0_compatibility(fault, (ids,), 8) for ids in chains] == [False, True, True]
+    assert not verify_d0_compatibility(fault, chains, 8)
+    assert verify_d0_compatibility(fault, chains[1:], 8)
+    monkeypatch.setattr(spq.suites, "_surjection_pairs",
+                        lambda max_order: iter([("D8", "C2xC2", fault)]))
+    result, = _check_d0_identity()
+    failing = [("D8", "C2xC2", lat.masks(ids))
+               for level in chain_classes(K, K.order)[1:3]
+               for ids in (cls.representative for cls in level)
+               if not verify_d0_compatibility(fault, (ids,), 8)]
+    assert ("D8", "C2xC2", lat.masks(chains[0])) in failing
+    assert not result.passed and result.computed == str(failing[:3])
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "A4", "S4"])
+def test_d0_batch_agrees_with_one_chain_calls(spec):
+    K = builtin(spec)
+    homs = [GroupHom.identity(K)]
+    for H, _ in conjugacy_classes_of_subgroups(K)[1:-1]:
+        emb = H.as_group
+        homs.append(GroupHom(emb.group, K, emb.to_ambient))
+    for G in map(catalog_group, CATALOG):
+        if G.order <= 16 and G.order % K.order == 0:
+            homs.extend(enumerate_homomorphisms(G, K, surjective_only=True))
+    # faulty homs, so that some batches answer False
+    homs.append(planted(GroupHom.identity(K), 1, subgroup_lattice(K).top_id))
+    homs.append(planted_d8_onto_klein())
+    for psi in homs:
+        n = max(psi.source.order, psi.target.order)
+        for level in chain_classes(psi.target, psi.target.order)[1:3]:
+            chains = [cls.representative for cls in level]
+            one_by_one = all(verify_d0_compatibility(psi, (ids,), n) for ids in chains)
+            assert verify_d0_compatibility(psi, chains, n) is one_by_one
+
+
+def test_d0_batch_rejects_an_empty_or_mixed_batch():
+    S3 = builtin("S3")
+    top = subgroup_lattice(S3).top_id
+    with pytest.raises(ValueError):
+        verify_d0_compatibility(GroupHom.identity(S3), (), 6)
+    with pytest.raises(ValueError):
+        verify_d0_compatibility(GroupHom.identity(S3), ((0, top), (0, 1, top)), 6)
 
 
 def test_d0_identity_memory_stays_small():
@@ -356,19 +423,19 @@ def test_d0_compatibility_surjections(gspec, kspec):
     for cls_level in chain_classes(K, K.order)[1:3]:
         for cls in cls_level:
             for hom in enumerate_homomorphisms(G, K, surjective_only=True):
-                assert verify_d0_compatibility(hom, cls.representative, G.order)
+                assert verify_d0_compatibility(hom, (cls.representative,), G.order)
 
 
 def test_d0_compatibility_identity_and_nonsurjective():
     C4 = builtin("C4")
     ident = GroupHom.identity(C4)
     for cls in chain_classes(C4, 4)[1]:
-        assert verify_d0_compatibility(ident, cls.representative, 4)
+        assert verify_d0_compatibility(ident, (cls.representative,), 4)
     # trivial map C4 -> C2 needs the degenerate bookkeeping to balance
     C2 = builtin("C2")
     lat = subgroup_lattice(C2)
     trivial = GroupHom(C4, C2, (0, 0, 0, 0))
-    assert verify_d0_compatibility(trivial, (lat.id_of_mask(1), lat.id_of_mask(3)), 4)
+    assert verify_d0_compatibility(trivial, ((lat.id_of_mask(1), lat.id_of_mask(3)),), 4)
 
 
 def test_is_simple():

@@ -19,6 +19,7 @@ import spq.reports
 import spq.suites
 from spq import (
     InvariantViolation,
+    NotAComplex,
     betti_numbers,
     build_complex,
     builtin,
@@ -129,6 +130,16 @@ def test_complex_identities_suite_reports_failure(monkeypatch, broken):
     results = spq.suites._check_complex_identities()
     assert results and not any(res.passed for res in results)
     assert all(res.computed.startswith("n=1 ") for res in results)
+
+
+def test_complex_identities_suite_reports_a_failed_slice(monkeypatch):
+    def failed_slice(C):
+        raise NotAComplex("slice is not a subcomplex")
+
+    monkeypatch.setattr(spq.suites, "top_slice", failed_slice)
+    results = spq.suites._check_complex_identities()
+    assert results and not any(res.passed for res in results)
+    assert all(res.computed == "n=1 reduced: slice is not a subcomplex" for res in results)
 
 
 def test_checks_hold_under_optimize():
