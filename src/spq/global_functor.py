@@ -102,9 +102,17 @@ class DoubleCosetDecomposition:
 
 def double_coset_decomposition(hom: GroupHom,
                                base: Subgroup) -> DoubleCosetDecomposition:
+    """The double cosets im(hom)\\K/base, K the target of ``hom``.
+
+    A surjective ``hom`` has the single coset K, with representative 0; it
+    is returned without forming any product. Otherwise each orbit is the
+    set of products a k h over a in im(hom) and h in ``base``.
+    """
     K = hom.target
     if base.parent is not K:
         raise ValueError("base subgroup must live in the target group")
+    if hom.surjective:
+        return DoubleCosetDecomposition((0,), (tuple(K.elements()),))
     image = [g for g in K.elements() if hom.image_mask >> g & 1]
     h0 = base.elements
     seen = [False] * K.order
@@ -212,7 +220,14 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
 
 def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
                  rhs: dict[tuple[int, ...], int], rhs_den: int) -> bool:
-    """True when lhs / lhs_den and rhs / rhs_den are one vector; zero entries are ignored."""
+    """True when lhs / lhs_den and rhs / rhs_den are one vector; zero entries are ignored.
+
+    With the same keys on both sides the entries are cross-multiplied
+    directly: as both denominators are positive, a zero then matches only a
+    zero, so this is the zero-filtering comparison below without the sets.
+    """
+    if lhs.keys() == rhs.keys():
+        return all(lhs[k] * rhs_den == rhs[k] * lhs_den for k in lhs)
     keys = {k for k, v in lhs.items() if v}
     if keys != {k for k, v in rhs.items() if v}:
         return False

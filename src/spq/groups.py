@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -254,6 +255,9 @@ class Subgroup:
     members: int
 
     def __post_init__(self):
+        if not 0 <= self.members < 1 << self.parent.order:
+            raise NotASubgroupInclusion(
+                f"mask {self.members:#x} is not a set of elements 0..{self.parent.order - 1}")
         if self.members & 1 == 0:
             raise NotASubgroupInclusion("subgroup does not contain the identity")
         mul, inv, mask = self.parent.mul, self.parent.inv, self.members
@@ -309,6 +313,10 @@ class GroupHom:
         img = self.image_of
         if len(img) != self.source.order:
             raise ValueError("image table length does not match the source order")
+        for g, x in enumerate(img):
+            if not 0 <= x < self.target.order:
+                raise ValueError(f"image {x} of element {g} is out of range "
+                                 f"0..{self.target.order - 1}")
         if img and img[0] != 0:
             raise ValueError("homomorphism must send identity to identity")
         smul, tmul = self.source.mul, self.target.mul
@@ -778,7 +786,9 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     """All homomorphisms G -> K up to conjugacy in K.
 
     Each class is returned as its member with the least image tuple, and the
-    list is sorted by image tuple.
+    list is sorted by image tuple. The least image is the minimum of the
+    image read through each of K's conjugation rows k x k^-1, built once
+    per call.
 
     Backtracks over generator images, closing the partial map after each
     assignment and pruning on conflicts and on element-order divisibility.
@@ -835,14 +845,16 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
                 search(grown, idx + 1)
 
     search({0: 0}, 0)
-    classes: dict[tuple[int, ...], None] = {}
-    for img in images:
-        if surjective_only and len(set(img)) != K.order:
-            continue
-        best = img
-        for k in range(1, K.order):
-            cand = tuple(K.conjugate(k, x) for x in img)
-            if cand < best:
-                best = cand
-        classes[best] = None
+    # row k maps x to k x k^-1; row 0 is the identity, so img is a candidate
+    rows = [tuple(K.elements())]
+    rows += [tuple(K.conjugate(k, x) for x in K.elements()) for k in range(1, K.order)]
+
+    def least(img: tuple[int, ...]) -> tuple[int, ...]:
+        if len(img) == 1:
+            # itemgetter of one index returns a scalar, not a tuple
+            return min((row[img[0]],) for row in rows)
+        return min(map(itemgetter(*img), rows))
+
+    classes = dict.fromkeys(least(img) for img in images
+                            if not surjective_only or len(set(img)) == K.order)
     return [GroupHom(G, K, img) for img in sorted(classes)]

@@ -316,7 +316,7 @@ def test_d0_batch_rejects_an_empty_or_mixed_batch():
 
 def test_d0_identity_memory_stays_small():
     # with the catalog lattices built, the check holds only per-psi memos;
-    # 1.30 MB here, and 5.04 MB once a memo keyed on chain tails was added
+    # 0.57 MB here, and 5.04 MB once a memo keyed on chain tails was added
     for spec in CATALOG:
         if catalog_group(spec).order <= 16:
             subgroup_lattice(catalog_group(spec))
@@ -359,6 +359,35 @@ def test_double_coset_counting_identity():
             for rep, size in zip(dec.representatives, sizes):
                 pre = psi.preimage_mask(K.conjugate_mask(sub.members, rep))
                 assert size == psi.source.order * sub.order // pre.bit_count()
+
+
+def double_cosets_by_brute_force(psi, base):
+    """im(psi)\\K/base from every product a k h, least element first."""
+    K = psi.target
+    image = set(psi.image_of)
+    orbits = {tuple(sorted({K.mul[K.mul[a][k]][h] for a in image for h in base.elements}))
+              for k in K.elements()}
+    return tuple(sorted(orbits))
+
+
+def test_double_cosets_match_brute_force():
+    # surjections have one coset; inclusions of proper subgroups take the
+    # general path
+    surjections = [psi for _, _, psi in spq.suites._surjection_pairs(8)]
+    inclusions = []
+    for spec in ("S3", "D8", "A4"):
+        K = builtin(spec)
+        for H in all_subgroups(K)[:-1]:
+            emb = H.as_group
+            inclusions.append(GroupHom(emb.group, K, emb.to_ambient))
+    assert all(psi.surjective for psi in surjections)
+    assert not any(psi.surjective for psi in inclusions)
+    for psi in surjections + inclusions:
+        for base in all_subgroups(psi.target):
+            dec = double_coset_decomposition(psi, base)
+            orbits = double_cosets_by_brute_force(psi, base)
+            assert dec.orbits == orbits
+            assert dec.representatives == tuple(orbit[0] for orbit in orbits)
 
 
 def test_boundary_operator():

@@ -406,6 +406,24 @@ def test_hom_validation():
         GroupHom(C4, C2, (0, 1, 1, 0))
 
 
+@pytest.mark.parametrize("images,bad", [((0, 5), "5 of element 1"),
+                                        ((0, -1), "-1 of element 1"),
+                                        ((2, 0), "2 of element 0")])
+def test_hom_images_must_be_target_elements(images, bad):
+    C2 = builtin("C2")
+    with pytest.raises(ValueError, match=f"image {bad} is out of range 0..1"):
+        GroupHom(C2, C2, images)
+
+
+@pytest.mark.parametrize("spec,mask", [("C2", -1), ("C2", -2), ("C4", 1 | 1 << 4),
+                                       ("C4", 1 << 4), ("S3", (1 << 7) - 1)])
+def test_subgroup_mask_must_lie_in_the_group(spec, mask):
+    # unchecked, a negative mask would loop forever in _mask_bits and a bit
+    # at or above |G| would index past the multiplication table
+    with pytest.raises(NotASubgroupInclusion, match="is not a set of elements"):
+        Subgroup(builtin(spec), mask)
+
+
 @pytest.mark.parametrize("gspec,kspec,surj,count", [
     ("C2", "C2", False, 2),   # trivial map and identity
     ("C4", "C2", True, 1),
