@@ -222,16 +222,11 @@ def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
                  rhs: dict[tuple[int, ...], int], rhs_den: int) -> bool:
     """True when lhs / lhs_den and rhs / rhs_den are one vector; zero entries are ignored.
 
-    With the same keys on both sides the entries are cross-multiplied
-    directly: as both denominators are positive, a zero then matches only a
-    zero, so this is the zero-filtering comparison below without the sets.
+    A key missing on one side counts as zero there. Both denominators are
+    positive, so a cross-multiplied zero matches only a zero.
     """
-    if lhs.keys() == rhs.keys():
-        return all(lhs[k] * rhs_den == rhs[k] * lhs_den for k in lhs)
-    keys = {k for k, v in lhs.items() if v}
-    if keys != {k for k, v in rhs.items() if v}:
-        return False
-    return all(lhs[k] * rhs_den == rhs[k] * lhs_den for k in keys)
+    return all(lhs.get(k, 0) * rhs_den == rhs.get(k, 0) * lhs_den
+               for k in lhs.keys() | rhs.keys())
 
 
 def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:

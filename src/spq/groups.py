@@ -21,7 +21,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -786,9 +785,7 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     """All homomorphisms G -> K up to conjugacy in K.
 
     Each class is returned as its member with the least image tuple, and the
-    list is sorted by image tuple. The least image is the minimum of the
-    image read through each of K's conjugation rows k x k^-1, built once
-    per call.
+    list is sorted by image tuple.
 
     Backtracks over generator images, closing the partial map after each
     assignment and pruning on conflicts and on element-order divisibility.
@@ -845,16 +842,14 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
                 search(grown, idx + 1)
 
     search({0: 0}, 0)
-    # row k maps x to k x k^-1; row 0 is the identity, so img is a candidate
-    rows = [tuple(K.elements())]
-    rows += [tuple(K.conjugate(k, x) for x in K.elements()) for k in range(1, K.order)]
-
-    def least(img: tuple[int, ...]) -> tuple[int, ...]:
-        if len(img) == 1:
-            # itemgetter of one index returns a scalar, not a tuple
-            return min((row[img[0]],) for row in rows)
-        return min(map(itemgetter(*img), rows))
-
-    classes = dict.fromkeys(least(img) for img in images
-                            if not surjective_only or len(set(img)) == K.order)
+    classes: dict[tuple[int, ...], None] = {}
+    for img in images:
+        if surjective_only and len(set(img)) != K.order:
+            continue
+        best = img
+        for k in range(1, K.order):
+            cand = tuple(K.conjugate(k, x) for x in img)
+            if cand < best:
+                best = cand
+        classes[best] = None
     return [GroupHom(G, K, img) for img in sorted(classes)]

@@ -316,7 +316,7 @@ def test_d0_batch_rejects_an_empty_or_mixed_batch():
 
 def test_d0_identity_memory_stays_small():
     # with the catalog lattices built, the check holds only per-psi memos;
-    # 0.57 MB here, and 5.04 MB once a memo keyed on chain tails was added
+    # 0.86 MB here, and 5.04 MB once a memo keyed on chain tails was added
     for spec in CATALOG:
         if catalog_group(spec).order <= 16:
             subgroup_lattice(catalog_group(spec))
