@@ -27,9 +27,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    all_subgroups,
     core_in,
-    is_normal,
     quotient,
 )
 from .lattice import SubgroupLattice, build_complex, subgroup_lattice, top_slice
@@ -334,8 +332,9 @@ def _fiber_keys(G: FiniteGroup, n: int) -> tuple[list[set | None], dict[int, set
             keys.add((core.members, subgroup_lattice(proj.target).canonical(image_chain)))
         seen.append(keys if len(keys) == len(level) else None)
     expected: dict[int, set[tuple[int, tuple[int, ...]]]] = defaultdict(set)
-    for N in all_subgroups(G):
-        if not is_normal(N):
+    lat = subgroup_lattice(G)
+    for N, moves in zip(lat.subgroups, lat.moves):
+        if len(moves) > 1:  # conjugation moves N, so N is not normal
             continue
         Q, _ = quotient(G, N)
         for k, level in enumerate(top_slice(build_complex(Q, n)).bases):

@@ -5,11 +5,13 @@ sits at filtration level n when its total index [H_k : H_0] is at most n.
 Conjugation permutes chains without reordering them, so the orbit set is an
 honest basis for the coinvariant complex, with no sign twists. The chain
 kernel reads only an ``OrbitPoset``, so the order complexes of ``partition``
-run on it too. ``orbit_classes`` walks one least chain per orbit, narrowing
-the stabilizer of each prefix, and never lists the other orbit members;
-``orbit_complex`` assembles the coinvariant boundaries of those
-representatives, and ``top_slice`` alone cuts the reduced complex out of
-them. ``poset_chains`` lists every chain, for the dense oracle and chain caps.
+run on it too. The action is read through one table, ``OrbitPoset.moves``,
+and ``canonical`` and ``orbit_classes`` take the same step on it.
+``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
+of each prefix, and never lists the other orbit members; ``orbit_complex``
+assembles the coinvariant boundaries of those representatives, and
+``top_slice`` alone cuts the reduced complex out of them. ``poset_chains``
+lists every chain, for the dense oracle and chain caps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -45,7 +47,8 @@ class OrbitPoset:
     ratio of its ends), ``conj_perms`` the distinct non-identity
     permutations of the ids that the action induces, and ``top_id`` the
     greatest element. Chain enumeration, orbit canonicalization and
-    boundary assembly read only these four fields.
+    boundary assembly read only these four fields, and the action only
+    through ``moves``, the one table derived from ``conj_perms``.
 
     ``conj_perms`` together with the identity must form a group Gamma:
     orbit sizes are read off as |Gamma| / |stabilizer|. For a
@@ -63,45 +66,37 @@ class OrbitPoset:
         self.top_id = top_id
 
     @cached_property
-    def transporters(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each id i, the members of Gamma sending i to the least id of its orbit."""
-        gamma = (tuple(range(len(self.orders))),) + self.conj_perms
-        return tuple(tuple(p for p in gamma if p[i] == least)
-                     for i, least in enumerate(min(images) for images in zip(*gamma)))
+    def moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Gamma as one table: for each id i, the pairs (j, members) by increasing j.
 
-    @cached_property
-    def action_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Gamma as bitsets: for each id i, the members fixing i and those sending it lower.
-
-        Bit 0 stands for the identity and bit b for ``conj_perms[b - 1]``, so
-        a stabilizer is an int, narrowed by AND and trivial when it is 1.
+        There is one pair per image j of i under Gamma, and ``members`` is the
+        bitset of the members of Gamma sending i to j. Bit 0 stands for the
+        identity and bit b for ``conj_perms[b - 1]``, so a set of members is
+        an int, narrowed by AND. The member sets of i partition Gamma, and i
+        is fixed by all of Gamma exactly when it has a single move.
         """
-        gamma = (tuple(range(len(self.orders))),) + self.conj_perms
-        fixing, lowering = [0] * len(self.orders), [0] * len(self.orders)
-        for b, perm in enumerate(gamma):
-            bit = 1 << b
-            for i, image in enumerate(perm):
-                if image == i:
-                    fixing[i] |= bit
-                elif image < i:
-                    lowering[i] |= bit
-        return tuple(fixing), tuple(lowering)
+        by_image: list[dict[int, int]] = [{i: 1} for i in range(len(self.orders))]
+        for b, perm in enumerate(self.conj_perms, 1):
+            for i, j in enumerate(perm):
+                by_image[i][j] = by_image[i].get(j, 0) | 1 << b
+        return tuple(tuple(sorted(m.items())) for m in by_image)
 
     def canonical(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         """Least member of the orbit of a tuple of ids (repeats allowed).
 
-        Only the transporters of ``ids[0]`` give the least first entry, so
-        the lexicographic minimum is taken over their images alone.
+        Entry by entry, the least image of the next id under the members of
+        Gamma still eligible is the first of its moves they meet, and the
+        eligible members narrow to that move's by AND.
         """
-        return min(map(_image(ids), self.transporters[ids[0]]))
-
-
-def _image(ids: tuple[int, ...]):
-    """The map sending a permutation p to the tuple (p[i] for i in ids)."""
-    if len(ids) == 1:
-        i, = ids
-        return lambda p: (p[i],)
-    return itemgetter(*ids)
+        least = []
+        eligible = -1  # every bit set: all of Gamma
+        for i in ids:
+            for j, members in self.moves[i]:
+                if members & eligible:
+                    least.append(j)
+                    eligible &= members
+                    break
+        return tuple(least)
 
 
 class SubgroupLattice(OrbitPoset):
@@ -163,7 +158,7 @@ def conjugacy_classes_of_subgroups(
     lat = subgroup_lattice(G)
     orbits: dict[int, list[Subgroup]] = {}
     for i, sub in enumerate(lat.subgroups):
-        orbits.setdefault(lat.canonical((i,))[0], []).append(sub)
+        orbits.setdefault(lat.moves[i][0][0], []).append(sub)
     return [(orbit[0], orbit) for orbit in orbits.values()]
 
 
@@ -204,18 +199,18 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
       smaller, then g.p <= p forces g.p == p, so g lies in Stab(p) and
       g[j] < j; conversely such a g gives a smaller image.
 
-    So the walk starts from the ids that no member of Gamma sends lower,
-    with their stabilizers, and narrows the stabilizer to the members
-    fixing j at each step; once it is trivial every extension is least.
-    Stabilizers are the bitsets of ``action_masks``.
+    Both tests are the step ``canonical`` takes: the first move of j that
+    meets Stab(p) sends j to min(g[j] for g in Stab(p)), and its members
+    within Stab(p) are Stab(p + (j,)). So the walk starts from the ids whose
+    first move fixes them, and extends by j when the step fixes j; once the
+    stabilizer is the identity alone, every extension is least.
     Gamma preserves the order and the weights, so an orbit passes the
     weight limit exactly when its least member does, and the orbit size is
     |Gamma| / |Stab(chain)|. Within each degree the classes are sorted by
     their representative.
     """
-    orders, supersets = P.orders, P.supersets
+    orders, supersets, moves = P.orders, P.supersets, P.moves
     order = len(P.conj_perms) + 1
-    fixing, lowering = P.action_masks
     by_length: list[list[ChainClass]] = [[] for _ in range(len(orders) + 1)]
 
     def walk(chain: tuple[int, ...], stab: int, limit: int) -> None:
@@ -227,13 +222,17 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
         by_length[len(chain)].append(ChainClass(
             chain, orders[last] // orders[chain[0]], order // size))
         for j in supersets[last]:
-            if orders[j] <= limit and not stab & lowering[j]:
-                walk(chain + (j,), stab & fixing[j], limit)
+            if orders[j] <= limit:
+                for image, members in moves[j]:
+                    if members & stab:
+                        break
+                if image == j:
+                    walk(chain + (j,), stab & members, limit)
 
     for start, bottom in enumerate(orders):
-        limit = bottom * n
-        if not lowering[start]:
-            walk((start,), fixing[start], limit)
+        image, stab = moves[start][0]
+        if image == start:
+            walk((start,), stab, bottom * n)
     classes = by_length[1:]
     while len(classes) > 1 and not classes[-1]:
         classes.pop()

@@ -151,6 +151,42 @@ def test_element_perms_are_conjugations(spec):
     assert sum(lat.conj_counts) == G.order - lat.element_perms.count(identity)
 
 
+def _check_moves(P):
+    """``P.moves`` against Gamma read straight from ``conj_perms`` (bit b is gamma[b])."""
+    gamma = (tuple(range(len(P.orders))),) + P.conj_perms
+    assert len(P.moves) == len(P.orders)
+    for i, moves in enumerate(P.moves):
+        images = [j for j, _ in moves]
+        assert all(a < b for a, b in zip(images, images[1:]))
+        union = 0
+        for j, members in moves:
+            assert not union & members
+            union |= members
+            assert members == sum(1 << b for b, perm in enumerate(gamma) if perm[i] == j)
+        assert union == (1 << len(gamma)) - 1
+        assert dict(moves)[i] & 1
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_moves_tabulate_the_action(spec):
+    lat = subgroup_lattice(catalog_group(spec))
+    _check_moves(lat)
+    assert [len(moves) == 1 for moves in lat.moves] == [is_normal(s) for s in lat.subgroups]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_moves_of_random_permutation_groups_and_cones(data):
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    lat = subgroup_lattice(G)
+    _check_moves(lat)
+    sub = data.draw(st.sampled_from(lat.subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    _check_moves(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
+
+
 def test_reduced_boundary_c2():
     C = top_slice(build_complex(builtin("C2"), 2))
     assert C.dims == (1, 1)
