@@ -51,6 +51,8 @@ def _parse_gset(G: FiniteGroup, text: str) -> GSet:
             terms.append((G.order, partial(GSet.regular, G)))
         elif term.startswith("trivial:"):
             size = int(term.split(":", 1)[1])
+            if size < 1:  # a term below 1 would lower the sum under the cap
+                raise SpqError(f"G-set term {term!r} has size {size}, below 1")
             terms.append((size, partial(GSet.trivial, G, size)))
         elif term.startswith("coset:"):
             body = term.split(":", 1)[1]

@@ -30,7 +30,7 @@ from .groups import (
     core_in,
     quotient,
 )
-from .lattice import SubgroupLattice, build_complex, subgroup_lattice, top_slice
+from .lattice import SubgroupLattice, chain_classes, effective_level, subgroup_lattice
 
 
 def _check_chains(G: FiniteGroup, n: int, degree: int,
@@ -40,13 +40,11 @@ def _check_chains(G: FiniteGroup, n: int, degree: int,
     Only a total index above min(n, |G|) raises ``FiltrationViolation``;
     every other defect raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError(f"filtration level must be at least 1, got {n}")
+    n_eff = effective_level(G, n)
     if degree < 0:
         raise ValueError(f"chain degree must be at least 0, got {degree}")
     lat = subgroup_lattice(G)
     subs, orders = lat.subgroups, lat.orders
-    n_eff = min(n, G.order)
     for ids in chains:
         if len(ids) != degree + 1:
             raise ValueError("chain length disagrees with the stated degree")
@@ -191,7 +189,7 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
     is the normalized-complex convention used by ``restrict``.
     """
     G = psi.source
-    n_eff = min(n, G.order)
+    n_eff = effective_level(G, n)
     reps_of, preimage, source, target = _restriction_memo(psi)
     orders, element_perms, canonical = source.orders, target.element_perms, source.canonical
     out = []
@@ -323,23 +321,27 @@ def simple_decomposition(
 def _fiber_keys(G: FiniteGroup, n: int) -> tuple[list[set | None], dict[int, set]]:
     """Per degree, the (core, image chain) keys of G's reduced classes at level n
     (None if two classes share a key) and the (N, simple class of G/N) pairs
-    they must match, from one walk of G and of each quotient."""
+    they must match, from the classes ending at the top of G and of each
+    quotient; trailing degrees may hold none."""
+    lat = subgroup_lattice(G)
     seen: list[set[tuple[int, tuple[int, ...]]] | None] = []
-    for level in top_slice(build_complex(G, n)).bases:
+    for level in chain_classes(G, n):
+        reduced = [cls for cls in level if cls.representative[-1] == lat.top_id]
         keys = set()
-        for cls in level:
+        for cls in reduced:
             core, image_chain, proj = simple_decomposition(G, cls.representative)
             keys.add((core.members, subgroup_lattice(proj.target).canonical(image_chain)))
-        seen.append(keys if len(keys) == len(level) else None)
+        seen.append(keys if len(keys) == len(reduced) else None)
     expected: dict[int, set[tuple[int, tuple[int, ...]]]] = defaultdict(set)
-    lat = subgroup_lattice(G)
     for N, moves in zip(lat.subgroups, lat.moves):
         if len(moves) > 1:  # conjugation moves N, so N is not normal
             continue
         Q, _ = quotient(G, N)
-        for k, level in enumerate(top_slice(build_complex(Q, n)).bases):
-            expected[k].update((N.members, cls.representative)
-                               for cls in level if is_simple(Q, cls.representative))
+        top = subgroup_lattice(Q).top_id
+        for k, level in enumerate(chain_classes(Q, n)):
+            expected[k].update((N.members, cls.representative) for cls in level
+                               if cls.representative[-1] == top
+                               and is_simple(Q, cls.representative))
     return seen, expected
 
 

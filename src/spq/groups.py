@@ -1,17 +1,17 @@
 """Finite groups as explicit multiplication tables, with subgroup machinery.
 
 Elements of a group of order m are the indices 0..m-1 and index 0 is always
-the identity. All types are immutable once constructed; derived data
-(generators, subgroup inventory, element orders, embedded subgroups) is cached
-lazily on the group object. ``_check_square`` owns the table-shape checks of
-both table constructors, and ``left_cosets`` the coset listing behind
-``quotient`` and ``partition.GSet.from_cosets``. ``_grow`` is the one closure
-routine: ``closure_set``, Light's associativity test and every computed
-generating set go through it. Every group carries generators: given ones are
-checked by ``_walk``, a breadth-first walk of the Cayley graph over them that
-relies on associativity, and missing ones are computed on first use.
-Conjugacy classes of subgroups are read off the conjugation action in
-``lattice``.
+the identity. All types are immutable once constructed; derived data is
+cached lazily on the group object, and ``_derived`` keeps the subgroup
+inventory, embedded subgroups and quotients. ``_check_square`` owns the
+table-shape checks of both table constructors, and ``left_cosets`` the
+coset listing behind ``quotient`` and ``partition.GSet.from_cosets``.
+``_grow`` is the one closure routine: ``closure_set``, Light's
+associativity test and every computed generating set go through it. Every
+group carries generators: given ones are checked by ``_walk``, a
+breadth-first walk of the Cayley graph over them that relies on
+associativity, and missing ones are computed on first use. Conjugacy
+classes of subgroups are read off the conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def _check_square(table: Sequence[Sequence[int]]) -> int:
             if not 0 <= x < n:
                 raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
     return n
+
+
+def _derived(owner, name: str, key, build: Callable):
+    """``build()`` for ``key``, made once and kept in ``owner.__dict__[name]`` (key None
+    for a single object); ``setdefault`` keeps one winner if two threads race."""
+    table = owner.__dict__.setdefault(name, {})
+    found = table.get(key)
+    if found is None:
+        found = table.setdefault(key, build())
+    return found
 
 
 class FiniteGroup:
@@ -167,21 +177,16 @@ class FiniteGroup:
         Cached per mask so that repeated calls return the identical object
         (the full-group mask returns the parent itself).
         """
-        cache = self.__dict__.setdefault("_embedded_cache", {})
-        found = cache.get(mask)
-        if found is not None:
-            return found
-        if mask == (1 << self.order) - 1:
-            ident = tuple(range(self.order))
-            emb = EmbeddedSubgroup(self, ident, dict(enumerate(ident)))
-        else:
-            elems = _mask_bits(mask)
-            pos = {g: i for i, g in enumerate(elems)}
-            table = [[pos[self.mul[a][b]] for b in elems] for a in elems]
-            sub = FiniteGroup(table, f"{self.label}:{mask:x}")
-            emb = EmbeddedSubgroup(sub, tuple(elems), pos)
-        # setdefault keeps one winner if two threads build concurrently
-        return cache.setdefault(mask, emb)
+        return _derived(self, "_embedded_cache", mask, lambda: _embed(self, mask))
+
+
+def _embed(G: FiniteGroup, mask: int) -> EmbeddedSubgroup:
+    elems = _mask_bits(mask)
+    pos = {g: i for i, g in enumerate(elems)}
+    if len(elems) == G.order:
+        return EmbeddedSubgroup(G, tuple(elems), pos)
+    table = [[pos[G.mul[a][b]] for b in elems] for a in elems]
+    return EmbeddedSubgroup(FiniteGroup(table, f"{G.label}:{mask:x}"), tuple(elems), pos)
 
 
 def _grow(mul: Sequence[Sequence[int]], seed: Iterable[int]) -> tuple[tuple[int, ...], set[int]]:
@@ -690,30 +695,24 @@ def group_from_json(data, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member list).
 
-    Seeds with the cyclic subgroups, then repeatedly closes known subgroups
-    against adjoined elements until nothing new appears.
+    One worklist, from the trivial subgroup: each subgroup found is closed
+    against every element it lacks, until nothing new appears.
     """
-    cached = G.__dict__.get("_all_subgroups")
-    if cached is not None:
-        return list(cached)
-    masks: set[int] = set()
-    for g in G.elements():
-        masks.add(G.generated_mask((g,)))
-    frontier = sorted(masks)
-    while frontier:
-        fresh = []
-        for mask in frontier:
-            for g in G.elements():
-                if mask >> g & 1:
-                    continue
-                grown = G.generated_mask(_mask_bits(mask | (1 << g)))
-                if grown not in masks:
-                    masks.add(grown)
-                    fresh.append(grown)
-        frontier = fresh
-    subs = sorted((Subgroup(G, m) for m in masks),
-                  key=lambda s: s.key)
-    return list(G.__dict__.setdefault("_all_subgroups", tuple(subs)))
+    return list(_derived(G, "_all_subgroups", None, lambda: _enumerate_subgroups(G)))
+
+
+def _enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    masks = {1}
+    work = [1]
+    for mask in work:
+        for g in G.elements():
+            if mask >> g & 1:
+                continue
+            grown = G.generated_mask(_mask_bits(mask | (1 << g)))
+            if grown not in masks:
+                masks.add(grown)
+                work.append(grown)
+    return tuple(sorted((Subgroup(G, m) for m in masks), key=lambda s: s.key))
 
 
 def index(H: Subgroup, K: Subgroup) -> int:
@@ -768,11 +767,19 @@ def left_cosets(H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """The quotient group on least coset representatives plus the projection."""
+    """The quotient group on least coset representatives plus the projection.
+
+    Kept per normal subgroup, like embedded subgroups: repeated calls return
+    the identical pair. The inputs are checked on every call.
+    """
     if N.parent is not G:
         raise NotASubgroupInclusion("subgroup does not live in the given group")
     if not is_normal(N):
         raise NotNormal("quotient by a non-normal subgroup")
+    return _derived(G, "_quotients", N.members, lambda: _quotient(G, N))
+
+
+def _quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     coset_of, reps = left_cosets(N)
     table = [[coset_of[G.mul[a][b]] for b in reps] for a in reps]
     Q = FiniteGroup(table, f"{G.label}/{N.order}")

@@ -11,7 +11,8 @@ and ``canonical`` and ``orbit_classes`` take the same step on it.
 of each prefix, and never lists the other orbit members; ``orbit_complex``
 assembles the coinvariant boundaries of those representatives, and
 ``top_slice`` alone cuts the reduced complex out of them. ``poset_chains``
-lists every chain, for the dense oracle and chain caps.
+lists every chain, for the dense oracle and chain caps. ``effective_level``
+alone checks a group's filtration level and clamps it to |G|.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .errors import InvariantViolation
-from .groups import FiniteGroup, Subgroup, all_subgroups
+from .groups import FiniteGroup, Subgroup, _derived, all_subgroups
 from .intmatrix import SparseIntMatrix
 
 COINVARIANT = "coinvariant"
@@ -142,10 +143,7 @@ class SubgroupLattice(OrbitPoset):
 
 
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
-    cached = G.__dict__.get("_subgroup_lattice")
-    if cached is None:
-        cached = G.__dict__.setdefault("_subgroup_lattice", SubgroupLattice(G))
-    return cached
+    return _derived(G, "_subgroup_lattice", None, lambda: SubgroupLattice(G))
 
 
 def conjugacy_classes_of_subgroups(
@@ -330,18 +328,21 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     return replace(C, flavor=REDUCED, bases=bases, columns=tuple(columns))
 
 
-def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
-    """All strict subgroup chains of total index <= min(n, |G|), as id tuples, depth first."""
+def effective_level(G: FiniteGroup, n: int) -> int:
+    """min(n, |G|), as no chain has a larger index; the one check that rejects n < 1."""
     if n < 1:
         raise ValueError(f"filtration level must be at least 1, got {n}")
-    return list(poset_chains(subgroup_lattice(G), min(n, G.order)))
+    return min(n, G.order)
+
+
+def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
+    """All strict subgroup chains of total index <= min(n, |G|), as id tuples, depth first."""
+    return list(poset_chains(subgroup_lattice(G), effective_level(G, n)))
 
 
 def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
     """Conjugacy classes of filtered chains by degree, each sorted by representative."""
-    if n < 1:
-        raise ValueError(f"filtration level must be at least 1, got {n}")
-    return orbit_classes(subgroup_lattice(G), min(n, G.order))
+    return orbit_classes(subgroup_lattice(G), effective_level(G, n))
 
 
 @dataclass(eq=False)
@@ -357,7 +358,7 @@ def build_complex(G: FiniteGroup, n: int) -> FilteredChainComplex:
     """Assemble the coinvariant filtered complex at level n; ``top_slice`` reduces it."""
     lat = subgroup_lattice(G)
     C = orbit_complex(lat, chain_classes(G, n))
-    return FilteredChainComplex(lat, C.flavor, C.bases, C.columns, G, n, min(n, G.order))
+    return FilteredChainComplex(lat, C.flavor, C.bases, C.columns, G, n, effective_level(G, n))
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:

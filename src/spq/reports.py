@@ -3,27 +3,29 @@
 Dimension vectors are reported densely up to the degree bound
 floor(log2(min(n, |G|))): a chain of degree k has total index at least 2^k,
 so nothing lives above that bound and trailing zeros are printed rather
-than omitted. ``_level_report`` alone pads and packs a level's report.
+than omitted. ``_level_report`` alone pads and packs a level's report, and
+``same_padded`` alone compares vectors of different lengths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
-from .lattice import OrbitComplex, build_complex, filtration_levels, top_slice
-
-
-def report_length(order: int, n: int) -> int:
-    n_eff = max(1, min(n, order))
-    return n_eff.bit_length()  # floor(log2(n_eff)) + 1
+from .lattice import OrbitComplex, build_complex, effective_level, filtration_levels, top_slice
 
 
 def padded(values, length: int) -> tuple[int, ...]:
     out = list(values) + [0] * (length - len(values))
     return tuple(out[:length])
+
+
+def same_padded(a, b) -> bool:
+    """Equal vectors once the shorter is padded with zeros to the longer's length."""
+    length = max(len(a), len(b))
+    return padded(a, length) == padded(b, length)
 
 
 @dataclass
@@ -45,31 +47,23 @@ class ComputationReport:
     euler: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "order": self.order,
-            "n": self.n,
-            "n_effective": self.n_effective,
-            "pi": list(self.pi),
-            "phi": list(self.phi),
-            "chains": list(self.chains),
-            "euler": self.euler,
-        }
+        """The fields in declaration order, vectors as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
     @staticmethod
     def from_json_dict(data: dict) -> ComputationReport:
-        return ComputationReport(
-            group=data["group"], order=data["order"], n=data["n"],
-            n_effective=data["n_effective"], pi=tuple(data["pi"]),
-            phi=tuple(data["phi"]), chains=tuple(data["chains"]),
-            euler=data["euler"])
+        values = ((f.name, data[f.name]) for f in fields(ComputationReport))
+        return ComputationReport(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in values})
 
 
 def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> ComputationReport:
-    """Package one level's vectors, padded to the report length of (|G|, n)."""
-    length = report_length(G.order, n)
+    """Package one level's vectors, padded to floor(log2(min(n, |G|))) + 1 degrees."""
+    n_eff = effective_level(G, n)
+    length = n_eff.bit_length()
     return ComputationReport(
-        group=G.label, order=G.order, n=n, n_effective=min(n, G.order),
+        group=G.label, order=G.order, n=n, n_effective=n_eff,
         pi=padded(pi, length), phi=padded(phi, length),
         chains=padded(chains, length), euler=euler)
 
@@ -84,16 +78,12 @@ def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
 
 def same_homotopy(a: ComputationReport, b: ComputationReport) -> bool:
     """Equal pi and phi vectors after padding to a common length."""
-    length = max(len(a.pi), len(b.pi))
-    return (padded(a.pi, length) == padded(b.pi, length)
-            and padded(a.phi, length) == padded(b.phi, length))
+    return same_padded(a.pi, b.pi) and same_padded(a.phi, b.phi)
 
 
 def same_report(a: ComputationReport, b: ComputationReport) -> bool:
     """Equal homotopy, chain counts and Euler characteristic (n fields aside)."""
-    length = max(len(a.pi), len(b.pi))
-    return (same_homotopy(a, b) and a.euler == b.euler
-            and padded(a.chains, length) == padded(b.chains, length))
+    return same_homotopy(a, b) and a.euler == b.euler and same_padded(a.chains, b.chains)
 
 
 @dataclass

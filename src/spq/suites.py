@@ -50,7 +50,7 @@ from .partition import (
     interval_poset,
     subgroup_conjugation_action,
 )
-from .reports import ComputationReport, compute_report, padded, profile_report, same_report
+from .reports import ComputationReport, compute_report, profile_report, same_padded, same_report
 
 CATALOG: tuple[str, ...] = (
     "C1", "C2", "C3", "C4", "C6", "C8", "C9", "C27", "C30",
@@ -89,11 +89,6 @@ class CheckResult:
     computed: str
 
 
-def _pad_eq(a, b) -> bool:
-    length = max(len(a), len(b))
-    return padded(a, length) == padded(b, length)
-
-
 def _result(name: str, passed: bool, expected, computed) -> CheckResult:
     return CheckResult(name, passed, str(expected), str(computed))
 
@@ -107,7 +102,7 @@ def _check_table(spec: str) -> CheckResult:
     prof = profile_report(catalog_group(spec))
     got = [(r.start, r.end, r.report.pi) for r in prof.ranges]
     ok = len(got) == len(expected) and all(
-        gs == es and ge == ee and _pad_eq(gpi, epi)
+        gs == es and ge == ee and same_padded(gpi, epi)
         for (gs, ge, gpi), (es, ee, epi) in zip(got, expected))
     return _result(f"table:{spec}", ok, expected,
                    [(s, e, tuple(pi)) for s, e, pi in got])
@@ -257,7 +252,7 @@ def _check_semisimplicity() -> list[CheckResult]:
         for n in filtration_levels(G):
             oracle = coinvariants_of_homology_oracle(G, n)
             direct = betti_numbers(build_complex(G, n)).betti
-            if not _pad_eq(oracle, direct):
+            if not same_padded(oracle, direct):
                 bad = (n, oracle, list(direct))
                 break
         out.append(_result(f"semisimplicity:{spec}", bad is None,
@@ -474,6 +469,8 @@ def _check_projective_decomposition() -> list[CheckResult]:
         bad = None
         for n in filtration_levels(G):
             seen, expected = _fiber_keys(G, n)
+            depth = max([len(seen), *(k + 1 for k in expected)])  # every degree of either side
+            seen += [set()] * (depth - len(seen))
             k = next((k for k, keys in enumerate(seen) if keys != expected[k]), None)
             if k is not None:
                 bad = (n, k)
@@ -540,7 +537,7 @@ def _check_suspension() -> list[CheckResult]:
         bm1, betti = _reduced_betti_augmented(proper, action)
         pi = compute_report(G, G.order - 1).pi
         expected = [1 + bm1] + list(betti)
-        ok = _pad_eq(pi, expected)
+        ok = same_padded(pi, expected)
         out.append(_result(f"suspension:{spec}", ok, expected, list(pi)))
     return out
 

@@ -20,6 +20,7 @@ from spq import (
     profile_report,
 )
 from spq.cli import main
+from spq.partition import GSet
 
 # sha256 of `spq verify --suite all` stdout; bench/reference.json holds the same
 VERIFY_ALL_SHA256 = "6817534be8fdd1b1a4a2d57f293b859f2c940865aa13351ecad04dddcc6c5369"
@@ -219,6 +220,16 @@ def test_huge_elementary_abelian_is_over_the_cap_at_once(capsys, spec):
 def test_huge_trivial_gset_is_over_the_cap_at_once(capsys):
     # the term is priced before its action table is built
     assert_fast_cap_error(capsys, "partition", "-g", "S3", "--gset", "trivial:100000000")
+
+
+def test_gset_term_below_one_is_rejected_before_any_term_is_built(monkeypatch, capsys):
+    # trivial:-1 would lower the summed size under the cap; regular must not be built
+    def refuse(G):
+        raise AssertionError("a G-set term was built")
+
+    monkeypatch.setattr(GSet, "regular", refuse)
+    code, _, err = run_cli(capsys, "partition", "-g", "C2", "--gset", "regular+trivial:-1")
+    assert_one_error_line(code, err)
 
 
 @pytest.mark.parametrize("data,named", [

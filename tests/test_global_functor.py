@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import spq.global_functor
+import spq.groups
 import spq.suites
 from spq import (
     ChainNotEndingAtTop,
@@ -519,7 +520,31 @@ def test_fiber_keys_cover_every_reduced_class(spec):
     G = builtin(spec)
     seen, expected = _fiber_keys(G, G.order)
     assert [len(keys) for keys in seen] == [len(b) for b in top_slice(build_complex(G, G.order)).bases]
+    assert all(k < len(seen) for k in expected)
     assert all(keys == expected[k] for k, keys in enumerate(seen))
+
+
+def test_fiber_suite_compares_every_degree(monkeypatch):
+    # one expected pair a degree above every class of G must fail the check
+    def with_a_higher_pair(G, n):
+        seen, expected = _fiber_keys(G, n)
+        expected[len(seen)].add((1, (0,)))
+        return seen, expected
+
+    monkeypatch.setattr(spq.suites, "_fiber_keys", with_a_higher_pair)
+    results = spq.suites._check_projective_decomposition()
+    assert results and not any(r.passed for r in results)
+
+
+def test_fiber_check_builds_each_quotient_once(monkeypatch):
+    # 133 quotient calls cover 17 (group, normal subgroup) pairs of C4, C2xC2, S3, D8
+    monkeypatch.setattr(spq.suites, "_GROUP_CACHE", {})  # groups no earlier test touched
+    built = []
+    left_cosets = spq.groups.left_cosets
+    monkeypatch.setattr(spq.groups, "left_cosets",
+                        lambda H: built.append(H.members) or left_cosets(H))
+    assert all(r.passed for r in spq.suites._check_projective_decomposition())
+    assert len(built) == 17
 
 
 def test_projective_decomposition_fails_on_extra_pairs(monkeypatch):

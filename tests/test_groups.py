@@ -398,6 +398,22 @@ def test_quotient():
     assert Q.order == 6 and proj.kernel.order == 1
 
 
+def test_quotient_is_kept_per_normal_subgroup():
+    S3 = builtin("S3")
+    a3 = next(s for s in all_subgroups(S3) if s.order == 3)
+    Q, proj = quotient(S3, a3)
+    again = quotient(S3, a3)
+    assert again[0] is Q and again[1] is proj
+    # the checks run on every call: the same mask in another group is refused
+    other = builtin("S3")
+    with pytest.raises(NotASubgroupInclusion):
+        quotient(S3, Subgroup(other, a3.members))
+    s2 = next(s for s in all_subgroups(S3) if s.order == 2)
+    for _ in range(2):
+        with pytest.raises(NotNormal):
+            quotient(S3, s2)
+
+
 def test_hom_validation():
     C4 = builtin("C4")
     C2 = builtin("C2")

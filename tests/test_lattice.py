@@ -14,6 +14,8 @@ import spq.lattice
 from spq import (
     COINVARIANT,
     REDUCED,
+    ChainVector,
+    GroupHom,
     betti_numbers,
     build_complex,
     builtin,
@@ -28,6 +30,7 @@ from spq import (
     subgroup_conjugation_action,
     subgroup_lattice,
     top_slice,
+    verify_d0_compatibility,
 )
 from spq.homology import _dense_rank
 from spq.lattice import ChainClass, orbit_classes, orbit_complex, poset_chains
@@ -37,6 +40,20 @@ from spq.suites import CATALOG, catalog_group
 # sha256 over json.dumps(complex_to_json_dict(...), sort_keys=True) of every
 # CATALOG group in catalog order, n = 1..|G|+1, coinvariant before reduced
 CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102b996c1703c65"
+
+
+@pytest.mark.parametrize("use", [
+    lambda G: chains_up_to(G, 0),
+    lambda G: chain_classes(G, 0),
+    lambda G: build_complex(G, 0),
+    lambda G: compute_report(G, 0),
+    lambda G: ChainVector(G, 0, 0, {}),
+    lambda G: verify_d0_compatibility(GroupHom.identity(G), ((0, 1),), 0),
+])
+def test_every_entry_point_rejects_level_zero(use):
+    # one check, lattice.effective_level, behind every route that takes a level
+    with pytest.raises(ValueError, match="filtration level must be at least 1"):
+        use(builtin("S3"))
 
 
 def test_chains_level_one_is_discrete():
