@@ -32,7 +32,7 @@ from .groups import (
 from .lattice import conjugacy_classes_of_subgroups
 from .partition import DEFAULT_SIZE_CAP, GSet, fixed_partition_poset
 from .reports import compute_report, profile_report
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 
 def _load_group(spec: str, order_cap: int) -> FiniteGroup:
@@ -113,11 +113,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
         return 2
+    results = run_suite(args.suite)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -180,10 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equivariant spheres, by exact subgroup-lattice homology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_group=True):
-        if needs_group:
-            p.add_argument("-g", "--group", required=True,
-                           help="group spec (or @file.json)")
+    def add_common(p):
+        p.add_argument("-g", "--group", required=True,
+                       help="group spec (or @file.json)")
         p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
                        help="maximum group order")
         p.add_argument("--json", action="store_true",

@@ -260,6 +260,20 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     assert "0/1 checks passed" in out
 
 
+def test_verify_lets_a_key_error_inside_a_check_propagate(monkeypatch, capsys):
+    import spq.suites as suites
+
+    def broken():
+        return {}["missing"]
+
+    monkeypatch.setitem(suites.SUITES, "stub", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify", "--suite", "stub"])
+    assert capsys.readouterr().err == ""
+    code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and err == "unknown suite 'bogus'\n"
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "compute", "-g", "nonsense", "-n", "2")
     assert code == 2 and "error" in err
