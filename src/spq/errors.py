@@ -45,7 +45,8 @@ class NotNormal(SpqError):
 
 
 class ProductCapExceeded(ResourceCapExceeded):
-    """|G| * |K| above the configured cap for homomorphism search."""
+    """|G| * |K|, or the number of generator-image tuples to try, above the
+    configured cap for homomorphism search."""
 
 
 class ChainNotInSubgroup(SpqError):

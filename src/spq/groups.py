@@ -10,8 +10,10 @@ coset listing behind ``quotient`` and ``partition.GSet.from_cosets``.
 associativity test and every computed generating set go through it. Every
 group carries generators: given ones are checked by ``_walk``, a
 breadth-first walk of the Cayley graph over them that relies on
-associativity, and missing ones are computed on first use. Conjugacy
-classes of subgroups are read off the conjugation action in ``lattice``.
+associativity, and missing ones are computed on first use. The
+homomorphism search tries each tuple of generator images once, on one
+walk of the same Cayley graph. Conjugacy classes of subgroups are read
+off the conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -794,69 +796,44 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     Each class is returned as its member with the least image tuple, and the
     list is sorted by image tuple.
 
-    Backtracks over generator images, closing the partial map after each
-    assignment and pruning on conflicts and on element-order divisibility.
-    A homomorphism is fixed by its generator images, so the closure walks
-    generator edges only: every known a and assigned generator s give
-    phi(a s) = phi(a) phi(s), and a clash prunes the branch. A closure that
-    is conflict-free on those edges is a homomorphism on the subgroup the
-    assigned generators span, so each step costs O(|domain| * #gens).
+    A homomorphism is fixed by its generator images, so each tuple of
+    candidate images (elements of K whose order divides the generator's)
+    is tried once. G's Cayley graph over its generators is listed once:
+    tree edges set phi(a s) = phi(a) phi(s), the other edges check it, and
+    a tuple without a clash is a homomorphism. With ``surjective_only`` a
+    tuple is dropped before that unless its images generate K (``_walk``).
+    ProductCapExceeded when |G|*|K| or the tuple count exceeds the cap.
     """
     if G.order * K.order > product_cap:
         raise ProductCapExceeded(
             f"|G|*|K| = {G.order * K.order} exceeds the cap {product_cap}")
     gens = tuple(g for g in G.generators if g != 0)
-    g_orders = G.element_orders
     k_orders = K.element_orders
-    images: list[tuple[int, ...]] = []
-
-    def close(mapping: dict[int, int], assigned: tuple[int, ...],
-              y: int) -> dict[int, int] | None:
-        """Extend ``mapping`` by assigned[-1] -> y along the edges of ``assigned``."""
-        g = assigned[-1]
-        out = dict(mapping)
-        out[g] = y
-        # known elements only lack the edges of the new generator
-        pending = [(a, (g,)) for a in mapping]
-        pending.append((g, assigned))
-        while pending:
-            a, edges = pending.pop()
-            ia = out[a]
-            for s in edges:
-                b, ib = G.mul[a][s], K.mul[ia][out[s]]
-                known = out.get(b)
-                if known is None:
-                    out[b] = ib
-                    pending.append((b, assigned))
-                elif known != ib:
-                    return None
-        return out
-
-    def search(mapping: dict[int, int], idx: int) -> None:
-        if idx == len(gens):
-            if len(mapping) == G.order:
-                images.append(tuple(mapping[g] for g in G.elements()))
-            return
-        g = gens[idx]
-        if g in mapping:
-            search(mapping, idx + 1)
-            return
-        for y in K.elements():
-            if g_orders[g] % k_orders[y]:
+    candidates = [[y for y in K.elements() if G.element_orders[g] % k_orders[y] == 0]
+                  for g in gens]
+    tuples = math.prod(len(c) for c in candidates)
+    if tuples > product_cap:
+        raise ProductCapExceeded(
+            f"{tuples} generator-image tuples exceed the cap {product_cap}")
+    tree, rest = [], []  # edges (a, generator index, a s) of G's Cayley graph
+    queue, reached = [0], {0}
+    for a in queue:
+        for i, s in enumerate(gens):
+            b = G.mul[a][s]
+            if b in reached:
+                rest.append((a, i, b))
                 continue
-            grown = close(mapping, gens[:idx + 1], y)
-            if grown is not None:
-                search(grown, idx + 1)
-
-    search({0: 0}, 0)
-    classes: dict[tuple[int, ...], None] = {}
-    for img in images:
-        if surjective_only and len(set(img)) != K.order:
+            reached.add(b)
+            queue.append(b)
+            tree.append((a, i, b))
+    classes: set[tuple[int, ...]] = set()
+    for ims in itertools.product(*candidates):
+        if surjective_only and len(_walk(K.mul, ims)) != K.order:
             continue
-        best = img
-        for k in range(1, K.order):
-            cand = tuple(K.conjugate(k, x) for x in img)
-            if cand < best:
-                best = cand
-        classes[best] = None
+        phi = [0] * G.order
+        for a, i, b in tree:
+            phi[b] = K.mul[phi[a]][ims[i]]
+        if any(phi[b] != K.mul[phi[a]][ims[i]] for a, i, b in rest):
+            continue
+        classes.add(min(tuple(K.conjugate(k, x) for x in phi) for k in K.elements()))
     return [GroupHom(G, K, img) for img in sorted(classes)]

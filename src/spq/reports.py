@@ -3,8 +3,9 @@
 Dimension vectors are reported densely up to the degree bound
 floor(log2(min(n, |G|))): a chain of degree k has total index at least 2^k,
 so nothing lives above that bound and trailing zeros are printed rather
-than omitted. ``_level_report`` alone pads and packs a level's report, and
-``same_padded`` alone compares vectors of different lengths.
+than omitted. ``_level_report`` alone pads and packs a level's report,
+``padded`` refuses to cut a nonzero entry, and ``same_padded`` alone
+compares vectors of different lengths.
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ from .lattice import OrbitComplex, build_complex, effective_level, filtration_le
 
 
 def padded(values, length: int) -> tuple[int, ...]:
-    out = list(values) + [0] * (length - len(values))
-    return tuple(out[:length])
+    """``values`` padded with zeros or cut to ``length``.
+
+    InvariantViolation if a cut entry is nonzero: nothing lives above the
+    degree bound, so a nonzero there is a fault upstream, not a trailing zero.
+    """
+    if any(values[length:]):
+        raise InvariantViolation(f"nonzero entry past degree {length - 1} in {tuple(values)}")
+    return tuple(values[:length]) + (0,) * (length - len(values))
 
 
 def same_padded(a, b) -> bool:

@@ -539,6 +539,32 @@ def test_product_cap():
         enumerate_homomorphisms(builtin("S3"), builtin("C2"), product_cap=10)
 
 
+def test_product_cap_bounds_the_generator_image_tuples():
+    # |G|*|K| = 64 is under the cap, but 8^3 = 512 image tuples are not
+    E = builtin("EA(2,3)")
+    with pytest.raises(ProductCapExceeded, match="512 generator-image tuples"):
+        enumerate_homomorphisms(E, E, product_cap=100)
+    # 32^5 tuples are refused before any is tried
+    E = builtin("EA(2,5)")
+    with pytest.raises(ProductCapExceeded, match="33554432 generator-image tuples"):
+        enumerate_homomorphisms(E, E)
+
+
+def test_hom_search_on_the_verify_pairs():
+    # exactly the (G, K) pairs whose surjections `spq verify` walks
+    groups = [catalog_group(s) for s in CATALOG if catalog_group(s).order <= 16]
+    pairs = [(G, K) for G in groups for K in groups if G.order % K.order == 0]
+    assert len(pairs) == 101
+    for surjective_only, total in ((False, 1537), (True, 416)):
+        found = 0
+        for G, K in pairs:
+            classes = [hom.image_of for hom in
+                       enumerate_homomorphisms(G, K, surjective_only=surjective_only)]
+            assert classes == slow_hom_classes(G, K, surjective_only), (G.label, K.label)
+            found += len(classes)
+        assert found == total
+
+
 def test_builtin_generators_generate():
     for spec in ("S3", "S4", "S5", "A4", "A5", "D16", "Q16", "SL2F3",
                  "C2xC6", "EA(3,2)"):

@@ -119,6 +119,23 @@ def test_read_off_euler_check(monkeypatch):
         profile_report(builtin("S3"))
 
 
+def test_padded_cuts_only_zeros():
+    assert spq.reports.padded((1, 0, 0), 2) == (1, 0)
+    assert spq.reports.padded((1,), 3) == (1, 0, 0)
+    with pytest.raises(InvariantViolation, match="past degree 1"):
+        spq.reports.padded((1, 0, 3), 2)
+
+
+def test_read_off_entry_past_the_degree_bound(monkeypatch):
+    # classes above floor(log2 n) would be a fault upstream; cutting them must not
+    # hide them (two in adjacent degrees, so the Euler check still passes)
+    original = spq.reports.betti_at
+    monkeypatch.setattr(spq.reports, "betti_at",
+                        lambda intervals, n: original(intervals, n) + (1, 1))
+    with pytest.raises(InvariantViolation, match="past degree"):
+        profile_report(builtin("S3"))
+
+
 @pytest.mark.parametrize("broken", ["wrong euler", "raises"])
 def test_complex_identities_suite_reports_failure(monkeypatch, broken):
     def fake_betti(C):
