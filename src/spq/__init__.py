@@ -62,15 +62,11 @@ from .homology import (
 )
 from .intmatrix import SparseIntMatrix, rank_exact
 from .lattice import (
-    COINVARIANT,
-    REDUCED,
     ChainClass,
-    FilteredChainComplex,
     SubgroupLattice,
     build_complex,
     chain_classes,
     chains_up_to,
-    complex_to_json_dict,
     conjugacy_classes_of_subgroups,
     filtration_levels,
     subgroup_lattice,

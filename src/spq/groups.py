@@ -802,6 +802,9 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
     tree edges set phi(a s) = phi(a) phi(s), the other edges check it, and
     a tuple without a clash is a homomorphism. With ``surjective_only`` a
     tuple is dropped before that unless its images generate K (``_walk``).
+    The least image of a class is taken over K's inner automorphisms,
+    tabulated once per call with duplicates dropped, so an abelian K costs
+    one image per homomorphism.
     ProductCapExceeded when |G|*|K| or the tuple count exceeds the cap.
     """
     if G.order * K.order > product_cap:
@@ -826,6 +829,8 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
             reached.add(b)
             queue.append(b)
             tree.append((a, i, b))
+    # K's inner automorphisms, each once, as permutations of K's elements
+    inner = {tuple(K.conjugate(k, x) for x in K.elements()) for k in K.elements()}
     classes: set[tuple[int, ...]] = set()
     for ims in itertools.product(*candidates):
         if surjective_only and len(_walk(K.mul, ims)) != K.order:
@@ -835,5 +840,5 @@ def enumerate_homomorphisms(G: FiniteGroup, K: FiniteGroup,
             phi[b] = K.mul[phi[a]][ims[i]]
         if any(phi[b] != K.mul[phi[a]][ims[i]] for a, i, b in rest):
             continue
-        classes.add(min(tuple(K.conjugate(k, x) for x in phi) for k in K.elements()))
+        classes.add(min(tuple(c[x] for x in phi) for c in inner))
     return [GroupHom(G, K, img) for img in sorted(classes)]

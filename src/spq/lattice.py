@@ -10,9 +10,12 @@ and ``canonical`` and ``orbit_classes`` take the same step on it.
 ``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
 of each prefix, and never lists the other orbit members; ``orbit_complex``
 assembles the coinvariant boundaries of those representatives, and
-``top_slice`` alone cuts the reduced complex out of them. ``poset_chains``
-lists every chain, for the dense oracle and chain caps. ``effective_level``
-alone checks a group's filtration level and clamps it to |G|.
+``top_slice`` alone cuts the reduced complex out of them. A complex is
+its poset, bases and columns and carries no other label: its caller knows
+which group and level it was built for, and whether it was sliced.
+``poset_chains`` lists every chain, for the dense oracle and chain caps.
+``effective_level`` alone checks a group's filtration level and clamps it
+to |G|.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from operator import attrgetter
 from .errors import InvariantViolation
 from .groups import FiniteGroup, Subgroup, _derived, all_subgroups
 from .intmatrix import SparseIntMatrix
-
-COINVARIANT = "coinvariant"
-REDUCED = "reduced"
 
 
 @dataclass(frozen=True)
@@ -243,14 +243,14 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
 class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
 
-    ``columns[k]`` lists the columns of the boundary d_k from degree k to
-    degree k-1, each as a row -> value dict without zeros; ``columns[0]``
-    holds empty columns into zero rows, so rank conventions need no special
-    casing.
+    Coinvariant (from ``orbit_complex``) or reduced (from ``top_slice``);
+    the two differ only in their bases and columns. ``columns[k]`` lists
+    the columns of the boundary d_k from degree k to degree k-1, each as a
+    row -> value dict without zeros; ``columns[0]`` holds empty columns
+    into zero rows, so rank conventions need no special casing.
     """
 
     lattice: OrbitPoset
-    flavor: str
     bases: tuple[tuple[ChainClass, ...], ...]
     columns: tuple[tuple[dict[int, int], ...], ...]
 
@@ -299,8 +299,7 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
                 col[row] = col.get(row, 0) + (1 if i % 2 == 0 else -1)
             level.append({r: v for r, v in col.items() if v})
         columns.append(tuple(level))
-    return OrbitComplex(P, COINVARIANT, tuple(tuple(level) for level in classes),
-                        tuple(columns))
+    return OrbitComplex(P, tuple(tuple(level) for level in classes), tuple(columns))
 
 
 def top_slice(C: OrbitComplex) -> OrbitComplex:
@@ -312,7 +311,7 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     the boundaries are the coinvariant ones restricted to those rows and
     columns: the one face that deletes the top lands in the subcomplex.
     Trailing degrees without such classes are dropped. This is the only
-    route to a ``REDUCED`` complex.
+    route to a reduced complex: every class of its result ends at the top.
     """
     top = C.lattice.top_id
     keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
@@ -325,7 +324,7 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
         new_row = {i: r for r, i in enumerate(keep[k - 1])}
         columns.append(tuple({new_row[i]: v for i, v in C.columns[k][j].items() if i in new_row}
                              for j in keep[k]))
-    return replace(C, flavor=REDUCED, bases=bases, columns=tuple(columns))
+    return replace(C, bases=bases, columns=tuple(columns))
 
 
 def effective_level(G: FiniteGroup, n: int) -> int:
@@ -345,20 +344,9 @@ def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
     return orbit_classes(subgroup_lattice(G), effective_level(G, n))
 
 
-@dataclass(eq=False)
-class FilteredChainComplex(OrbitComplex):
-    """Orbit complex of a group's subgroup lattice at filtration level n."""
-
-    group: FiniteGroup
-    n: int
-    n_effective: int
-
-
-def build_complex(G: FiniteGroup, n: int) -> FilteredChainComplex:
-    """Assemble the coinvariant filtered complex at level n; ``top_slice`` reduces it."""
-    lat = subgroup_lattice(G)
-    C = orbit_complex(lat, chain_classes(G, n))
-    return FilteredChainComplex(lat, C.flavor, C.bases, C.columns, G, n, effective_level(G, n))
+def build_complex(G: FiniteGroup, n: int) -> OrbitComplex:
+    """The coinvariant complex of G's subgroup lattice at level n; ``top_slice`` reduces it."""
+    return orbit_complex(subgroup_lattice(G), chain_classes(G, n))
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:
@@ -370,21 +358,3 @@ def filtration_levels(G: FiniteGroup) -> list[int]:
             levels.add(lat.orders[j] // lat.orders[i])
     return sorted(levels)
 
-
-def complex_to_json_dict(C: FilteredChainComplex) -> dict:
-    """Debug serialization: bases as chains of member masks, sparse triples."""
-    return {
-        "group": C.group.label,
-        "order": C.group.order,
-        "n": C.n,
-        "n_effective": C.n_effective,
-        "flavor": C.flavor,
-        "bases": [
-            [{"chain": list(C.lattice.masks(cls.representative)),
-              "orbit_size": cls.orbit_size}
-             for cls in level]
-            for level in C.bases],
-        "boundaries": [
-            {"rows": m.rows, "cols": m.cols, "entries": [list(e) for e in m.entries]}
-            for m in C.boundaries],
-    }

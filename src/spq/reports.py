@@ -149,10 +149,10 @@ def _dims_at(C: OrbitComplex, n: int) -> list[int]:
 
 
 def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
-    """Reports at the given levels from one filtered reduction per flavor.
+    """Reports at the given levels from one filtered reduction of each complex.
 
-    Both flavors come from one build: the reduced complex is the top slice
-    of the coinvariant one.
+    Both come from one build: the reduced complex is the top slice of the
+    coinvariant one.
     """
     coinv = build_complex(G, G.order)
     reduced = top_slice(coinv)
@@ -172,14 +172,14 @@ def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationRepor
 def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     """Reports at every realized level, certified constant in between.
 
-    Every level is read off one filtered reduction per flavor of the
-    complex at n = |G| (see ``persistence_intervals``), with the Euler
-    identity checked at each level. One intermediate n per gap between
-    consecutive realized levels, and one n beyond the group order, is then
-    recomputed independently by ``compute_report`` and must reproduce the
-    report of the level below; these gap probes check the read-off. With
-    ``threads`` > 1 the probes run in up to that many worker processes, one
-    per probe at most, while the levels are read off.
+    Every level is read off one filtered reduction of the coinvariant
+    complex at n = |G| and of its top slice (see ``persistence_intervals``),
+    with the Euler identity checked at each level. One intermediate n per
+    gap between consecutive realized levels, and one n beyond the group
+    order, is then recomputed independently by ``compute_report`` and must
+    reproduce the report of the level below; these gap probes check the
+    read-off. With ``threads`` > 1 the probes run in up to that many
+    worker processes, one per probe at most, while the levels are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -40,8 +40,6 @@ from .groups import (
 )
 from .homology import betti_numbers, coinvariants_of_homology_oracle
 from .lattice import (
-    COINVARIANT,
-    REDUCED,
     build_complex,
     chain_classes,
     conjugacy_classes_of_subgroups,
@@ -226,18 +224,17 @@ def known_values_suite() -> list[CheckResult]:
 
 
 def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
-    flavor = COINVARIANT  # the complex the next step builds or reads
+    label = "coinvariant"  # the complex the next step builds or reads
     try:
         coinv = build_complex(G, n)
-        flavor = REDUCED
-        for C in (coinv, top_slice(coinv)):
-            flavor = C.flavor
+        label = "reduced"
+        for label, C in (("coinvariant", coinv), ("reduced", top_slice(coinv))):
             result = betti_numbers(C)
             alternating = sum(d if k % 2 == 0 else -d for k, d in enumerate(result.dims))
             if result.euler != alternating:
-                return f"n={n} {flavor}: euler {result.euler} != {alternating}"
+                return f"n={n} {label}: euler {result.euler} != {alternating}"
     except (NotAComplex, InvariantViolation) as exc:
-        return f"n={n} {flavor}: {exc}"
+        return f"n={n} {label}: {exc}"
     return None
 
 

@@ -1,13 +1,39 @@
-"""Reference constructions that only the tests use.
+"""Reference constructions and dumps that only the tests use.
 
-Dense views, products and relabelings of ``SparseIntMatrix``, and posets
-built by testing a strict order on every pair. They stay out of ``spq`` so
-that a reference never ships with the code that it checks.
+Dense views, products and relabelings of ``SparseIntMatrix``, posets
+built by testing a strict order on every pair, and ``complex_to_json_dict``,
+the JSON dump behind the byte-stability digest of the catalog complexes.
+They stay out of ``spq`` so that a reference never ships with the code that
+it checks.
 """
 
 from __future__ import annotations
 
-from spq import Poset, SparseIntMatrix
+from spq import FiniteGroup, Poset, SparseIntMatrix
+from spq.lattice import OrbitComplex, effective_level
+
+
+def complex_to_json_dict(G: FiniteGroup, n: int, flavor: str, C: OrbitComplex) -> dict:
+    """C, built from G's lattice at level n, as chains of member masks and sparse triples.
+
+    ``flavor`` names the complex ("coinvariant" or "reduced"); the complex
+    itself carries neither it nor G and n.
+    """
+    return {
+        "group": G.label,
+        "order": G.order,
+        "n": n,
+        "n_effective": effective_level(G, n),
+        "flavor": flavor,
+        "bases": [
+            [{"chain": list(C.lattice.masks(cls.representative)),
+              "orbit_size": cls.orbit_size}
+             for cls in level]
+            for level in C.bases],
+        "boundaries": [
+            {"rows": m.rows, "cols": m.cols, "entries": [list(e) for e in m.entries]}
+            for m in C.boundaries],
+    }
 
 
 def sparse_from_dict(rows: int, cols: int,

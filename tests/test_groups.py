@@ -550,6 +550,22 @@ def test_product_cap_bounds_the_generator_image_tuples():
         enumerate_homomorphisms(E, E)
 
 
+def test_hom_search_conjugates_each_pair_of_target_elements_once(monkeypatch):
+    # the inner automorphisms of K are tabulated once per search, |K|^2
+    # conjugations, instead of |K| per image per homomorphism (32768 here)
+    E = builtin("EA(2,3)")
+    calls = []
+    conjugate = FiniteGroup.conjugate
+
+    def counted(self, g, x):
+        calls.append(g)
+        return conjugate(self, g, x)
+
+    monkeypatch.setattr(FiniteGroup, "conjugate", counted)
+    assert len(enumerate_homomorphisms(E, E)) == 512
+    assert len(calls) <= E.order ** 2
+
+
 def test_hom_search_on_the_verify_pairs():
     # exactly the (G, K) pairs whose surjections `spq verify` walks
     groups = [catalog_group(s) for s in CATALOG if catalog_group(s).order <= 16]

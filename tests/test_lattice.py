@@ -8,12 +8,10 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import matmul
+from helpers import complex_to_json_dict, matmul
 
 import spq.lattice
 from spq import (
-    COINVARIANT,
-    REDUCED,
     ChainVector,
     GroupHom,
     betti_numbers,
@@ -21,7 +19,6 @@ from spq import (
     builtin,
     chain_classes,
     chains_up_to,
-    complex_to_json_dict,
     compute_report,
     filtration_levels,
     from_permutation_generators,
@@ -247,7 +244,6 @@ def test_clamping_above_group_order():
     full = build_complex(G, 6)
     for n in (7, 9, 1000):
         C = build_complex(G, n)
-        assert C.n_effective == 6
         assert C.bases == full.bases
         assert C.boundaries == full.boundaries
 
@@ -289,7 +285,6 @@ def reference_reduced(P, n):
 
 def _check_slice_against_reference(P, n, sliced):
     bases, columns = reference_reduced(P, n)
-    assert sliced.flavor == REDUCED
     assert [list(level) for level in sliced.bases] == bases
     assert sliced.dims == tuple(len(level) for level in bases)
     assert sliced.columns == columns
@@ -374,12 +369,12 @@ def test_filtration_levels(spec, levels):
 
 
 def test_complex_json_is_serializable():
-    C = build_complex(builtin("S3"), 3)
-    data = complex_to_json_dict(C)
+    G = builtin("S3")
+    data = complex_to_json_dict(G, 3, "coinvariant", build_complex(G, 3))
     text = json.dumps(data)
     back = json.loads(text)
     assert back["group"] == "S3"
-    assert back["flavor"] == COINVARIANT
+    assert back["flavor"] == "coinvariant"
     assert [len(level) for level in back["bases"]] == [4, 4]
     total = sum(len(m["entries"]) for m in back["boundaries"])
     assert total == 8  # four edges, two faces each
@@ -392,8 +387,10 @@ def test_catalog_complexes_are_byte_stable():
     for spec in CATALOG:
         G = catalog_group(spec)
         for n in range(1, G.order + 2):
-            for C in (build_complex(G, n), top_slice(build_complex(G, n))):
-                digest.update(json.dumps(complex_to_json_dict(C), sort_keys=True).encode())
+            coinv = build_complex(G, n)
+            for flavor, C in (("coinvariant", coinv), ("reduced", top_slice(coinv))):
+                digest.update(json.dumps(complex_to_json_dict(G, n, flavor, C),
+                                         sort_keys=True).encode())
     assert digest.hexdigest() == CATALOG_COMPLEXES_SHA256
 
 
