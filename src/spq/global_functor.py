@@ -27,6 +27,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _derived,
     core_in,
     quotient,
 )
@@ -154,24 +155,17 @@ def _image_mask(mask: int, images) -> int:
     return out
 
 
-def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...],
-                                               SubgroupLattice, SubgroupLattice]:
-    """Caches of one psi: coset representatives and preimage ids, with both lattices.
+def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """The caches of one psi: double-coset representatives per base id, filled
+    as bases are met, and the preimage id of every target id.
 
-    They are the double-coset representatives per base id, the preimage id
-    of every target id, and the source and target lattices.
-
-    Kept on psi itself, the way ``FiniteGroup.embedded_subgroup`` caches its
-    results on the group.
+    Kept on psi through ``_derived``, like the subgroup lattice on a group.
     """
-    memo = psi.__dict__.get("_restriction_memo")
-    if memo is None:
+    def build():
         source, target = subgroup_lattice(psi.source), subgroup_lattice(psi.target)
-        preimage = tuple(source.id_of_mask(psi.preimage_mask(s.members))
+        return {}, tuple(source.id_of_mask(psi.preimage_mask(s.members))
                          for s in target.subgroups)
-        memo = psi.__dict__.setdefault("_restriction_memo",
-                                       ({}, preimage, source, target))
-    return memo
+    return _derived(psi, "_restriction_memo", None, build)
 
 
 def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
@@ -181,8 +175,8 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
     Returns one (numerators by canonical chain, denominator) pair per chain,
     in the order given: the coefficient [G : psi^-1(k H_0 k^-1)] / [K : H_0]
     of every term of one chain shares the denominator [K : H_0], so only the
-    numerators are summed. psi's memo and both lattices' tables are read
-    once per batch.
+    numerators are summed. psi's memo and both lattices, memoized on
+    their groups, are read once per batch.
 
     With ``keep_degenerate`` the weakly increasing pullback chains survive
     (the unnormalized simplicial picture); otherwise they are dropped, which
@@ -190,7 +184,8 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
     """
     G = psi.source
     n_eff = effective_level(G, n)
-    reps_of, preimage, source, target = _restriction_memo(psi)
+    reps_of, preimage = _restriction_memo(psi)
+    source, target = subgroup_lattice(G), subgroup_lattice(psi.target)
     orders, element_perms, canonical = source.orders, target.element_perms, source.canonical
     out = []
     for ids in chains:
@@ -278,7 +273,7 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
     _check_chains(psi.target, n, len(chains[0]) - 1, chains)
     if len(chains[0]) < 2:
         raise ValueError("d_0 compatibility needs a chain of degree >= 1")
-    canonical = _restriction_memo(psi)[2].canonical
+    canonical = subgroup_lattice(psi.source).canonical
     tails = tuple(dict.fromkeys(ids[1:] for ids in chains))
     lhs_of = dict(zip(tails, _pullback_sums(psi, tails, n, keep_degenerate=True)))
     expanded = _pullback_sums(psi, chains, n, keep_degenerate=True)

@@ -3,7 +3,8 @@
 Elements of a group of order m are the indices 0..m-1 and index 0 is always
 the identity. All types are immutable once constructed; derived data is
 cached lazily on the group object, and ``_derived`` keeps the subgroup
-inventory, embedded subgroups and quotients. ``_check_square`` owns the
+inventory, embedded subgroups and quotients, and on a homomorphism the
+restriction memo of ``global_functor``. ``_check_square`` owns the
 table-shape checks of both table constructors, and ``left_cosets`` the
 coset listing behind ``quotient`` and ``partition.GSet.from_cosets``.
 ``_grow`` is the one closure routine: ``closure_set``, Light's

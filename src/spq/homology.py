@@ -216,9 +216,12 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     dim e.H_k = rank(B_k + e.Z_k) - rank(B_k), where the cycles Z_k come
     from dense exact elimination over the rationals (on Python ints, with a
     Fraction only at a pivot other than +-1) and
-    rank(B_k) = dim C_{k+1} - dim Z_{k+1}. Scaling does not change a rank,
-    so e is applied without the 1/|G|, integral cycles stay integral, and
-    each integral e.z is divided by the gcd of its entries.
+    rank(B_k) = dim C_{k+1} - dim Z_{k+1}. G acts through its image Gamma,
+    each member of Gamma induced by |G| / |Gamma| elements, so sum_g g is a
+    multiple of the sum over Gamma. Scaling does not change a rank, so e is
+    applied as that sum, with weight 1 per member of Gamma: integral cycles
+    stay integral, and each integral e.z is divided by the gcd of its
+    entries.
     Semisimplicity over the rationals makes this the dimension of the
     coinvariants, so it cross-validates betti_numbers on the coinvariant
     complex without sharing any code path with it.
@@ -247,7 +250,6 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     cycles = [_nullspace([list(row) for row in zip(*cols)], len(cols)) for cols in columns]
     columns.append([])
     cycles.append([])
-    identity_count = G.order - sum(lat.conj_counts)
     # images[k][p][j]: index of the p-th conjugation applied to the j-th chain
     images = [[[index_of[k][tuple(perm[s] for s in ids)] for ids in level]
                for perm in lat.conj_perms] for k, level in enumerate(bases)]
@@ -260,11 +262,11 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
             continue
         averaged = []
         for z in cycles[k]:
-            ez = [v * identity_count for v in z]
-            for image, count in zip(images[k], lat.conj_counts):
+            ez = list(z)
+            for image in images[k]:
                 for j, v in enumerate(z):
                     if v:
-                        ez[image[j]] += v * count
+                        ez[image[j]] += v
             dez: dict[int, int | Fraction] = {}
             for j, v in enumerate(ez):
                 if v:

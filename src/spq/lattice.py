@@ -3,10 +3,11 @@
 A k-chain is a strictly increasing sequence of subgroups H_0 < ... < H_k; it
 sits at filtration level n when its total index [H_k : H_0] is at most n.
 Conjugation permutes chains without reordering them, so the orbit set is an
-honest basis for the coinvariant complex, with no sign twists. The chain
-kernel reads only an ``OrbitPoset``, so the order complexes of ``partition``
-run on it too. The action is read through one table, ``OrbitPoset.moves``,
-and ``canonical`` and ``orbit_classes`` take the same step on it.
+honest basis for the coinvariant complex, with no sign twists. G acts through
+its image Gamma, kept once per member and with no counts. The chain kernel
+reads only an ``OrbitPoset``, so the order complexes of ``partition`` run on
+it too. The action is read through one table, ``OrbitPoset.moves``, and
+``canonical`` and ``orbit_classes`` take the same step on it.
 ``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
 of each prefix, and never lists the other orbit members; ``orbit_complex``
 assembles the coinvariant boundaries of those representatives, and
@@ -20,7 +21,6 @@ to |G|.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -105,10 +105,12 @@ class SubgroupLattice(OrbitPoset):
 
     Subgroups are listed in canonical order (by order, then member list) and
     referenced by their position in that list. ``element_perms[g]`` is the
-    permutation that conjugation by element g induces on the list (equal
-    permutations are one shared tuple). ``conj_perms`` holds the distinct
-    non-identity ones, with ``conj_counts[i]`` elements of G inducing
-    ``conj_perms[i]``.
+    permutation that conjugation by element g induces on the list, and
+    ``conj_perms`` the distinct non-identity ones: with the identity they
+    form Gamma, the image of G. g -> ``element_perms[g]`` is a
+    homomorphism, so each member of Gamma is induced by exactly
+    |G| / |Gamma| elements, and summing over G is summing over Gamma
+    |G| / |Gamma| times.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -122,17 +124,11 @@ class SubgroupLattice(OrbitPoset):
             tuple(j for j in range(i + 1, n)
                   if subs[i].members & subs[j].members == subs[i].members)
             for i in range(n))
-        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.element_perms: tuple[tuple[int, ...], ...] = tuple(
-            interned.setdefault(perm, perm) for perm in (
-                tuple(self.id_by_mask[group.conjugate_mask(s.members, g)] for s in subs)
-                for g in group.elements()))
-        perm_counts = Counter(self.element_perms)
-        perm_counts.pop(tuple(range(n)), None)
-        items = sorted(perm_counts.items())
-        self.conj_counts: tuple[int, ...] = tuple(c for _, c in items)
+            tuple(self.id_by_mask[group.conjugate_mask(s.members, g)] for s in subs)
+            for g in group.elements())
         super().__init__(supersets, tuple(s.order for s in subs),
-                         tuple(p for p, _ in items),
+                         tuple(sorted(set(self.element_perms) - {tuple(range(n))})),
                          self.id_by_mask[(1 << group.order) - 1])
 
     def id_of_mask(self, mask: int) -> int:

@@ -393,3 +393,16 @@ def test_import_leaves_out_the_process_pool():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import spq, sys; assert 'concurrent.futures' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_threaded_profile_under_start_method(method):
+    # spawn and forkserver workers rebuild their state from the pickled group;
+    # forkserver is the default start method on Linux from Python 3.14
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import multiprocessing; multiprocessing.set_start_method({method!r})\n"
+            "from spq import builtin, profile_report\n"
+            "par = profile_report(builtin('D16'), threads=2).to_json_dict()\n"
+            "assert par == profile_report(builtin('D16'), threads=1).to_json_dict()\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -250,11 +250,11 @@ def test_d0_compatibility_on_inclusions_and_identity(spec):
 
 def planted(psi, a, b):
     """A copy of psi whose cached preimages of target ids a and b are swapped."""
-    _, preimage, source, target = spq.global_functor._restriction_memo(psi)
+    _, preimage = spq.global_functor._restriction_memo(psi)
     swapped = list(preimage)
     swapped[a], swapped[b] = swapped[b], swapped[a]
     fault = GroupHom(psi.source, psi.target, psi.image_of)
-    fault.__dict__["_restriction_memo"] = ({}, tuple(swapped), source, target)
+    fault.__dict__["_restriction_memo"] = {None: ({}, tuple(swapped))}
     return fault
 
 

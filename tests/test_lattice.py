@@ -159,10 +159,10 @@ def test_element_perms_are_conjugations(spec):
     for g, perm in enumerate(lat.element_perms):
         assert lat.masks(perm) == tuple(G.conjugate_mask(s.members, g)
                                         for s in lat.subgroups)
-    # equal permutations are one shared tuple, so an abelian group stores one
-    assert len({id(p) for p in lat.element_perms}) == len(set(lat.element_perms))
     assert set(lat.element_perms) == set(lat.conj_perms) | {identity}
-    assert sum(lat.conj_counts) == G.order - lat.element_perms.count(identity)
+    # g -> element_perms[g] is a homomorphism onto Gamma: equal fibers
+    fiber = G.order // (len(lat.conj_perms) + 1)
+    assert all(lat.element_perms.count(p) == fiber for p in set(lat.element_perms))
 
 
 def _check_moves(P):
@@ -196,6 +196,12 @@ def test_moves_of_random_permutation_groups_and_cones(data):
     G = from_permutation_generators(degree, gens, "random")
     lat = subgroup_lattice(G)
     _check_moves(lat)
+    # Gamma, the image of G, is closed and every member has the same fiber
+    identity = tuple(range(len(lat.subgroups)))
+    gamma = set(lat.conj_perms) | {identity}
+    assert set(lat.element_perms) == gamma
+    assert {tuple(p[i] for i in q) for p in gamma for q in gamma} == gamma
+    assert len({lat.element_perms.count(p) for p in gamma}) == 1
     sub = data.draw(st.sampled_from(lat.subgroups))
     P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
     _check_moves(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
