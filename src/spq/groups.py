@@ -13,8 +13,10 @@ group carries generators: given ones are checked by ``_walk``, a
 breadth-first walk of the Cayley graph over them that relies on
 associativity, and missing ones are computed on first use. The
 homomorphism search tries each tuple of generator images once, on one
-walk of the same Cayley graph. Conjugacy classes of subgroups are read
-off the conjugation action in ``lattice``.
+walk of the same Cayley graph. ``all_subgroups`` closes each subgroup H it
+finds with one element of each right coset Hg other than H, so [G:H] - 1
+closures per H. Conjugacy classes of subgroups are read off the
+conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -698,8 +700,10 @@ def group_from_json(data, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member list).
 
-    One worklist, from the trivial subgroup: each subgroup found is closed
-    against every element it lacks, until nothing new appears.
+    One worklist, from the trivial subgroup: each subgroup H found is closed
+    with one element g of each right coset Hg other than H itself, until
+    nothing new appears. Every h*g in Hg gives the same <H, g>, so this makes
+    [G:H] - 1 closures per subgroup.
     """
     return list(_derived(G, "_all_subgroups", None, lambda: _enumerate_subgroups(G)))
 
@@ -708,10 +712,14 @@ def _enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     masks = {1}
     work = [1]
     for mask in work:
+        members = _mask_bits(mask)
+        seen = mask
         for g in G.elements():
-            if mask >> g & 1:
+            if seen >> g & 1:
                 continue
-            grown = G.generated_mask(_mask_bits(mask | (1 << g)))
+            for h in members:
+                seen |= 1 << G.mul[h][g]
+            grown = G.generated_mask(members + [g])
             if grown not in masks:
                 masks.add(grown)
                 work.append(grown)

@@ -378,6 +378,25 @@ def test_profile_roster_stdout_digest(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_SHA256[spec]
 
 
+# the compute commands of bench/reference.json: A5, C3xS4, D48 and C2xS4 at
+# n = 4 and EA(2,5) at n = 2, larger groups than the other digests cover
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "bench", "reference.json")) as fh:
+    BENCH_COMPUTE = {cmd: ref for cmd, ref in json.load(fh)["commands"].items()
+                     if cmd.split()[0] == "compute"}
+
+
+def test_bench_has_five_compute_commands():
+    assert len(BENCH_COMPUTE) == 5
+
+
+@pytest.mark.parametrize("cmd", sorted(BENCH_COMPUTE))
+def test_bench_compute_stdout_digest(capsys, cmd):
+    code, out, _ = run_cli(capsys, *cmd.split())
+    assert code == BENCH_COMPUTE[cmd]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_COMPUTE[cmd]["sha256"]
+
+
 def test_group_pickles_with_its_lattice():
     # spawned pool workers receive the group pickled, cached lattice included
     G = builtin("D16")

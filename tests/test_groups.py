@@ -34,6 +34,7 @@ from spq import (
     normalizer,
     quotient,
 )
+import spq.groups
 from spq.groups import _grow, _walk, left_cosets
 from spq.suites import CATALOG, catalog_group
 
@@ -300,9 +301,31 @@ def test_unknown_specs(spec):
     ("C6", 4),        # divisors of 6
     ("S3", 6),
     ("EA(2,2)", 5),   # 1 + 3 lines + 1
+    ("S4", 30),       # 1 + 9 + 4 + 7 + 4 + 3 + 1 + 1 by order 1, 2, 3, 4, 6, 8, 12, 24
+    ("A5", 59),       # 1 + 15 + 10 + 5 + 6 + 10 + 6 + 5 + 1 by order 1, 2, 3, 4, 5, 6, 10, 12, 60
+    ("D32", 36),      # dihedral of order 2m has tau(m) + sigma(m): m = 16, 5 + 31
+    ("D48", 68),      # m = 24, 8 + 60
+    ("EA(2,4)", 67),  # sum over k of the Gaussian binomials [4 k]_2: 1 + 15 + 35 + 15 + 1
+    ("EA(2,5)", 374), # [5 k]_2: 1 + 31 + 155 + 155 + 31 + 1
 ])
 def test_subgroup_counts(spec, count):
     assert len(all_subgroups(builtin(spec))) == count
+
+
+@pytest.mark.parametrize("spec", ["S4", "A4"])
+def test_enumeration_closes_one_candidate_per_right_coset(monkeypatch, spec):
+    # <H, h*g> = <H, g>, so each subgroup H is grown once per right coset Hg
+    # other than H: sum of [G:H] - 1 closures, not sum of |G| - |H|
+    G = builtin(spec)
+    calls = []
+
+    def counted(mul, seed):
+        calls.append(seed)
+        return _grow(mul, seed)
+
+    monkeypatch.setattr(spq.groups, "_grow", counted)
+    found = all_subgroups(G)
+    assert len(calls) == sum(G.order // H.order - 1 for H in found)
 
 
 @pytest.mark.parametrize("spec", ["C6", "S3", "D8", "Q8", "EA(2,2)", "A4",
@@ -663,6 +686,15 @@ def test_every_group_carries_generators(case):
     assert 2 ** len(computed) <= G.order
     if kind != "permutation":
         assert G.generators == computed
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_groups())
+def test_subgroups_of_random_groups_against_brute_force(case):
+    # relabelled tables change the order in which the cosets are marked
+    _, G = case
+    oracle = brute_force_subgroups(G, G.order.bit_length() - 1)
+    assert sorted(s.members for s in all_subgroups(G)) == oracle
 
 
 @settings(max_examples=100, deadline=None)
