@@ -31,7 +31,7 @@ from .groups import (
 )
 from .lattice import conjugacy_classes_of_subgroups
 from .partition import DEFAULT_SIZE_CAP, GSet, fixed_partition_poset
-from .reports import compute_report, profile_report
+from .reports import profile_report, report_at
 from .suites import SUITES, run_suite
 
 
@@ -77,7 +77,7 @@ def _format_vector(values) -> str:
 
 def _cmd_compute(args) -> int:
     G = _load_group(args.group, args.cap_order)
-    report = compute_report(G, args.n)
+    report = report_at(G, args.n)
     if args.json:
         _emit(report.to_json_dict())
         return 0

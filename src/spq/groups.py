@@ -328,13 +328,15 @@ class GroupHom:
                                  f"0..{self.target.order - 1}")
         if img and img[0] != 0:
             raise ValueError("homomorphism must send identity to identity")
+        # phi(a s) = phi(a) phi(s) for every a and generator s is complete: a = 1
+        # gives phi(1) = 1, and then phi(a b) = phi(a) phi(b) by induction on a
+        # word for b in the generators, which every element of a finite group has
         smul, tmul = self.source.mul, self.target.mul
-        for a in range(self.source.order):
-            ia = img[a]
-            row = smul[a]
-            for b in range(self.source.order):
-                if img[row[b]] != tmul[ia][img[b]]:
-                    raise ValueError(f"not a homomorphism at pair ({a},{b})")
+        for s in self.source.generators:
+            image = img[s]
+            for a in range(self.source.order):
+                if img[smul[a][s]] != tmul[img[a]][image]:
+                    raise ValueError(f"not a homomorphism at pair ({a},{s})")
 
     def __call__(self, g: int) -> int:
         return self.image_of[g]

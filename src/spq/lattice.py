@@ -15,8 +15,11 @@ assembles the coinvariant boundaries of those representatives, and
 its poset, bases and columns and carries no other label: its caller knows
 which group and level it was built for, and whether it was sliced.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
-``effective_level`` alone checks a group's filtration level and clamps it
-to |G|.
+``count_classes`` counts the orbits by (total index, degree) with no chain
+listed: Burnside over Gamma, one ascending pass per (gamma, start id) over
+the fixed subposet F_gamma; ``chain_counts`` keeps its result on the
+group, and the reports of p-groups are read off it. ``effective_level``
+alone checks a group's filtration level and clamps it to |G|.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .errors import InvariantViolation
-from .groups import FiniteGroup, Subgroup, _derived, all_subgroups
+from .groups import FiniteGroup, Subgroup, _derived, _mask_bits, all_subgroups
 from .intmatrix import SparseIntMatrix
 
 
@@ -104,13 +107,16 @@ class SubgroupLattice(OrbitPoset):
     """Subgroup inventory of a group with inclusion and conjugation data.
 
     Subgroups are listed in canonical order (by order, then member list) and
-    referenced by their position in that list. ``element_perms[g]`` is the
-    permutation that conjugation by element g induces on the list, and
-    ``conj_perms`` the distinct non-identity ones: with the identity they
-    form Gamma, the image of G. g -> ``element_perms[g]`` is a
-    homomorphism, so each member of Gamma is induced by exactly
-    |G| / |Gamma| elements, and summing over G is summing over Gamma
-    |G| / |Gamma| times.
+    referenced by their position in that list. No step of the build runs
+    over every element of G times every subgroup. The ids above H are the
+    AND, over H's members x, of ``contains[x]``, the bitset of the ids
+    holding x. Gamma, the image of G, is the closure under composition of
+    the permutations that conjugation by G's generators induces on the
+    list; ``conj_perms`` holds its non-identity members.
+    ``element_perms[g]``, the permutation that conjugation by element g
+    induces, is built on first use (restriction reads it): g ->
+    ``element_perms[g]`` is a homomorphism onto Gamma, so each member of
+    Gamma is induced by exactly |G| / |Gamma| elements.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -119,17 +125,37 @@ class SubgroupLattice(OrbitPoset):
         self.subgroups: tuple[Subgroup, ...] = tuple(subs)
         self.id_by_mask = {s.members: i for i, s in enumerate(subs)}
         n = len(subs)
-        # sorted by order, so a proper superset of subs[i] sorts after it
-        supersets = tuple(
-            tuple(j for j in range(i + 1, n)
-                  if subs[i].members & subs[j].members == subs[i].members)
-            for i in range(n))
-        self.element_perms: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self.id_by_mask[group.conjugate_mask(s.members, g)] for s in subs)
-            for g in group.elements())
-        super().__init__(supersets, tuple(s.order for s in subs),
-                         tuple(sorted(set(self.element_perms) - {tuple(range(n))})),
+        contains = [0] * group.order
+        for i, s in enumerate(subs):
+            for x in s.elements:
+                contains[x] |= 1 << i
+        supersets = []
+        for i, s in enumerate(subs):
+            above = contains[0]
+            for x in s.elements:
+                above &= contains[x]
+            supersets.append(tuple(_mask_bits(above ^ 1 << i)))
+        identity = tuple(range(n))
+        generator_perms = [self._conjugation_perm(g) for g in group.generators]
+        gamma = {identity}
+        queue = [identity]
+        for perm in queue:
+            for step in generator_perms:
+                image = tuple(perm[i] for i in step)
+                if image not in gamma:
+                    gamma.add(image)
+                    queue.append(image)
+        super().__init__(tuple(supersets), tuple(s.order for s in subs),
+                         tuple(sorted(gamma - {identity})),
                          self.id_by_mask[(1 << group.order) - 1])
+
+    def _conjugation_perm(self, g: int) -> tuple[int, ...]:
+        return tuple(self.id_by_mask[self.group.conjugate_mask(s.members, g)]
+                     for s in self.subgroups)
+
+    @cached_property
+    def element_perms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._conjugation_perm(g) for g in self.group.elements())
 
     def id_of_mask(self, mask: int) -> int:
         return self.id_by_mask[mask]
@@ -235,6 +261,98 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
     return classes
 
 
+@dataclass(frozen=True)
+class ChainCounts:
+    """Orbit counts of strict chains by total index and degree, from ``count_classes``.
+
+    ``every[index][k]`` is the number of orbits of k-chains whose total
+    index (weight ratio) is exactly ``index``; ``top[index][k]`` counts
+    those ending at the top. Every vector has one entry per degree the
+    poset can hold.
+    """
+
+    every: dict[int, tuple[int, ...]]
+    top: dict[int, tuple[int, ...]]
+
+    def at(self, n: int, top: bool = False) -> tuple[int, ...]:
+        """Per-degree orbit counts at level n: the chains of total index at most n."""
+        table = self.top if top else self.every
+        return tuple(map(sum, zip(*(v for index, v in table.items() if index <= n))))
+
+    def euler(self, n: int, top: bool = False) -> int:
+        """Alternating sum of ``at(n, top)``: the Euler characteristic of that complex."""
+        return sum(c if k % 2 == 0 else -c for k, c in enumerate(self.at(n, top)))
+
+
+def count_classes(P: OrbitPoset) -> ChainCounts:
+    """Orbit counts of P's strict chains by (total index, degree), with no chain listed.
+
+    By Burnside the number of orbits is 1/|Gamma| times the sum, over gamma
+    in Gamma, of the chains gamma fixes; gamma fixes a chain exactly when it
+    fixes each member, so these are the chains of the fixed subposet
+    F_gamma. ``_count_fixed_chains`` counts them for every (index, degree)
+    at once, and each sum must be divisible by |Gamma|. P's ids must
+    ascend along every chain, as a ``SubgroupLattice``'s do.
+
+    A per-degree vector is packed into one int, degree k in the bits from
+    k * width on: adding vectors adds the ints, and a shift by ``width``
+    raises every degree by one. A k-chain has total index at least 2^k, so
+    there are ``degrees`` degrees, and a field holds at most
+    |Gamma| * len(P)^degrees < 2^width chains: no field carries into the next.
+    """
+    orders = P.orders
+    gamma = len(P.conj_perms) + 1
+    degrees = (max(orders) // min(orders)).bit_length()
+    width = degrees * len(orders).bit_length() + gamma.bit_length()
+    every: dict[int, int] = {}
+    top: dict[int, int] = {}
+    for perm in (tuple(range(len(orders))),) + P.conj_perms:
+        _count_fixed_chains(P, [i == j for i, j in enumerate(perm)], width, every, top)
+
+    def unpacked(packed: dict[int, int]) -> dict[int, tuple[int, ...]]:
+        out = {}
+        for index in sorted(packed):
+            sums = [packed[index] >> k * width & (1 << width) - 1 for k in range(degrees)]
+            if any(c % gamma for c in sums):
+                raise InvariantViolation(
+                    f"Burnside sums {sums} at total index {index} are not all "
+                    f"divisible by |Gamma| = {gamma}")
+            out[index] = tuple(c // gamma for c in sums)
+        return out
+
+    return ChainCounts(unpacked(every), unpacked(top))
+
+
+def _count_fixed_chains(P: OrbitPoset, fixed: list[bool], width: int,
+                        every: dict[int, int], top: dict[int, int]) -> None:
+    """Add the chains of P's subposet of ``fixed`` ids into ``every`` and ``top``.
+
+    Both map a total index to a packed per-degree vector (see
+    ``count_classes``); ``top`` takes the chains ending at ``top_id``. One
+    ascending pass per start s: ``ending[u]`` counts the chains from s to u
+    by degree, and is complete when u is reached, since every chain reaches
+    u through smaller ids.
+    """
+    orders, top_id = P.orders, P.top_id
+    ups = P.supersets if all(fixed) else [
+        tuple(t for t in above if fixed[t]) for above in P.supersets]
+    ending = [0] * len(orders)
+    for s, bottom in enumerate(orders):
+        if not fixed[s]:
+            continue
+        ending[s] = 1
+        for u in (s,) + ups[s]:
+            chains = ending[u]
+            ending[u] = 0
+            index = orders[u] // bottom
+            every[index] = every.get(index, 0) + chains
+            if u == top_id:
+                top[index] = top.get(index, 0) + chains
+            chains <<= width
+            for t in ups[u]:
+                ending[t] += chains
+
+
 @dataclass(eq=False)
 class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
@@ -338,6 +456,11 @@ def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
 def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
     """Conjugacy classes of filtered chains by degree, each sorted by representative."""
     return orbit_classes(subgroup_lattice(G), effective_level(G, n))
+
+
+def chain_counts(G: FiniteGroup) -> ChainCounts:
+    """``count_classes`` of G's subgroup lattice, for every level at once; kept on G."""
+    return _derived(G, "_chain_counts", None, lambda: count_classes(subgroup_lattice(G)))
 
 
 def build_complex(G: FiniteGroup, n: int) -> OrbitComplex:

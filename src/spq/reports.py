@@ -6,6 +6,16 @@ so nothing lives above that bound and trailing zeros are printed rather
 than omitted. ``_level_report`` alone pads and packs a level's report,
 ``padded`` refuses to cut a nonzero entry, and ``same_padded`` alone
 compares vectors of different lengths.
+
+There are two routes to a level's report. ``compute_report`` builds the
+complexes and takes ranks; it serves every group, and the gap probes and
+the single-level checks of ``spq verify`` call it. For a group of
+prime-power order, ``_counted_reports`` reads the report off the class
+counts of ``lattice.chain_counts`` with no chain listed and no rank taken;
+the profile read-off (also behind the published tables of ``spq verify``)
+and ``spq compute`` (``report_at``) take it, so each gap probe of a
+p-group compares the two routes. The route follows |G| alone; no option
+chooses it.
 """
 
 from __future__ import annotations
@@ -15,7 +25,14 @@ from dataclasses import dataclass, fields
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
-from .lattice import OrbitComplex, build_complex, effective_level, filtration_levels, top_slice
+from .lattice import (
+    OrbitComplex,
+    build_complex,
+    chain_counts,
+    effective_level,
+    filtration_levels,
+    top_slice,
+)
 
 
 def padded(values, length: int) -> tuple[int, ...]:
@@ -81,6 +98,63 @@ def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     pi = betti_numbers(coinv)
     phi = betti_numbers(top_slice(coinv))
     return _level_report(G, n, pi.betti, phi.betti, coinv.dims, pi.euler)
+
+
+def _prime_of(order: int) -> int | None:
+    """p when ``order`` is p^k for a prime p and k >= 1, else None."""
+    for p in range(2, order + 1):
+        if order % p == 0:
+            while order % p == 0:
+                order //= p
+            return p if order == 1 else None
+    return None
+
+
+def _counted_reports(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
+    """Reports at the given levels of a group of prime-power order, by counting alone.
+
+    For |G| = p^k the subgroup lattice is supersolvable, so each P_n is
+    Cohen-Macaulay and its homology, and that of each block of pi, lies in
+    the one degree j = floor(log_p n). With chi_n and chi^top_n the Euler
+    characteristics of the level-n complex and of its top slice
+    (``chain_counts``): for j >= 1, pi_0 = 1, pi_j = (-1)^j (chi_n - 1) and
+    phi_j = (-1)^j chi^top_n; for j = 0, pi_0 = chi_n and phi_0 = chi^top_n.
+    InvariantViolation if |G| is not a prime power or a count comes out
+    negative.
+    """
+    p = _prime_of(G.order)
+    if p is None:
+        raise InvariantViolation(
+            f"order {G.order} of {G.label} is not a prime power: its homology is not "
+            "concentrated, so it cannot be counted")
+    counts = chain_counts(G)
+    reports = []
+    for n in levels:
+        n_eff = effective_level(G, n)
+        chains = counts.at(n_eff)
+        euler = counts.euler(n_eff)
+        top_euler = counts.euler(n_eff, top=True)
+        j = 0
+        while p ** (j + 1) <= n_eff:
+            j += 1
+        if j == 0:
+            pi, phi = [euler], [top_euler]
+        else:
+            sign = -1 if j % 2 else 1
+            pi = [1] + [0] * (j - 1) + [sign * (euler - 1)]
+            phi = [0] * j + [sign * top_euler]
+        if min(pi + phi) < 0:
+            raise InvariantViolation(
+                f"negative count at n={n} of {G.label}: pi {pi}, phi {phi}")
+        reports.append(_level_report(G, n, pi, phi, chains, euler))
+    return reports
+
+
+def report_at(G: FiniteGroup, n: int) -> ComputationReport:
+    """The report at level n: counted when |G| is a prime power, else ``compute_report``."""
+    if _prime_of(G.order) is None:
+        return compute_report(G, n)
+    return _counted_reports(G, [n])[0]
 
 
 def same_homotopy(a: ComputationReport, b: ComputationReport) -> bool:
@@ -149,11 +223,14 @@ def _dims_at(C: OrbitComplex, n: int) -> list[int]:
 
 
 def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
-    """Reports at the given levels from one filtered reduction of each complex.
+    """Reports at the given levels: counted when |G| is a prime power, else read off
+    one filtered reduction of each complex.
 
-    Both come from one build: the reduced complex is the top slice of the
-    coinvariant one.
+    Both complexes come from one build: the reduced complex is the top slice
+    of the coinvariant one.
     """
+    if _prime_of(G.order) is not None:
+        return _counted_reports(G, levels)
     coinv = build_complex(G, G.order)
     reduced = top_slice(coinv)
     pi_intervals = persistence_intervals(coinv)
@@ -174,12 +251,14 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
 
     Every level is read off one filtered reduction of the coinvariant
     complex at n = |G| and of its top slice (see ``persistence_intervals``),
-    with the Euler identity checked at each level. One intermediate n per
-    gap between consecutive realized levels, and one n beyond the group
-    order, is then recomputed independently by ``compute_report`` and must
-    reproduce the report of the level below; these gap probes check the
-    read-off. With ``threads`` > 1 the probes run in up to that many
-    worker processes, one per probe at most, while the levels are read off.
+    with the Euler identity checked at each level; for a group of
+    prime-power order every level is counted instead (``_counted_reports``).
+    One intermediate n per gap between consecutive realized levels, and one
+    n beyond the group order, is then recomputed independently by
+    ``compute_report`` and must reproduce the report of the level below;
+    these gap probes check the read-off. With ``threads`` > 1 the probes run
+    in up to that many worker processes, one per probe at most, while the
+    levels are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -1,13 +1,16 @@
 """Reference constructions and dumps that only the tests use.
 
 Dense views, products and relabelings of ``SparseIntMatrix``, posets
-built by testing a strict order on every pair, and ``complex_to_json_dict``,
-the JSON dump behind the byte-stability digest of the catalog complexes.
+built by testing a strict order on every pair, ``complex_to_json_dict``,
+the JSON dump behind the byte-stability digest of the catalog complexes,
+and Gaussian binomials for the closed forms of elementary abelian groups.
 They stay out of ``spq`` so that a reference never ships with the code that
 it checks.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from spq import FiniteGroup, Poset, SparseIntMatrix
 from spq.lattice import OrbitComplex, effective_level
@@ -82,3 +85,26 @@ def poset_from_predicate(elements, is_lt) -> Poset:
                 m |= 1 << j
         masks.append(m)
     return Poset(elems, tuple(masks))
+
+
+def gaussian_binomial(k: int, r: int, p: int) -> int:
+    """[k, r]_p, the number of r-dimensional subspaces of F_p^k."""
+    if not 0 <= r <= k:
+        return 0
+    num = den = 1
+    for i in range(r):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def subspace_chains(k: int, p: int, degree: int) -> int:
+    """Strict chains V_0 < ... < V_degree of subspaces of F_p^k: a sum of Gaussian
+    multinomials, one per sequence of dimensions."""
+    total = 0
+    for dims in itertools.combinations(range(k + 1), degree + 1):
+        ways = gaussian_binomial(k, dims[-1], p)  # the top, then each member below it
+        for lower, upper in zip(dims, dims[1:]):
+            ways *= gaussian_binomial(upper, lower, p)
+        total += ways
+    return total

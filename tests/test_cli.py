@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from helpers import subspace_chains
 
 import spq.reports
 from spq import (
@@ -33,6 +34,10 @@ PROFILE_SHA256 = {
     "SL2F3": "ff7dce1b54fd344048ad2530a75985c8abc50076f49e4da280642ae064eddec5",
     "C30": "e133293cb75c79bf6c14020ac5dec490936961b93957cd42f8e17193433accfd",
 }
+
+# sha256 of `spq compute --json -n 64 -g EA(2,6)` stdout: a report counted from
+# 9,031,551 classes, more than the rank route has ever reached
+EA26_COMPUTE_SHA256 = "5fd24ee84d21b84a6a543a078cb1668bb7f038f20c442a72459fd7c47981a64b"
 
 
 def run_cli(capsys, *argv):
@@ -425,3 +430,11 @@ def test_threaded_profile_under_start_method(method):
             "par = profile_report(builtin('D16'), threads=2).to_json_dict()\n"
             "assert par == profile_report(builtin('D16'), threads=1).to_json_dict()\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_counted_compute_of_ea26_stdout_digest(capsys):
+    # every chain has index at most 64: the chains are all strict chains of subspaces of F_2^6
+    code, out, _ = run_cli(capsys, "compute", "--json", "-n", "64", "-g", "EA(2,6)")
+    assert code == 0
+    assert json.loads(out)["chains"] == [subspace_chains(6, 2, k) for k in range(7)]
+    assert hashlib.sha256(out.encode()).hexdigest() == EA26_COMPUTE_SHA256

@@ -159,6 +159,35 @@ def test_complex_identities_suite_reports_a_failed_slice(monkeypatch):
     assert all(res.computed == "n=1 reduced: slice is not a subcomplex" for res in results)
 
 
+def test_burnside_sum_must_divide_by_gamma(monkeypatch):
+    # one extra chain in the identity's pass: D8's Gamma has order 4
+    original = spq.lattice._count_fixed_chains
+
+    def one_more(P, fixed, width, every, top):
+        original(P, fixed, width, every, top)
+        if all(fixed):
+            every[1] += 1
+
+    monkeypatch.setattr(spq.lattice, "_count_fixed_chains", one_more)
+    with pytest.raises(InvariantViolation, match="not all divisible by"):
+        spq.lattice.count_classes(subgroup_lattice(builtin("D8")))
+
+
+@pytest.mark.parametrize("chi,top_chi,negative", [(5, 0, "pi"), (1, 3, "phi")])
+def test_counted_pi_and_phi_must_not_be_negative(monkeypatch, chi, top_chi, negative):
+    # at n = 2 of C2, j = 1: pi_1 = 1 - chi and phi_1 = -chi^top
+    monkeypatch.setattr(spq.lattice.ChainCounts, "euler",
+                        lambda self, n, top=False: top_chi if top else chi)
+    with pytest.raises(InvariantViolation, match=f"negative count at n=2 .*{negative} \\[[^\\]]*-"):
+        spq.reports._counted_reports(builtin("C2"), [2])
+
+
+@pytest.mark.parametrize("spec", ["C1", "C6", "S3", "C2xS4"])
+def test_no_group_off_a_prime_power_order_is_counted(spec):
+    with pytest.raises(InvariantViolation, match="not a prime power"):
+        spq.reports._counted_reports(builtin(spec), [1])
+
+
 def test_checks_hold_under_optimize():
     # python -O strips assert statements; the checks above must still fire
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
