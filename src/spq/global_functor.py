@@ -5,7 +5,8 @@ level; keys are chains of subgroup ids of ``subgroup_lattice(group)``.
 ``ChainVector`` puts raw keys into canonical (least conjugate) form.
 Transfer along H <= G multiplies by the index [G : H]; restriction along
 psi: G -> K sums over the double cosets im(psi)\\K/H_0 with coefficient
-[G : psi^-1(k H_0 k^-1)] / [K : H_0].
+[G : psi^-1(k H_0 k^-1)] / [K : H_0], conjugating by the representatives
+k alone.
 """
 
 from __future__ import annotations
@@ -155,9 +156,11 @@ def _image_mask(mask: int, images) -> int:
     return out
 
 
-def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
-    """The caches of one psi: double-coset representatives per base id, filled
-    as bases are met, and the preimage id of every target id.
+def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[tuple[int, ...], ...]],
+                                              tuple[int, ...]]:
+    """The caches of one psi: per base id, filled as bases are met, one pullback
+    table per double-coset representative k (the id of L in the target -> the
+    id of psi^-1(k L k^-1)); and ``preimage``, which is the table of k = 0.
 
     Kept on psi through ``_derived``, like the subgroup lattice on a group.
     """
@@ -184,19 +187,20 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
     """
     G = psi.source
     n_eff = effective_level(G, n)
-    reps_of, preimage = _restriction_memo(psi)
+    tables_of, preimage = _restriction_memo(psi)
     source, target = subgroup_lattice(G), subgroup_lattice(psi.target)
-    orders, element_perms, canonical = source.orders, target.element_perms, source.canonical
+    orders, canonical = source.orders, source.canonical
     out = []
     for ids in chains:
-        reps = reps_of.get(ids[0])
-        if reps is None:
+        tables = tables_of.get(ids[0])
+        if tables is None:
             dec = double_coset_decomposition(psi, target.subgroups[ids[0]])
-            reps = reps_of[ids[0]] = dec.representatives
+            tables = tables_of[ids[0]] = tuple(
+                preimage if k == 0 else tuple(preimage[i] for i in target._conjugation_perm(k))
+                for k in dec.representatives)
         sums: dict[tuple[int, ...], int] = {}
-        for k in reps:
-            conj = element_perms[k]
-            pulled = tuple([preimage[conj[i]] for i in ids])
+        for table in tables:
+            pulled = tuple([table[i] for i in ids])
             if not keep_degenerate and any(a == b for a, b in zip(pulled, pulled[1:])):
                 continue
             # the pullback index never exceeds the original one, so this cannot

@@ -758,8 +758,9 @@ def core_in(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 def is_normal(N: Subgroup) -> bool:
+    """Whether G's generators normalize N: N_G(N) is a subgroup, so that is all of G."""
     G = N.parent
-    return all(G.conjugate_mask(N.members, g) == N.members for g in G.elements())
+    return all(G.conjugate_mask(N.members, g) == N.members for g in G.generators)
 
 
 def left_cosets(H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -17,9 +17,12 @@ which group and level it was built for, and whether it was sliced.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 ``count_classes`` counts the orbits by (total index, degree) with no chain
 listed: Burnside over Gamma, one ascending pass per (gamma, start id) over
-the fixed subposet F_gamma; ``chain_counts`` keeps its result on the
-group, and the reports of p-groups are read off it. ``effective_level``
-alone checks a group's filtration level and clamps it to |G|.
+the fixed subposet F_gamma. ``chain_counts`` keeps its result on the
+group and is the one source of a level's realized indices
+(``filtration_levels``), class counts and Euler characteristics: the
+reports of p-groups are read off it, and the complexes the walk builds are
+checked against it. ``effective_level`` alone checks a group's filtration
+level and clamps it to |G|.
 """
 
 from __future__ import annotations
@@ -113,10 +116,9 @@ class SubgroupLattice(OrbitPoset):
     holding x. Gamma, the image of G, is the closure under composition of
     the permutations that conjugation by G's generators induces on the
     list; ``conj_perms`` holds its non-identity members.
-    ``element_perms[g]``, the permutation that conjugation by element g
-    induces, is built on first use (restriction reads it): g ->
-    ``element_perms[g]`` is a homomorphism onto Gamma, so each member of
-    Gamma is induced by exactly |G| / |Gamma| elements.
+    ``_conjugation_perm(g)`` is the permutation that conjugation by one
+    element g induces; restriction reads it for its double-coset
+    representatives alone.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -152,10 +154,6 @@ class SubgroupLattice(OrbitPoset):
     def _conjugation_perm(self, g: int) -> tuple[int, ...]:
         return tuple(self.id_by_mask[self.group.conjugate_mask(s.members, g)]
                      for s in self.subgroups)
-
-    @cached_property
-    def element_perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._conjugation_perm(g) for g in self.group.elements())
 
     def id_of_mask(self, mask: int) -> int:
         return self.id_by_mask[mask]
@@ -469,11 +467,7 @@ def build_complex(G: FiniteGroup, n: int) -> OrbitComplex:
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:
-    """Sorted total indices realized by chains: all [K : H] over pairs H <= K."""
-    lat = subgroup_lattice(G)
-    levels = {1}
-    for i, ups in enumerate(lat.supersets):
-        for j in ups:
-            levels.add(lat.orders[j] // lat.orders[i])
-    return sorted(levels)
+    """Sorted [K : H] over pairs H <= K: the indices of ``chain_counts``,
+    whose identity pass visits every pair."""
+    return sorted(chain_counts(G).every)
 

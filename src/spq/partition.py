@@ -51,9 +51,9 @@ class GSet:
         for g in G.elements():
             if sorted(self.action[g]) != list(ident):
                 raise ValueError(f"element {g} does not act by a permutation")
-            for h in G.elements():
-                gh = G.mul[g][h]
-                if any(self.action[gh][x] != self.action[g][self.action[h][x]]
+            for s in G.generators:  # complete, by induction on words, as in GroupHom
+                gs = G.mul[g][s]
+                if any(self.action[gs][x] != self.action[g][self.action[s][x]]
                        for x in range(self.size)):
                     raise ValueError("action is not a homomorphism")
 

@@ -13,9 +13,10 @@ the single-level checks of ``spq verify`` call it. For a group of
 prime-power order, ``_counted_reports`` reads the report off the class
 counts of ``lattice.chain_counts`` with no chain listed and no rank taken;
 the profile read-off (also behind the published tables of ``spq verify``)
-and ``spq compute`` (``report_at``) take it, so each gap probe of a
-p-group compares the two routes. The route follows |G| alone; no option
-chooses it.
+and ``spq compute`` (``report_at``) take it. The route follows |G| alone;
+no option chooses it. For every group the read-off's levels, ``chains``
+and Euler characteristics come from ``chain_counts`` too, while
+``compute_report`` keeps the walk's dims: each gap probe compares the two.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
 from .lattice import (
-    OrbitComplex,
     build_complex,
     chain_counts,
     effective_level,
@@ -217,31 +217,26 @@ def _report_in_worker(n: int) -> ComputationReport:
     return compute_report(_worker_group, n)
 
 
-def _dims_at(C: OrbitComplex, n: int) -> list[int]:
-    """Per-degree class counts of the level-n subcomplex of C."""
-    return [sum(1 for cls in basis if cls.total_index <= n) for basis in C.bases]
-
-
 def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
     """Reports at the given levels: counted when |G| is a prime power, else read off
     one filtered reduction of each complex.
 
     Both complexes come from one build: the reduced complex is the top slice
-    of the coinvariant one.
+    of the coinvariant one. Chains and Euler targets are ``chain_counts``'s.
     """
     if _prime_of(G.order) is not None:
         return _counted_reports(G, levels)
+    counts = chain_counts(G)
     coinv = build_complex(G, G.order)
-    reduced = top_slice(coinv)
     pi_intervals = persistence_intervals(coinv)
-    phi_intervals = persistence_intervals(reduced)
+    phi_intervals = persistence_intervals(top_slice(coinv))
     reports = []
     for n in levels:
-        chains = _dims_at(coinv, n)
+        chains = counts.at(n)
         pi = betti_at(pi_intervals, n)
         phi = betti_at(phi_intervals, n)
         euler = euler_characteristic(pi, chains)
-        euler_characteristic(phi, _dims_at(reduced, n))
+        euler_characteristic(phi, counts.at(n, top=True))
         reports.append(_level_report(G, n, pi, phi, chains, euler))
     return reports
 
@@ -251,14 +246,14 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
 
     Every level is read off one filtered reduction of the coinvariant
     complex at n = |G| and of its top slice (see ``persistence_intervals``),
-    with the Euler identity checked at each level; for a group of
-    prime-power order every level is counted instead (``_counted_reports``).
+    with the Euler characteristics checked against ``chain_counts``; for a
+    group of prime-power order every level is counted (``_counted_reports``).
     One intermediate n per gap between consecutive realized levels, and one
     n beyond the group order, is then recomputed independently by
     ``compute_report`` and must reproduce the report of the level below;
-    these gap probes check the read-off. With ``threads`` > 1 the probes run
-    in up to that many worker processes, one per probe at most, while the
-    levels are read off.
+    these gap probes check the read-off, and the walk's chains against the
+    count. With ``threads`` > 1 the probes run in up to that many worker
+    processes, one per probe at most, while the levels are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -2,10 +2,10 @@
 
 The ``tables`` checks reproduce independently known homotopy dimension
 tables for a fixed roster of small groups; the ``properties`` checks
-exercise internal identities (boundary squares to zero, semisimplicity
-cross-check, face compatibility of restrictions, decomposition counts,
-partition-poset facts). The CLI exposes them as the ``paper`` and
-``properties`` suites.
+exercise internal identities (boundary squares to zero, Euler
+characteristics equal to ``chain_counts``, semisimplicity cross-check, face
+compatibility of restrictions, decomposition counts, partition-poset facts).
+The CLI exposes them as the ``paper`` and ``properties`` suites.
 
 Most checks list their cases as a generator of ``(witness, passed)`` pairs,
 built lazily so that no case runs before the one ahead of it is judged.
@@ -42,6 +42,7 @@ from .homology import betti_numbers, coinvariants_of_homology_oracle
 from .lattice import (
     build_complex,
     chain_classes,
+    chain_counts,
     conjugacy_classes_of_subgroups,
     filtration_levels,
     subgroup_lattice,
@@ -226,13 +227,14 @@ def known_values_suite() -> list[CheckResult]:
 def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
     label = "coinvariant"  # the complex the next step builds or reads
     try:
+        counts = chain_counts(G)
         coinv = build_complex(G, n)
         label = "reduced"
-        for label, C in (("coinvariant", coinv), ("reduced", top_slice(coinv))):
-            result = betti_numbers(C)
-            alternating = sum(d if k % 2 == 0 else -d for k, d in enumerate(result.dims))
-            if result.euler != alternating:
-                return f"n={n} {label}: euler {result.euler} != {alternating}"
+        for label, C, top in (("coinvariant", coinv, False),
+                              ("reduced", top_slice(coinv), True)):
+            euler, counted = betti_numbers(C).euler, counts.euler(n, top=top)
+            if euler != counted:
+                return f"n={n} {label}: euler {euler} != {counted}"
     except (NotAComplex, InvariantViolation) as exc:
         return f"n={n} {label}: {exc}"
     return None

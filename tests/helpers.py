@@ -3,17 +3,19 @@
 Dense views, products and relabelings of ``SparseIntMatrix``, posets
 built by testing a strict order on every pair, ``complex_to_json_dict``,
 the JSON dump behind the byte-stability digest of the catalog complexes,
-and Gaussian binomials for the closed forms of elementary abelian groups.
+Gaussian binomials for the closed forms of elementary abelian groups, and a
+class count planted one class high.
 They stay out of ``spq`` so that a reference never ships with the code that
 it checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from spq import FiniteGroup, Poset, SparseIntMatrix
-from spq.lattice import OrbitComplex, effective_level
+from spq.lattice import ChainCounts, OrbitComplex, effective_level
 
 
 def complex_to_json_dict(G: FiniteGroup, n: int, flavor: str, C: OrbitComplex) -> dict:
@@ -108,3 +110,12 @@ def subspace_chains(k: int, p: int, degree: int) -> int:
             ways *= gaussian_binomial(upper, lower, p)
         total += ways
     return total
+
+
+def one_class_high(counts: ChainCounts) -> ChainCounts:
+    """``counts`` with one more 1-chain class at its largest total index (|G| for a group)."""
+    every = dict(counts.every)
+    index = max(every)
+    vector = every[index]
+    every[index] = vector[:1] + (vector[1] + 1,) + vector[2:]
+    return dataclasses.replace(counts, every=every)

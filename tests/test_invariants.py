@@ -1,7 +1,8 @@
 """Invariant checks that guard results raise InvariantViolation, not assert.
 
 Each check is forced to fail by patching the code it guards, so the tests
-also hold under ``python -O``.
+also hold under ``python -O``. The read-off's levels come from the count
+these checks trust, so they are matched with a scan of every pair here too.
 """
 
 import dataclasses
@@ -11,6 +12,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import one_class_high
+from hypothesis import given, settings
+from test_groups import derived_groups
 
 import spq.global_functor
 import spq.homology
@@ -24,6 +28,7 @@ from spq import (
     build_complex,
     builtin,
     coinvariants_of_homology_oracle,
+    filtration_levels,
     profile_report,
     simple_decomposition,
     subgroup_lattice,
@@ -117,6 +122,42 @@ def test_read_off_euler_check(monkeypatch):
     monkeypatch.setattr(spq.reports, "persistence_intervals", dropped_class)
     with pytest.raises(InvariantViolation, match="Euler"):
         profile_report(builtin("S3"))
+
+
+@pytest.mark.parametrize("spec", ["S4", "C30"])
+def test_read_off_catches_a_class_the_walk_lost(monkeypatch, spec):
+    # the walk drops its last top-degree class at n = |G| alone, so the gap
+    # probe beyond |G| sees the same loss: only the count can tell
+    original = spq.lattice.orbit_classes
+
+    def losing(P, n):
+        classes = original(P, n)
+        if n == P.orders[P.top_id] // P.orders[0]:
+            classes[-1] = classes[-1][:-1]
+        return classes
+
+    monkeypatch.setattr(spq.lattice, "orbit_classes", losing)
+    with pytest.raises(InvariantViolation, match="Euler"):
+        profile_report(builtin(spec))
+
+
+def test_read_off_catches_a_count_one_class_high(monkeypatch):
+    original = spq.reports.chain_counts
+    monkeypatch.setattr(spq.reports, "chain_counts", lambda G: one_class_high(original(G)))
+    with pytest.raises(InvariantViolation, match="Euler"):
+        profile_report(builtin("S4"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_groups())
+def test_filtration_levels_are_the_indices_of_all_pairs(case):
+    _, G = case
+    lat = subgroup_lattice(G)
+    levels = {1}
+    for i, ups in enumerate(lat.supersets):
+        for j in ups:
+            levels.add(lat.orders[j] // lat.orders[i])
+    assert filtration_levels(G) == sorted(levels)
 
 
 def test_padded_cuts_only_zeros():

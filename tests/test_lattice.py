@@ -155,14 +155,15 @@ def test_element_perms_are_conjugations(spec):
     G = builtin(spec)
     lat = subgroup_lattice(G)
     identity = tuple(range(len(lat.subgroups)))
-    assert len(lat.element_perms) == G.order
-    for g, perm in enumerate(lat.element_perms):
+    element_perms = [lat._conjugation_perm(g) for g in G.elements()]
+    assert len(element_perms) == G.order
+    for g, perm in enumerate(element_perms):
         assert lat.masks(perm) == tuple(G.conjugate_mask(s.members, g)
                                         for s in lat.subgroups)
-    assert set(lat.element_perms) == set(lat.conj_perms) | {identity}
-    # g -> element_perms[g] is a homomorphism onto Gamma: equal fibers
+    assert set(element_perms) == set(lat.conj_perms) | {identity}
+    # g -> the conjugation by g is a homomorphism onto Gamma: equal fibers
     fiber = G.order // (len(lat.conj_perms) + 1)
-    assert all(lat.element_perms.count(p) == fiber for p in set(lat.element_perms))
+    assert all(element_perms.count(p) == fiber for p in set(element_perms))
 
 
 def _check_moves(P):
@@ -199,9 +200,10 @@ def test_moves_of_random_permutation_groups_and_cones(data):
     # Gamma, the image of G, is closed and every member has the same fiber
     identity = tuple(range(len(lat.subgroups)))
     gamma = set(lat.conj_perms) | {identity}
-    assert set(lat.element_perms) == gamma
+    element_perms = [lat._conjugation_perm(g) for g in G.elements()]
+    assert set(element_perms) == gamma
     assert {tuple(p[i] for i in q) for p in gamma for q in gamma} == gamma
-    assert len({lat.element_perms.count(p) for p in gamma}) == 1
+    assert len({element_perms.count(p) for p in gamma}) == 1
     sub = data.draw(st.sampled_from(lat.subgroups))
     P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
     _check_moves(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))

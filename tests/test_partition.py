@@ -77,6 +77,14 @@ def test_gset_validation():
     assert M.is_isotypical
 
 
+def test_gset_must_be_a_homomorphism():
+    # each row is still a permutation, but no automorphism of S3 swaps just two elements
+    action = list(GSet.regular(builtin("S3")).action)
+    action[1], action[2] = action[2], action[1]
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        GSet(builtin("S3"), 6, tuple(action))
+
+
 def test_regular_s3_poset_is_antichain():
     P = fixed_partition_poset(GSet.regular(builtin("S3")))
     assert len(P) == 4

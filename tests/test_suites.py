@@ -9,6 +9,7 @@ the number of calls made pins where a check stops.
 import dataclasses
 
 import pytest
+from helpers import one_class_high
 
 import spq.suites
 from spq.errors import InvariantViolation
@@ -137,6 +138,10 @@ PLANTED = [
         lambda result: dataclasses.replace(result, euler=9),
         {"complex-identities:C4": "n=1 reduced: euler 9 != 1"},
         162, id="complex-identities-euler"),
+    pytest.param(
+        _check_complex_identities, "chain_counts", lambda G: G.label == "S3", one_class_high,
+        {"complex-identities:S3": "n=6 coinvariant: euler 1 != 0"},
+        83, id="complex-identities-count"),
 ]
 
 
