@@ -87,6 +87,7 @@ from .reports import (
     ProfileReport,
     compute_report,
     profile_report,
+    read_off,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .groups import (
 )
 from .lattice import conjugacy_classes_of_subgroups
 from .partition import DEFAULT_SIZE_CAP, GSet, fixed_partition_poset
-from .reports import profile_report, report_at
+from .reports import profile_report, read_off
 from .suites import SUITES, run_suite
 
 
@@ -77,7 +77,7 @@ def _format_vector(values) -> str:
 
 def _cmd_compute(args) -> int:
     G = _load_group(args.group, args.cap_order)
-    report = report_at(G, args.n)
+    report = read_off(G, [args.n])[0]
     if args.json:
         _emit(report.to_json_dict())
         return 0

@@ -29,6 +29,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _derived,
+    _image_mask,
     core_in,
     quotient,
 )
@@ -144,16 +145,6 @@ def transfer(H: Subgroup, v: ChainVector) -> ChainVector:
     out = {tuple(to_ambient[i] for i in ids): coeff * idx
            for ids, coeff in v.coefficients.items()}
     return ChainVector(G, v.n, v.degree, out)
-
-
-def _image_mask(mask: int, images) -> int:
-    """Mask of the images of the members of ``mask``; ``images[g]`` is g's image."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << images[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[tuple[int, ...], ...]],

@@ -169,11 +169,8 @@ class FiniteGroup:
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         out = 0
-        x = mask
-        while x:
-            low = x & -x
-            out |= 1 << self.conjugate(g, low.bit_length() - 1)
-            x ^= low
+        for x in _mask_bits(mask):
+            out |= 1 << self.conjugate(g, x)
         return out
 
     def embedded_subgroup(self, mask: int) -> EmbeddedSubgroup:
@@ -248,11 +245,20 @@ class EmbeddedSubgroup(NamedTuple):
 
 
 def _mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: the one set-bit loop."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def _image_mask(mask: int, images) -> int:
+    """Mask of the images of the members of ``mask``; ``images[g]`` is g's image."""
+    out = 0
+    for g in _mask_bits(mask):
+        out |= 1 << images[g]
     return out
 
 

@@ -226,8 +226,8 @@ def coinvariants_of_homology_oracle(G: FiniteGroup, n: int,
     coinvariants, so it cross-validates betti_numbers on the coinvariant
     complex without sharing any code path with it.
     """
+    chains = chains_up_to(G, n)  # checks n before the lattice is built
     lat = subgroup_lattice(G)
-    chains = chains_up_to(G, n)
     if len(chains) > basis_cap:
         raise BasisCapExceeded(
             f"full complex has {len(chains)} chains, above the cap {basis_cap}")

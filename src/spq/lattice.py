@@ -448,12 +448,14 @@ def effective_level(G: FiniteGroup, n: int) -> int:
 
 def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """All strict subgroup chains of total index <= min(n, |G|), as id tuples, depth first."""
-    return list(poset_chains(subgroup_lattice(G), effective_level(G, n)))
+    n_eff = effective_level(G, n)  # before the lattice: a bad level fails fast
+    return list(poset_chains(subgroup_lattice(G), n_eff))
 
 
 def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
     """Conjugacy classes of filtered chains by degree, each sorted by representative."""
-    return orbit_classes(subgroup_lattice(G), effective_level(G, n))
+    n_eff = effective_level(G, n)  # before the lattice: a bad level fails fast
+    return orbit_classes(subgroup_lattice(G), n_eff)
 
 
 def chain_counts(G: FiniteGroup) -> ChainCounts:
@@ -463,7 +465,8 @@ def chain_counts(G: FiniteGroup) -> ChainCounts:
 
 def build_complex(G: FiniteGroup, n: int) -> OrbitComplex:
     """The coinvariant complex of G's subgroup lattice at level n; ``top_slice`` reduces it."""
-    return orbit_complex(subgroup_lattice(G), chain_classes(G, n))
+    classes = chain_classes(G, n)  # checks n before the lattice is built
+    return orbit_complex(subgroup_lattice(G), classes)
 
 
 def filtration_levels(G: FiniteGroup) -> list[int]:

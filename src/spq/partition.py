@@ -220,9 +220,8 @@ def fixed_partition_poset(M: GSet, size_cap: int = DEFAULT_SIZE_CAP) -> Poset:
     return Poset(elems, tuple(masks))
 
 
-def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,
-                   upper_closed: bool = False) -> Poset:
-    """Subgroups between H and G ordered by inclusion; open bounds by default.
+def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False) -> Poset:
+    """Subgroups between H and G ordered by inclusion; G left out, H only if ``lower_closed``.
 
     A slice of the subgroup lattice: H's id and the ids above it, in lattice
     order, with the strict order read off ``supersets``.
@@ -232,7 +231,7 @@ def interval_poset(G: FiniteGroup, H: Subgroup, lower_closed: bool = False,
     lat = subgroup_lattice(G)
     h = lat.id_of_mask(H.members)
     ids = [i for i in (h,) + lat.supersets[h]
-           if (lower_closed or i != h) and (upper_closed or i != lat.top_id)]
+           if (lower_closed or i != h) and i != lat.top_id]
     pos = {i: k for k, i in enumerate(ids)}
     return Poset((lat.subgroups[i] for i in ids),
                  tuple(sum(1 << pos[j] for j in lat.supersets[i] if j in pos) for i in ids))

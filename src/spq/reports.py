@@ -7,16 +7,17 @@ than omitted. ``_level_report`` alone pads and packs a level's report,
 ``padded`` refuses to cut a nonzero entry, and ``same_padded`` alone
 compares vectors of different lengths.
 
-There are two routes to a level's report. ``compute_report`` builds the
-complexes and takes ranks; it serves every group, and the gap probes and
-the single-level checks of ``spq verify`` call it. For a group of
-prime-power order, ``_counted_reports`` reads the report off the class
-counts of ``lattice.chain_counts`` with no chain listed and no rank taken;
-the profile read-off (also behind the published tables of ``spq verify``)
-and ``spq compute`` (``report_at``) take it. The route follows |G| alone;
-no option chooses it. For every group the read-off's levels, ``chains``
-and Euler characteristics come from ``chain_counts`` too, while
-``compute_report`` keeps the walk's dims: each gap probe compares the two.
+One read-off answers: ``read_off`` gives the reports of ``spq compute``
+and ``spq profile`` (also behind the published tables of ``spq verify``).
+For a group of prime-power order, ``_counted_reports`` reads them off the
+class counts of ``lattice.chain_counts`` with no chain listed and no rank
+taken; for every other group they are read off one filtered reduction of
+the complex and of its top slice. The route follows |G| alone; no option
+chooses it. Either way each level's ``chains`` and Euler characteristics
+come from ``chain_counts``. ``compute_report`` checks: it builds the
+complexes at one level and takes ranks, keeping the walk's dims, and only
+the gap probes, the single-level checks of ``spq verify`` and the tests
+call it.
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ def _counted_reports(G: FiniteGroup, levels: list[int]) -> list[ComputationRepor
     return reports
 
 
-def report_at(G: FiniteGroup, n: int) -> ComputationReport:
-    """The report at level n: counted when |G| is a prime power, else ``compute_report``."""
-    if _prime_of(G.order) is None:
-        return compute_report(G, n)
-    return _counted_reports(G, [n])[0]
-
-
 def same_homotopy(a: ComputationReport, b: ComputationReport) -> bool:
     """Equal pi and phi vectors after padding to a common length."""
     return same_padded(a.pi, b.pi) and same_padded(a.phi, b.phi)
@@ -217,17 +211,21 @@ def _report_in_worker(n: int) -> ComputationReport:
     return compute_report(_worker_group, n)
 
 
-def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
+def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
     """Reports at the given levels: counted when |G| is a prime power, else read off
     one filtered reduction of each complex.
 
-    Both complexes come from one build: the reduced complex is the top slice
-    of the coinvariant one. Chains and Euler targets are ``chain_counts``'s.
+    Every level is checked (``effective_level``) before anything is built.
+    Both complexes come from one build at the largest effective level: the
+    reduced complex is the top slice of the coinvariant one. Chains and
+    Euler targets are ``chain_counts``'s, so a class that the walk loses or
+    adds fails the Euler check.
     """
+    largest = max(effective_level(G, n) for n in levels)
     if _prime_of(G.order) is not None:
         return _counted_reports(G, levels)
     counts = chain_counts(G)
-    coinv = build_complex(G, G.order)
+    coinv = build_complex(G, largest)
     pi_intervals = persistence_intervals(coinv)
     phi_intervals = persistence_intervals(top_slice(coinv))
     reports = []
@@ -244,10 +242,10 @@ def _read_off_levels(G: FiniteGroup, levels: list[int]) -> list[ComputationRepor
 def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     """Reports at every realized level, certified constant in between.
 
-    Every level is read off one filtered reduction of the coinvariant
-    complex at n = |G| and of its top slice (see ``persistence_intervals``),
-    with the Euler characteristics checked against ``chain_counts``; for a
-    group of prime-power order every level is counted (``_counted_reports``).
+    Every level comes from ``read_off``: counted for a group of prime-power
+    order, else read off one filtered reduction of the coinvariant complex
+    at n = |G| and of its top slice, with the Euler characteristics checked
+    against ``chain_counts``.
     One intermediate n per gap between consecutive realized levels, and one
     n beyond the group order, is then recomputed independently by
     ``compute_report`` and must reproduce the report of the level below;
@@ -270,10 +268,10 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
                                  initializer=_init_worker,
                                  initargs=(G,)) as pool:
             pending = pool.map(_report_in_worker, [mid for mid, _ in probes])
-            reports = _read_off_levels(G, levels)
+            reports = read_off(G, levels)
             probed = list(pending)
     else:
-        reports = _read_off_levels(G, levels)
+        reports = read_off(G, levels)
         probed = [compute_report(G, mid) for mid, _ in probes]
     for (mid, below), probe in zip(probes, probed):
         if not same_report(probe, reports[below]):

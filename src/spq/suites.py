@@ -24,7 +24,6 @@ from .errors import InvariantViolation, NotAComplex
 from .global_functor import (
     ChainVector,
     _fiber_keys,
-    _image_mask,
     basis_vector,
     boundary,
     double_coset_decomposition,
@@ -35,6 +34,7 @@ from .global_functor import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    _image_mask,
     builtin,
     enumerate_homomorphisms,
 )

@@ -1,8 +1,8 @@
 """Class counts by Burnside over Gamma, and the reports of p-groups read off them.
 
 The counts are matched with the walk of ``chain_classes``; the counted
-reports with the rank route of ``compute_report``, and with closed forms
-that share no code with the lattice.
+reports, and the read-off of every other group, with the rank route of
+``compute_report``, and with closed forms that share no code with the lattice.
 """
 
 import math
@@ -26,7 +26,7 @@ from spq import (
     subgroup_lattice,
 )
 from spq.lattice import chain_counts
-from spq.reports import _counted_reports, report_at, same_homotopy, same_padded, same_report
+from spq.reports import _counted_reports, read_off, same_homotopy, same_padded, same_report
 
 
 def assert_counts_match_the_walk(G):
@@ -95,11 +95,15 @@ def test_counted_reports_of_random_p_groups_match_the_rank_route(G):
         assert same_report(counted, compute_report(G, n)), (G.order, n)
 
 
-@pytest.mark.parametrize("spec", ["C1", "C6", "S3", "C2xS4"])
-def test_groups_not_of_prime_power_order_take_the_rank_route(spec):
+@pytest.mark.parametrize("spec", ["C1", "C6", "S3", "A4", "SL2F3", "C30", "C2xS4"])
+def test_read_off_of_groups_not_of_prime_power_order_matches_the_rank_route(spec):
+    # one level at a time, as `spq compute` reads off, and all levels at once,
+    # off the one complex built at the largest of them
     G = builtin(spec)
-    for n in filtration_levels(G):
-        assert report_at(G, n) == compute_report(G, n)
+    ns = list(range(1, G.order + 2))
+    ranked = [compute_report(G, n) for n in ns]
+    assert [read_off(G, [n])[0] for n in ns] == ranked
+    assert read_off(G, ns) == ranked
 
 
 def test_the_formula_is_wrong_off_prime_powers(monkeypatch):
@@ -140,7 +144,7 @@ def ea_mismatches(p, k):
     G = builtin(f"EA({p},{k})")
     out = []
     for j in range(k + 1):
-        report = report_at(G, p ** j)
+        report = read_off(G, [p ** j])[0]
         chi = ea_chi(p, k, j)
         pi_j = chi if j == 0 else (-1) ** j * (chi - 1)
         for field, got, want in (("euler", report.euler, chi),
@@ -181,7 +185,7 @@ def cyclic_euler(m, n):
 def test_cyclic_euler_closed_form(m):
     G = builtin(f"C{m}")
     for n in range(1, m + 2):
-        assert report_at(G, n).euler == cyclic_euler(m, n), n
+        assert read_off(G, [n])[0].euler == cyclic_euler(m, n), n
 
 
 def fails(check) -> bool:
@@ -201,4 +205,4 @@ def test_a_sign_fault_in_the_count_fails_the_closed_forms(monkeypatch):
     for p, k in EA_CASES:
         assert fails(lambda: ea_mismatches(p, k)), (p, k)
     C16 = builtin("C16")
-    assert fails(lambda: [n for n in range(1, 18) if report_at(C16, n).euler != cyclic_euler(16, n)])
+    assert fails(lambda: [n for n in range(1, 18) if read_off(C16, [n])[0].euler != cyclic_euler(16, n)])

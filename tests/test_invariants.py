@@ -124,8 +124,7 @@ def test_read_off_euler_check(monkeypatch):
         profile_report(builtin("S3"))
 
 
-@pytest.mark.parametrize("spec", ["S4", "C30"])
-def test_read_off_catches_a_class_the_walk_lost(monkeypatch, spec):
+def _walk_losing_a_class_at_the_order(monkeypatch):
     # the walk drops its last top-degree class at n = |G| alone, so the gap
     # probe beyond |G| sees the same loss: only the count can tell
     original = spq.lattice.orbit_classes
@@ -137,8 +136,24 @@ def test_read_off_catches_a_class_the_walk_lost(monkeypatch, spec):
         return classes
 
     monkeypatch.setattr(spq.lattice, "orbit_classes", losing)
+
+
+@pytest.mark.parametrize("spec", ["S4", "C30"])
+def test_read_off_catches_a_class_the_walk_lost(monkeypatch, spec):
+    _walk_losing_a_class_at_the_order(monkeypatch)
     with pytest.raises(InvariantViolation, match="Euler"):
         profile_report(builtin(spec))
+
+
+@pytest.mark.parametrize("spec,n", [("S4", 24), ("C30", 30)])
+def test_compute_catches_a_class_the_walk_lost(monkeypatch, capsys, spec, n):
+    # spq compute reads off like profile, so it fails instead of printing the
+    # walk's pi and chains
+    _walk_losing_a_class_at_the_order(monkeypatch)
+    assert main(["compute", "--json", "-n", str(n), "-g", spec]) == 2
+    captured = capsys.readouterr()
+    assert "Euler" in captured.err
+    assert captured.out == ""
 
 
 def test_read_off_catches_a_count_one_class_high(monkeypatch):

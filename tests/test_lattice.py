@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import complex_to_json_dict, matmul
 
+import spq.groups
 import spq.lattice
 from spq import (
     ChainVector,
@@ -19,16 +20,19 @@ from spq import (
     builtin,
     chain_classes,
     chains_up_to,
+    coinvariants_of_homology_oracle,
     compute_report,
     filtration_levels,
     from_permutation_generators,
     interval_poset,
     is_normal,
+    read_off,
     subgroup_conjugation_action,
     subgroup_lattice,
     top_slice,
     verify_d0_compatibility,
 )
+from spq.cli import main
 from spq.homology import _dense_rank
 from spq.lattice import ChainClass, orbit_classes, orbit_complex, poset_chains
 from spq.partition import _cone
@@ -39,6 +43,15 @@ from spq.suites import CATALOG, catalog_group
 CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102b996c1703c65"
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Subgroup enumeration raises a non-ValueError, so a level check must come first."""
+    def enumerated(G):
+        raise LookupError(f"subgroups of {G.label} enumerated")
+
+    monkeypatch.setattr(spq.groups, "_enumerate_subgroups", enumerated)
+
+
 @pytest.mark.parametrize("use", [
     lambda G: chains_up_to(G, 0),
     lambda G: chain_classes(G, 0),
@@ -46,11 +59,21 @@ CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102
     lambda G: compute_report(G, 0),
     lambda G: ChainVector(G, 0, 0, {}),
     lambda G: verify_d0_compatibility(GroupHom.identity(G), ((0, 1),), 0),
+    lambda G: read_off(G, [4, 0]),
+    lambda G: coinvariants_of_homology_oracle(G, 0),
 ])
-def test_every_entry_point_rejects_level_zero(use):
-    # one check, lattice.effective_level, behind every route that takes a level
+def test_every_entry_point_rejects_level_zero(no_enumeration, use):
+    # one check, lattice.effective_level, behind every route that takes a level,
+    # made before the lattice of the fresh group is built
     with pytest.raises(ValueError, match="filtration level must be at least 1"):
         use(builtin("S3"))
+
+
+def test_compute_rejects_a_bad_level_before_any_subgroup_is_enumerated(no_enumeration, capsys):
+    assert main(["compute", "-n", "0", "-g", "C2xC2xS4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: filtration level must be at least 1, got 0\n"
+    assert captured.out == ""
 
 
 def test_chains_level_one_is_discrete():

@@ -197,9 +197,8 @@ def test_interval_posets():
     assert len(interval_poset(C4, C4.trivial_subgroup)) == 1
     C2 = builtin("C2")
     assert len(interval_poset(C2, C2.trivial_subgroup)) == 0
-    closed = interval_poset(C4, C4.trivial_subgroup,
-                            lower_closed=True, upper_closed=True)
-    assert len(closed) == 3
+    closed = interval_poset(C4, C4.trivial_subgroup, lower_closed=True)
+    assert len(closed) == 2
     with pytest.raises(NotASubgroupInclusion):
         interval_poset(S3, C4.trivial_subgroup)
 
@@ -210,12 +209,12 @@ def test_interval_poset_matches_pairwise_reference(spec):
     subs = all_subgroups(G)
     full = G.full_subgroup.members
     for H in subs:
-        for lower_closed, upper_closed in itertools.product((False, True), repeat=2):
+        for lower_closed in (False, True):
             elems = [K for K in subs if K.members & H.members == H.members
-                     and (lower_closed or K != H) and (upper_closed or K.members != full)]
+                     and (lower_closed or K != H) and K.members != full]
             ref = poset_from_predicate(elems, lambda a, b: a != b
                                        and a.members & b.members == a.members)
-            P = interval_poset(G, H, lower_closed, upper_closed)
+            P = interval_poset(G, H, lower_closed)
             assert (P.elements, P.lt_masks) == (ref.elements, ref.lt_masks)
 
 
