@@ -13,10 +13,13 @@ group carries generators: given ones are checked by ``_walk``, a
 breadth-first walk of the Cayley graph over them that relies on
 associativity, and missing ones are computed on first use. The
 homomorphism search tries each tuple of generator images once, on one
-walk of the same Cayley graph. ``all_subgroups`` closes each subgroup H it
-finds with one element of each right coset Hg other than H, so [G:H] - 1
-closures per H. Conjugacy classes of subgroups are read off the
-conjugation action in ``lattice``.
+walk of the same Cayley graph. ``all_subgroups`` extends each subgroup H
+it finds by one element g of each right coset Hg other than H, and keeps
+the union of the cosets g^i H when g normalizes H and gH has prime order:
+no closure. That finds every solvable subgroup. A group it does not reach
+is not solvable, and is enumerated again by closing each H with one g per
+right coset, [G:H] - 1 closures per H. Conjugacy classes of subgroups are
+read off the conjugation action in ``lattice``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidPermutation,
+    InvariantViolation,
     NotAGroup,
     NotASubgroupInclusion,
     NotNormal,
@@ -708,15 +712,42 @@ def group_from_json(data, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member list).
 
-    One worklist, from the trivial subgroup: each subgroup H found is closed
-    with one element g of each right coset Hg other than H itself, until
-    nothing new appears. Every h*g in Hg gives the same <H, g>, so this makes
-    [G:H] - 1 closures per subgroup.
+    First by cyclic extension (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 10.5): one worklist from the
+    trivial subgroup, in which each subgroup H found is extended by one
+    element g of each right coset Hg other than H. g is kept when it
+    normalizes H and gH has prime order p, and then <H, g> is the union of
+    the cosets g^i H for i < p, with no closure. Every solvable K != 1 has a
+    normal subgroup of prime index, itself solvable, so this finds every
+    solvable subgroup, and every subgroup exactly when it reaches G. Every
+    cyclic subgroup is solvable, so one missing raises InvariantViolation.
+
+    A G it does not reach is not solvable. Then a second worklist closes
+    each subgroup H with one element g of each right coset Hg other than H:
+    every h*g in Hg gives the same <H, g>, so [G:H] - 1 closures per H.
     """
     return list(_derived(G, "_all_subgroups", None, lambda: _enumerate_subgroups(G)))
 
 
 def _enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    masks = _worklist(G, lambda mask, members, g: _prime_extension(G, mask, members, g))
+    for g in G.elements():
+        cyclic, power = 1, g
+        while power:
+            cyclic |= 1 << power
+            power = G.mul[power][g]
+        if cyclic not in masks:
+            raise InvariantViolation(
+                f"cyclic extension missed the cyclic subgroup generated by element {g}")
+    if (1 << G.order) - 1 not in masks:
+        masks = _worklist(G, lambda mask, members, g: G.generated_mask(members + [g]))
+    return tuple(sorted((Subgroup(G, m) for m in masks), key=lambda s: s.key))
+
+
+def _worklist(G: FiniteGroup, extend: Callable[[int, list[int], int], int]) -> set[int]:
+    """The masks reached from the trivial subgroup by ``extend(mask, members, g)``,
+    called with one g of each right coset Hg of each H reached other than H;
+    a result of 0 is no subgroup."""
     masks = {1}
     work = [1]
     for mask in work:
@@ -727,11 +758,36 @@ def _enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
                 continue
             for h in members:
                 seen |= 1 << G.mul[h][g]
-            grown = G.generated_mask(members + [g])
-            if grown not in masks:
+            grown = extend(mask, members, g)
+            if grown and grown not in masks:
                 masks.add(grown)
                 work.append(grown)
-    return tuple(sorted((Subgroup(G, m) for m in masks), key=lambda s: s.key))
+    return masks
+
+
+def _prime_extension(G: FiniteGroup, mask: int, members: list[int], g: int) -> int:
+    """The mask of <H, g> if g normalizes H = ``mask`` and gH has prime order p, else 0.
+
+    The check costs |H| lookups plus the order of gH, and <H, g> is then the
+    union of the cosets g^i H for i < p: p * |H| lookups.
+    """
+    mul = G.mul
+    row, g_inv = mul[g], G.inv[g]
+    for h in members:
+        if not mask >> mul[row[h]][g_inv] & 1:
+            return 0
+    p, power = 1, g
+    while not mask >> power & 1:
+        p, power = p + 1, mul[power][g]
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        return 0
+    grown, power = mask, g
+    for _ in range(p - 1):
+        row = mul[power]
+        for h in members:
+            grown |= 1 << row[h]
+        power = mul[power][g]
+    return grown
 
 
 def index(H: Subgroup, K: Subgroup) -> int:

@@ -16,9 +16,10 @@ its poset, bases and columns and carries no other label: its caller knows
 which group and level it was built for, and whether it was sliced.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 ``count_classes`` counts the orbits by (total index, degree) with no chain
-listed: Burnside over Gamma, one ascending pass per (gamma, start id) over
-the fixed subposet F_gamma. ``chain_counts`` keeps its result on the
-group and is the one source of a level's realized indices
+listed: Burnside over Gamma, one ascending pass per (conjugacy class of
+Gamma, start id) over the fixed subposet F_gamma, weighted by the class
+size. ``chain_counts`` keeps its result on the group and is the one
+source of a level's realized indices
 (``filtration_levels``), class counts and Euler characteristics: the
 reports of p-groups are read off it, and the complexes the walk builds are
 checked against it. ``effective_level`` alone checks a group's filtration
@@ -115,7 +116,7 @@ class SubgroupLattice(OrbitPoset):
     AND, over H's members x, of ``contains[x]``, the bitset of the ids
     holding x. Gamma, the image of G, is the closure under composition of
     the permutations that conjugation by G's generators induces on the
-    list; ``conj_perms`` holds its non-identity members.
+    list, ``generator_perms``; ``conj_perms`` holds its non-identity members.
     ``_conjugation_perm(g)`` is the permutation that conjugation by one
     element g induces; restriction reads it for its double-coset
     representatives alone.
@@ -138,11 +139,11 @@ class SubgroupLattice(OrbitPoset):
                 above &= contains[x]
             supersets.append(tuple(_mask_bits(above ^ 1 << i)))
         identity = tuple(range(n))
-        generator_perms = [self._conjugation_perm(g) for g in group.generators]
+        self.generator_perms = tuple(self._conjugation_perm(g) for g in group.generators)
         gamma = {identity}
         queue = [identity]
         for perm in queue:
-            for step in generator_perms:
+            for step in self.generator_perms:
                 image = tuple(perm[i] for i in step)
                 if image not in gamma:
                     gamma.add(image)
@@ -282,15 +283,17 @@ class ChainCounts:
         return sum(c if k % 2 == 0 else -c for k, c in enumerate(self.at(n, top)))
 
 
-def count_classes(P: OrbitPoset) -> ChainCounts:
+def count_classes(P: SubgroupLattice) -> ChainCounts:
     """Orbit counts of P's strict chains by (total index, degree), with no chain listed.
 
     By Burnside the number of orbits is 1/|Gamma| times the sum, over gamma
     in Gamma, of the chains gamma fixes; gamma fixes a chain exactly when it
     fixes each member, so these are the chains of the fixed subposet
-    F_gamma. ``_count_fixed_chains`` counts them for every (index, degree)
-    at once, and each sum must be divisible by |Gamma|. P's ids must
-    ascend along every chain, as a ``SubgroupLattice``'s do.
+    F_gamma. Conjugate members fix isomorphic subposets, so
+    ``_count_fixed_chains`` counts them once per conjugacy class of Gamma,
+    for every (index, degree) at once, and the count is weighted by the
+    class size. Each sum must be divisible by |Gamma|. P's ids ascend along
+    every chain.
 
     A per-degree vector is packed into one int, degree k in the bits from
     k * width on: adding vectors adds the ints, and a shift by ``width``
@@ -304,8 +307,14 @@ def count_classes(P: OrbitPoset) -> ChainCounts:
     width = degrees * len(orders).bit_length() + gamma.bit_length()
     every: dict[int, int] = {}
     top: dict[int, int] = {}
-    for perm in (tuple(range(len(orders))),) + P.conj_perms:
-        _count_fixed_chains(P, [i == j for i, j in enumerate(perm)], width, every, top)
+    for perm, size in _gamma_classes(P):
+        fixed_every: dict[int, int] = {}
+        fixed_top: dict[int, int] = {}
+        _count_fixed_chains(P, [i == j for i, j in enumerate(perm)], width,
+                            fixed_every, fixed_top)
+        for fixed, total in ((fixed_every, every), (fixed_top, top)):
+            for index, chains in fixed.items():
+                total[index] = total.get(index, 0) + size * chains
 
     def unpacked(packed: dict[int, int]) -> dict[int, tuple[int, ...]]:
         out = {}
@@ -319,6 +328,35 @@ def count_classes(P: OrbitPoset) -> ChainCounts:
         return out
 
     return ChainCounts(unpacked(every), unpacked(top))
+
+
+def _gamma_classes(P: SubgroupLattice) -> list[tuple[tuple[int, ...], int]]:
+    """(member, class size) for each conjugacy class of Gamma, the identity first.
+
+    A class is an orbit of conjugation by the members of ``generator_perms``,
+    which generate Gamma: |Gamma| * len(generator_perms) conjugations.
+    """
+    steps = []
+    for perm in P.generator_perms:
+        inverse = [0] * len(perm)
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        steps.append((perm, inverse))
+    classes = []
+    classified = set()
+    for perm in (tuple(range(len(P.orders))),) + P.conj_perms:
+        if perm in classified:
+            continue
+        classified.add(perm)
+        orbit = [perm]
+        for member in orbit:
+            for step, inverse in steps:
+                conjugate = tuple(step[member[i]] for i in inverse)
+                if conjugate not in classified:
+                    classified.add(conjugate)
+                    orbit.append(conjugate)
+        classes.append((perm, len(orbit)))
+    return classes
 
 
 def _count_fixed_chains(P: OrbitPoset, fixed: list[bool], width: int,

@@ -50,6 +50,23 @@ def test_counts_match_chain_classes(spec):
     assert_counts_match_the_walk(builtin(spec))
 
 
+@pytest.mark.parametrize("spec,classes", [("C2xS4", 5), ("SL2F3", 4)])
+def test_count_makes_one_pass_per_conjugacy_class_of_gamma(monkeypatch, spec, classes):
+    # Gamma is S4 (24 members) for C2xS4 and A4 (12) for SL2F3
+    lat = subgroup_lattice(builtin(spec))
+    original = spq.lattice._count_fixed_chains
+    passes = []
+
+    def counted(P, fixed, width, every, top):
+        passes.append(fixed)
+        original(P, fixed, width, every, top)
+
+    monkeypatch.setattr(spq.lattice, "_count_fixed_chains", counted)
+    spq.lattice.count_classes(lat)
+    assert len(passes) == classes
+    assert sum(size for _, size in spq.lattice._gamma_classes(lat)) == len(lat.conj_perms) + 1
+
+
 # generators of C2 wr C2 wr C2 on 8 points (order 128, the Sylow 2-subgroup of
 # S8) and of C3 wr C3 on 9 points (order 81)
 WREATHS = (

@@ -7,7 +7,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spq import (
@@ -307,15 +307,24 @@ def test_unknown_specs(spec):
     ("D48", 68),      # m = 24, 8 + 60
     ("EA(2,4)", 67),  # sum over k of the Gaussian binomials [4 k]_2: 1 + 15 + 35 + 15 + 1
     ("EA(2,5)", 374), # [5 k]_2: 1 + 31 + 155 + 155 + 31 + 1
+    ("S5", 156),
+    ("C2xA5", 164),
+    ("C256", 9),      # divisors of 256
+    ("D128", 134),    # m = 64, 7 + 127
+    ("EA(2,6)", 2825),  # [6 k]_2: 1 + 63 + 651 + 1395 + 651 + 63 + 1
+    ("C2xC2xS4", 420),
+    ("C4xD16", 125),
+    ("C2xC2xD16", 329),
 ])
 def test_subgroup_counts(spec, count):
     assert len(all_subgroups(builtin(spec))) == count
 
 
-@pytest.mark.parametrize("spec", ["S4", "A4"])
+@pytest.mark.parametrize("spec", ["S4", "A4", "A5"])
 def test_enumeration_closes_one_candidate_per_right_coset(monkeypatch, spec):
-    # <H, h*g> = <H, g>, so each subgroup H is grown once per right coset Hg
-    # other than H: sum of [G:H] - 1 closures, not sum of |G| - |H|
+    # cyclic extension reaches a solvable G with no closure at all; A5 is not
+    # solvable and is closed: <H, h*g> = <H, g>, so each subgroup H is grown
+    # once per right coset Hg other than H, a sum of [G:H] - 1 closures
     G = builtin(spec)
     calls = []
 
@@ -325,7 +334,8 @@ def test_enumeration_closes_one_candidate_per_right_coset(monkeypatch, spec):
 
     monkeypatch.setattr(spq.groups, "_grow", counted)
     found = all_subgroups(G)
-    assert len(calls) == sum(G.order // H.order - 1 for H in found)
+    closures = sum(G.order // H.order - 1 for H in found) if spec == "A5" else 0
+    assert len(calls) == closures
 
 
 @pytest.mark.parametrize("spec", ["C6", "S3", "D8", "Q8", "EA(2,2)", "A4",
@@ -695,6 +705,35 @@ def test_subgroups_of_random_groups_against_brute_force(case):
     _, G = case
     oracle = brute_force_subgroups(G, G.order.bit_length() - 1)
     assert sorted(s.members for s in all_subgroups(G)) == oracle
+
+
+def two_generated_subgroups(G):
+    """Independent oracle for a group whose every subgroup is generated by two
+    elements, as in S5: <a, b> over all pairs a <= b, each reached by a
+    breadth-first walk of right products from the identity."""
+    masks = set()
+    for a in G.elements():
+        for b in range(a, G.order):
+            reached = {0}
+            queue = [0]
+            for x in queue:
+                for y in (G.mul[x][a], G.mul[x][b]):
+                    if y not in reached:
+                        reached.add(y)
+                        queue.append(y)
+            masks.add(sum(1 << x for x in reached))
+    return sorted(masks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(5)), st.permutations(range(5)))
+@example((1, 2, 3, 4, 0), (1, 2, 0, 3, 4))  # A5, the one group here that is closed
+def test_subgroups_of_degree_five_groups_against_brute_force(p, q):
+    # two random permutations of degree 5 mostly generate S5, whose closures
+    # take seconds; test_subgroup_counts covers S5 once
+    G = from_permutation_generators(5, [p, q], "P")
+    assume(G.order < 120)
+    assert sorted(s.members for s in all_subgroups(G)) == two_generated_subgroups(G)
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from test_groups import derived_groups
 
 import spq.global_functor
+import spq.groups
 import spq.homology
 import spq.lattice
 import spq.reports
@@ -24,6 +25,7 @@ import spq.suites
 from spq import (
     InvariantViolation,
     NotAComplex,
+    all_subgroups,
     betti_numbers,
     build_complex,
     builtin,
@@ -227,6 +229,19 @@ def test_burnside_sum_must_divide_by_gamma(monkeypatch):
     monkeypatch.setattr(spq.lattice, "_count_fixed_chains", one_more)
     with pytest.raises(InvariantViolation, match="not all divisible by"):
         spq.lattice.count_classes(subgroup_lattice(builtin("D8")))
+
+
+def test_cyclic_extension_must_find_every_cyclic_subgroup(monkeypatch):
+    # with no extension of prime index 3, S4's four subgroups of order 3 are lost
+    original = spq.groups._prime_extension
+
+    def no_index_three(G, mask, members, g):
+        grown = original(G, mask, members, g)
+        return 0 if grown.bit_count() == 3 * len(members) else grown
+
+    monkeypatch.setattr(spq.groups, "_prime_extension", no_index_three)
+    with pytest.raises(InvariantViolation, match="missed the cyclic subgroup"):
+        all_subgroups(builtin("S4"))
 
 
 @pytest.mark.parametrize("chi,top_chi,negative", [(5, 0, "pi"), (1, 3, "phi")])
