@@ -69,6 +69,7 @@ from .lattice import (
     chains_up_to,
     conjugacy_classes_of_subgroups,
     filtration_levels,
+    level_cut,
     subgroup_lattice,
     top_slice,
 )

@@ -2,10 +2,13 @@
 
 Betti numbers come from boundary ranks computed fraction-free; persistence
 intervals give the Betti numbers of every filtration level of a complex from
-one reduction of it. The oracle at the bottom recomputes coinvariant Betti
-numbers along the other route: homology of the full complex first, then the
-averaging idempotent e, as dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That
-is legitimate because rational group algebras are semisimple.
+one reduction of it. Both check d o d = 0 first, once per complex object:
+the check records its success on the complex, and the cuts of
+``lattice.level_cut`` and ``lattice.top_slice`` inherit it. The oracle at
+the bottom recomputes coinvariant Betti numbers along the other route:
+homology of the full complex first, then the averaging idempotent e, as
+dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That is legitimate because
+rational group algebras are semisimple.
 """
 
 from __future__ import annotations
@@ -37,7 +40,15 @@ class HomologyResult:
 
 
 def check_boundaries(C: OrbitComplex) -> None:
-    """Verify d o d = 0 column by column, reporting the earliest bad column."""
+    """Verify d o d = 0 column by column, reporting the earliest bad column.
+
+    Success is recorded on C (``checked``), so a later call on the same
+    object returns at once, and a cut of C (``level_cut``, ``top_slice``)
+    inherits the record once its premise is checked. A complex made with
+    ``dataclasses.replace`` carries no record and is checked in full.
+    """
+    if C.checked:
+        return
     for k in range(1, len(C.columns) - 1):
         lower = C.columns[k]
         for j, col in enumerate(C.columns[k + 1]):
@@ -47,6 +58,7 @@ def check_boundaries(C: OrbitComplex) -> None:
                     image[i] = image.get(i, 0) + v * w
             if any(image.values()):
                 raise NotAComplex(f"d_{k} after d_{k + 1} is nonzero", column=j)
+    C.checked = True
 
 
 def euler_characteristic(betti, dims) -> int:

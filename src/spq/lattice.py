@@ -10,10 +10,15 @@ it too. The action is read through one table, ``OrbitPoset.moves``, and
 ``canonical`` and ``orbit_classes`` take the same step on it.
 ``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
 of each prefix, and never lists the other orbit members; ``orbit_complex``
-assembles the coinvariant boundaries of those representatives, and
-``top_slice`` alone cuts the reduced complex out of them. A complex is
-its poset, bases and columns and carries no other label: its caller knows
-which group and level it was built for, and whether it was sliced.
+assembles the coinvariant boundaries of those representatives. One cut
+routine restricts a complex to a subcomplex or to the quotient by one,
+checking in O(nnz) that the classes it names span a subcomplex:
+``level_cut`` keeps the classes of total index at most n, which equals the
+complex built at n, and ``top_slice`` alone cuts the reduced complex out of
+a coinvariant one. A cut inherits its complex's record of a passed
+d o d check. A complex is its poset, bases and columns and carries no
+other label: its caller knows which group and level it was built for,
+and whether it was cut.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 ``count_classes`` counts the orbits by (total index, degree) with no chain
 listed: Burnside over Gamma, one ascending pass per (conjugacy class of
@@ -29,11 +34,11 @@ level and clamps it to |G|.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotAComplex
 from .groups import FiniteGroup, Subgroup, _derived, _mask_bits, all_subgroups
 from .intmatrix import SparseIntMatrix
 
@@ -117,6 +122,10 @@ class SubgroupLattice(OrbitPoset):
     holding x. Gamma, the image of G, is the closure under composition of
     the permutations that conjugation by G's generators induces on the
     list, ``generator_perms``; ``conj_perms`` holds its non-identity members.
+    A generator that commutes with every generator is central and induces
+    the identity, so it is left out of ``generator_perms`` (one |gens|^2
+    check): for abelian G, Gamma is the identity alone, with no subgroup
+    conjugated.
     ``_conjugation_perm(g)`` is the permutation that conjugation by one
     element g induces; restriction reads it for its double-coset
     representatives alone.
@@ -139,7 +148,9 @@ class SubgroupLattice(OrbitPoset):
                 above &= contains[x]
             supersets.append(tuple(_mask_bits(above ^ 1 << i)))
         identity = tuple(range(n))
-        self.generator_perms = tuple(self._conjugation_perm(g) for g in group.generators)
+        gens, mul = group.generators, group.mul
+        self.generator_perms = tuple(self._conjugation_perm(g) for g in gens
+                                     if any(mul[g][h] != mul[h][g] for h in gens))
         gamma = {identity}
         queue = [identity]
         for perm in queue:
@@ -393,16 +404,20 @@ def _count_fixed_chains(P: OrbitPoset, fixed: list[bool], width: int,
 class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
 
-    Coinvariant (from ``orbit_complex``) or reduced (from ``top_slice``);
-    the two differ only in their bases and columns. ``columns[k]`` lists
-    the columns of the boundary d_k from degree k to degree k-1, each as a
-    row -> value dict without zeros; ``columns[0]`` holds empty columns
-    into zero rows, so rank conventions need no special casing.
+    Coinvariant (from ``orbit_complex`` or ``level_cut``) or reduced (from
+    ``top_slice``); they differ only in their bases and columns.
+    ``columns[k]`` lists the columns of the boundary d_k from degree k to
+    degree k-1, each as a row -> value dict without zeros; ``columns[0]``
+    holds empty columns into zero rows, so rank conventions need no special
+    casing. ``checked`` records that ``homology.check_boundaries`` passed on
+    this object; a cut inherits it, and ``dataclasses.replace`` does not
+    carry it.
     """
 
     lattice: OrbitPoset
     bases: tuple[tuple[ChainClass, ...], ...]
     columns: tuple[tuple[dict[int, int], ...], ...]
+    checked: bool = field(default=False, init=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -452,29 +467,67 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
     return OrbitComplex(P, tuple(tuple(level) for level in classes), tuple(columns))
 
 
-def top_slice(C: OrbitComplex) -> OrbitComplex:
-    """The reduced complex: a coinvariant complex modulo its chains not ending at the top.
+def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -> OrbitComplex:
+    """C cut to a subcomplex S (``keep_span``) or to the quotient C/S.
 
-    Those chains span a subcomplex, as their faces miss the top too. The
-    basis is the coinvariant classes ending at ``top_id``, in the same
-    order (a top-ending chain's orbit holds only top-ending chains), and
-    the boundaries are the coinvariant ones restricted to those rows and
-    columns: the one face that deletes the top lands in the subcomplex.
-    Trailing degrees without such classes are dropped. This is the only
-    route to a reduced complex: every class of its result ends at the top.
+    ``span[k][i]`` marks the classes of degree k that span S. The premise
+    that makes S a subcomplex, that d takes each class of S into S, is
+    checked in O(nnz): NotAComplex, with ``fault``, names the first column
+    that breaks it. The cut keeps the classes of S, or those outside it,
+    in basis order, and restricts each kept column to the kept rows;
+    trailing degrees with nothing kept are dropped, and C itself is
+    returned when the cut drops no class. On S the boundaries are C's own,
+    and on C/S the part of d c outside S is all that d of the quotient
+    sees, as d maps S into S; so d o d = 0 on C gives it on the cut, which
+    inherits ``checked``.
     """
-    top = C.lattice.top_id
-    keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
-            for basis in C.bases]
+    for k in range(1, len(span)):
+        below = {i for i, inside in enumerate(span[k - 1]) if inside}
+        for j, col in enumerate(C.columns[k]):
+            if span[k][j] and not col.keys() <= below:
+                raise NotAComplex(f"d_{k} {fault}", column=j)
+    keep = [[i for i, inside in enumerate(marks) if inside == keep_span] for marks in span]
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
+    if list(map(len, keep)) == list(C.dims):
+        return C
     bases = tuple(tuple(C.bases[k][i] for i in kept) for k, kept in enumerate(keep))
     columns = [tuple({} for _ in keep[0])]
     for k in range(1, len(keep)):
         new_row = {i: r for r, i in enumerate(keep[k - 1])}
         columns.append(tuple({new_row[i]: v for i, v in C.columns[k][j].items() if i in new_row}
                              for j in keep[k]))
-    return replace(C, bases=bases, columns=tuple(columns))
+    cut = OrbitComplex(C.lattice, bases, tuple(columns))
+    cut.checked = C.checked
+    return cut
+
+
+def top_slice(C: OrbitComplex) -> OrbitComplex:
+    """The reduced complex: a coinvariant complex modulo its chains not ending at the top.
+
+    Those chains span a subcomplex, as their faces miss the top too; the
+    cut checks that. The basis is the coinvariant classes ending at
+    ``top_id``, in the same order (a top-ending chain's orbit holds only
+    top-ending chains), and the boundaries are the coinvariant ones
+    restricted to those rows and columns: the one face that deletes the top
+    lands in the subcomplex. Trailing degrees without such classes are
+    dropped. This is the only route to a reduced complex: every class of
+    its result ends at the top.
+    """
+    top = C.lattice.top_id
+    return _cut(C, [[cls.representative[-1] != top for cls in basis] for basis in C.bases],
+                False, "takes a chain not ending at the top to one that does")
+
+
+def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
+    """The coinvariant complex at level n, cut out of C built at a level at least n.
+
+    The classes of total index at most n span a subcomplex, as a face has
+    at most its chain's index; the cut checks that. It equals the complex
+    built at n, bases and columns, and C itself when n reaches every class.
+    """
+    return _cut(C, [[cls.total_index <= n for cls in basis] for basis in C.bases],
+                True, f"takes a chain of total index at most {n} to one above it")
 
 
 def effective_level(G: FiniteGroup, n: int) -> int:

@@ -14,10 +14,12 @@ class counts of ``lattice.chain_counts`` with no chain listed and no rank
 taken; for every other group they are read off one filtered reduction of
 the complex and of its top slice. The route follows |G| alone; no option
 chooses it. Either way each level's ``chains`` and Euler characteristics
-come from ``chain_counts``. ``compute_report`` checks: it builds the
-complexes at one level and takes ranks, keeping the walk's dims, and only
-the gap probes, the single-level checks of ``spq verify`` and the tests
-call it.
+come from ``chain_counts``. The rank route only checks:
+``_ranked_report`` takes the ranks of a coinvariant complex and of its top
+slice, keeping the walk's dims. ``compute_report`` runs it on a fresh
+build at one level, for the single-level checks of ``spq verify`` and the
+tests; the gap probes of ``profile_report`` run it on level cuts of one
+complex, built at n = |G| and checked for d o d = 0 once.
 """
 
 from __future__ import annotations
@@ -26,12 +28,20 @@ from dataclasses import dataclass, fields
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup
-from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
+from .homology import (
+    betti_at,
+    betti_numbers,
+    check_boundaries,
+    euler_characteristic,
+    persistence_intervals,
+)
 from .lattice import (
+    OrbitComplex,
     build_complex,
     chain_counts,
     effective_level,
     filtration_levels,
+    level_cut,
     top_slice,
 )
 
@@ -93,12 +103,28 @@ def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> Comput
         chains=padded(chains, length), euler=euler)
 
 
-def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
-    """Build the coinvariant complex at level n; package its homology and its top slice's."""
-    coinv = build_complex(G, n)
+def _ranked_report(G: FiniteGroup, n: int, coinv: OrbitComplex) -> ComputationReport:
+    """The rank route at level n: the homology of the coinvariant complex ``coinv``
+    at that level and of its top slice, with the walk's dims as chains."""
     pi = betti_numbers(coinv)
     phi = betti_numbers(top_slice(coinv))
     return _level_report(G, n, pi.betti, phi.betti, coinv.dims, pi.euler)
+
+
+def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
+    """Build the coinvariant complex at level n afresh and take the rank route on it.
+
+    The build walks level n alone, so ``spq verify`` checks each level's
+    walk with it; the top slice inherits the build's d o d check.
+    """
+    return _ranked_report(G, n, build_complex(G, n))
+
+
+def _whole_complex(G: FiniteGroup) -> OrbitComplex:
+    """The coinvariant complex at n = |G|, checked: every level's is a cut of it."""
+    whole = build_complex(G, G.order)
+    check_boundaries(whole)
+    return whole
 
 
 def _prime_of(order: int) -> int | None:
@@ -198,17 +224,23 @@ class ProfileReport:
         }
 
 
-_worker_group: FiniteGroup | None = None
+_worker_group: tuple[FiniteGroup, OrbitComplex] | None = None
 
 
 def _init_worker(G: FiniteGroup) -> None:
-    """Keep the probed group, with its cached subgroup lattice, in the worker."""
+    """Keep the probed group, with its cached subgroup lattice, and its complex at
+    n = |G|, built and checked once, in the worker."""
     global _worker_group
-    _worker_group = G
+    _worker_group = (G, _whole_complex(G))
+
+
+def _probe(G: FiniteGroup, whole: OrbitComplex, n: int) -> ComputationReport:
+    """The rank route on the level-n cut of ``whole``, G's complex at n = |G|."""
+    return _ranked_report(G, n, level_cut(whole, n))
 
 
 def _report_in_worker(n: int) -> ComputationReport:
-    return compute_report(_worker_group, n)
+    return _probe(*_worker_group, n)
 
 
 def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
@@ -217,15 +249,21 @@ def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
 
     Every level is checked (``effective_level``) before anything is built.
     Both complexes come from one build at the largest effective level: the
-    reduced complex is the top slice of the coinvariant one. Chains and
-    Euler targets are ``chain_counts``'s, so a class that the walk loses or
-    adds fails the Euler check.
+    reduced complex is the top slice of the coinvariant one, and inherits
+    its d o d check. Chains and Euler targets are ``chain_counts``'s, so a
+    class that the walk loses or adds fails the Euler check.
     """
     largest = max(effective_level(G, n) for n in levels)
     if _prime_of(G.order) is not None:
         return _counted_reports(G, levels)
+    return _reduced_reports(G, levels, build_complex(G, largest))
+
+
+def _reduced_reports(G: FiniteGroup, levels: list[int],
+                     coinv: OrbitComplex) -> list[ComputationReport]:
+    """``read_off`` of a group not of prime-power order, from its complex ``coinv``
+    built at the largest of the levels."""
     counts = chain_counts(G)
-    coinv = build_complex(G, largest)
     pi_intervals = persistence_intervals(coinv)
     phi_intervals = persistence_intervals(top_slice(coinv))
     reports = []
@@ -247,11 +285,15 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     at n = |G| and of its top slice, with the Euler characteristics checked
     against ``chain_counts``.
     One intermediate n per gap between consecutive realized levels, and one
-    n beyond the group order, is then recomputed independently by
-    ``compute_report`` and must reproduce the report of the level below;
-    these gap probes check the read-off, and the walk's chains against the
-    count. With ``threads`` > 1 the probes run in up to that many worker
-    processes, one per probe at most, while the levels are read off.
+    n beyond the group order, is then probed: the rank route runs on the
+    level-n cut of the complex at n = |G|, which equals the complex built
+    at n, and must reproduce the report of the level below. These gap
+    probes check the read-off by ranks, and the walk's chains against the
+    count. The complex at |G| is built once and checked for d o d = 0
+    once; its cuts and their top slices inherit the check. With
+    ``threads`` > 1 the probes run in up to that many worker processes,
+    one per probe at most, each building that complex once, while the
+    levels are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -271,8 +313,10 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
             reports = read_off(G, levels)
             probed = list(pending)
     else:
-        reports = read_off(G, levels)
-        probed = [compute_report(G, mid) for mid, _ in probes]
+        whole = _whole_complex(G)
+        reports = (_counted_reports(G, levels) if _prime_of(G.order) is not None
+                   else _reduced_reports(G, levels, whole))
+        probed = [_probe(G, whole, mid) for mid, _ in probes]
     for (mid, below), probe in zip(probes, probed):
         if not same_report(probe, reports[below]):
             raise InvariantViolation(

@@ -35,6 +35,10 @@ PROFILE_SHA256 = {
     "C30": "e133293cb75c79bf6c14020ac5dec490936961b93957cd42f8e17193433accfd",
 }
 
+# sha256 of `spq profile --json -g C4xD16` stdout, with --threads 1 and 2: a
+# group of order 64, beyond the roster, with six gap probes
+C4XD16_PROFILE_SHA256 = "5437c7e5132ba0718a80b4f1246882edd291d80b0ab5f4e2f19f2bc90ea4409b"
+
 # sha256 of `spq compute --json -n 64 -g EA(2,6)` stdout: a report counted from
 # 9,031,551 classes, more than the rank route has ever reached
 EA26_COMPUTE_SHA256 = "5fd24ee84d21b84a6a543a078cb1668bb7f038f20c442a72459fd7c47981a64b"
@@ -381,6 +385,13 @@ def test_profile_roster_stdout_digest(capsys, spec):
     code, out, _ = run_cli(capsys, "profile", "--json", "-g", spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_SHA256[spec]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_profile_beyond_the_roster_stdout_digest(capsys, threads):
+    code, out, _ = run_cli(capsys, "profile", "--json", "-g", "C4xD16", "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == C4XD16_PROFILE_SHA256
 
 
 # the compute commands of bench/reference.json: A5, C3xS4, D48 and C2xS4 at

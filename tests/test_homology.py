@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import matmul, permuted, sparse_from_dict, to_dense
 
 import spq.homology
+import spq.reports
 from spq import (
     BasisCapExceeded,
     NotAComplex,
@@ -23,14 +24,16 @@ from spq import (
     filtration_levels,
     from_permutation_generators,
     interval_poset,
+    level_cut,
     profile_report,
     rank_exact,
+    read_off,
     subgroup_conjugation_action,
     subgroup_lattice,
     top_slice,
 )
 from spq.groups import is_normal
-from spq.homology import _dense_rank, _nullspace, _row_reduce
+from spq.homology import _dense_rank, _nullspace, _row_reduce, check_boundaries
 from spq.lattice import orbit_classes, orbit_complex
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
@@ -291,6 +294,54 @@ def test_not_a_complex_names_the_least_bad_column():
     with pytest.raises(NotAComplex) as info:
         betti_numbers(fake)
     assert info.value.column == 0
+
+
+def test_a_replaced_complex_is_checked_again():
+    real = build_complex(builtin("C4"), 4)
+    check_boundaries(real)
+    assert real.checked
+    broken = ({0: 1},) + tuple({} for _ in real.columns[2][1:])
+    fake = dataclasses.replace(real, columns=(real.columns[0], real.columns[1], broken))
+    assert not fake.checked
+    with pytest.raises(NotAComplex):
+        betti_numbers(fake)
+
+
+def test_cuts_inherit_the_check():
+    C = build_complex(builtin("D8"), 8)
+    assert not level_cut(C, 4).checked and not top_slice(C).checked
+    check_boundaries(C)
+    assert level_cut(C, 4).checked and top_slice(level_cut(C, 4)).checked
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The complexes on which ``check_boundaries`` runs the full d o d product."""
+    unchecked = []
+    original = spq.homology.check_boundaries
+
+    def counted(C):
+        if not C.checked:
+            unchecked.append(C)
+        original(C)
+
+    monkeypatch.setattr(spq.homology, "check_boundaries", counted)
+    monkeypatch.setattr(spq.reports, "check_boundaries", counted)
+    return unchecked
+
+
+@pytest.mark.parametrize("spec,probes", [("C2xS4", 7), ("D16", 4)])
+def test_profile_runs_one_d_d_product(products, spec, probes):
+    # one build at |G|, checked once: every probe ranks a cut of it and its top slice
+    assert profile_report(builtin(spec)).gap_checks == probes
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("run", [lambda G: read_off(G, [G.order]),
+                                 lambda G: compute_report(G, 8)])
+def test_a_top_slice_is_not_checked_again(products, run):
+    run(builtin("C2xS4"))
+    assert len(products) == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -31,9 +31,11 @@ from spq import (
     builtin,
     coinvariants_of_homology_oracle,
     filtration_levels,
+    level_cut,
     profile_report,
     simple_decomposition,
     subgroup_lattice,
+    top_slice,
 )
 from spq.cli import main
 from spq.homology import euler_characteristic
@@ -90,24 +92,54 @@ def test_quotient_chain_not_simple(monkeypatch):
         simple_decomposition(C4, (lat.id_of_mask(1), lat.top_id))
 
 
-def _jumping_compute_report(monkeypatch):
-    original = spq.reports.compute_report
+def _one_more_entry(C, k, j, row):
+    """C with 1 added at ``row`` of column j of d_k; made by replace, so it is unchecked."""
+    level = list(C.columns[k])
+    level[j] = {**level[j], row: level[j].get(row, 0) + 1}
+    return dataclasses.replace(C, columns=C.columns[:k] + (tuple(level),) + C.columns[k + 1:])
 
-    def jumping(G, n):
-        report = original(G, n)
+
+def test_slice_of_a_chain_off_the_top_with_a_face_at_the_top():
+    # D8: a 2-chain below the top gains a face 1 < D8, so the chains not
+    # ending at the top no longer span a subcomplex
+    C = build_complex(builtin("D8"), 8)
+    top = C.lattice.top_id
+    j = max(j for j, cls in enumerate(C.bases[2]) if cls.representative[-1] != top)
+    row = next(i for i, cls in enumerate(C.bases[1]) if cls.representative[-1] == top)
+    with pytest.raises(NotAComplex, match="not ending at the top") as info:
+        top_slice(_one_more_entry(C, 2, j, row))
+    assert info.value.column == j
+
+
+def test_level_cut_of_a_kept_chain_with_a_face_above_the_level():
+    # D8 at n = 4: a 2-chain of index 4 gains the face 1 < D8, of index 8
+    C = build_complex(builtin("D8"), 8)
+    j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
+    row = next(i for i, cls in enumerate(C.bases[1]) if cls.total_index > 4)
+    with pytest.raises(NotAComplex, match="at most 4 to one above it") as info:
+        level_cut(_one_more_entry(C, 2, j, row), 4)
+    assert info.value.column == j
+
+
+def _jumping_rank_route(monkeypatch):
+    # the gap probes take the rank route of compute_report on level cuts
+    original = spq.reports._ranked_report
+
+    def jumping(G, n, coinv):
+        report = original(G, n, coinv)
         return dataclasses.replace(report, pi=(report.pi[0] + 1,) + report.pi[1:])
 
-    monkeypatch.setattr(spq.reports, "compute_report", jumping)
+    monkeypatch.setattr(spq.reports, "_ranked_report", jumping)
 
 
 def test_gap_probe_jump(monkeypatch):
-    _jumping_compute_report(monkeypatch)
+    _jumping_rank_route(monkeypatch)
     with pytest.raises(InvariantViolation, match="jumped"):
         profile_report(builtin("S3"))
 
 
 def test_gap_probe_jump_is_a_cli_error(monkeypatch, capsys):
-    _jumping_compute_report(monkeypatch)
+    _jumping_rank_route(monkeypatch)
     assert main(["profile", "-g", "S3"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: filtration level jumped")

@@ -4,6 +4,7 @@ import collections
 import functools
 import hashlib
 import json
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from spq import (
     from_permutation_generators,
     interval_poset,
     is_normal,
+    level_cut,
     read_off,
     subgroup_conjugation_action,
     subgroup_lattice,
@@ -34,7 +36,7 @@ from spq import (
 )
 from spq.cli import main
 from spq.homology import _dense_rank
-from spq.lattice import ChainClass, orbit_classes, orbit_complex, poset_chains
+from spq.lattice import ChainClass, OrbitPoset, orbit_classes, orbit_complex, poset_chains
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
 
@@ -232,6 +234,42 @@ def test_moves_of_random_permutation_groups_and_cones(data):
     _check_moves(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
 
 
+@pytest.mark.parametrize("spec", ["EA(2,3)", "EA(2,5)", "C30"])
+def test_gamma_of_an_abelian_group_conjugates_no_subgroup(monkeypatch, spec):
+    # every generator is central, so none is conjugated and Gamma is the identity
+    calls = []
+    original = spq.groups.FiniteGroup.conjugate_mask
+
+    def counted(self, mask, g):
+        calls.append(g)
+        return original(self, mask, g)
+
+    monkeypatch.setattr(spq.groups.FiniteGroup, "conjugate_mask", counted)
+    lat = subgroup_lattice(builtin(spec))
+    assert (lat.generator_perms, lat.conj_perms, calls) == ((), (), [])
+    assert spq.lattice._gamma_classes(lat) == [(tuple(range(len(lat.subgroups))), 1)]
+
+
+@pytest.mark.parametrize("spec,central", [("C2xS4", 1), ("C2xC2xC2xD8", 3)])
+def test_gamma_is_the_closure_over_every_generator(spec, central):
+    G = builtin(spec)
+    lat = subgroup_lattice(G)
+    steps = tuple(lat._conjugation_perm(g) for g in G.generators)
+    assert len(steps) - len(lat.generator_perms) == central
+    identity = tuple(range(len(lat.subgroups)))
+    gamma, queue = {identity}, [identity]
+    for perm in queue:
+        for step in steps:
+            image = tuple(perm[i] for i in step)
+            if image not in gamma:
+                gamma.add(image)
+                queue.append(image)
+    assert gamma == set(lat.conj_perms) | {identity}
+    every = types.SimpleNamespace(generator_perms=steps, orders=lat.orders,
+                                  conj_perms=lat.conj_perms)
+    assert spq.lattice._gamma_classes(every) == spq.lattice._gamma_classes(lat)
+
+
 def test_reduced_boundary_c2():
     C = top_slice(build_complex(builtin("C2"), 2))
     assert C.dims == (1, 1)
@@ -334,6 +372,55 @@ def test_cone_top_slice_is_the_reduced_build(spec):
     for cone in _normal_interval_cones(spec):
         _check_slice_against_reference(
             cone, 1, top_slice(orbit_complex(cone, orbit_classes(cone, 1))))
+
+
+def _check_cut(cut, built):
+    assert cut.bases == built.bases
+    assert cut.columns == built.columns
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_level_cut_is_the_build_at_that_level(spec):
+    # profile's gap probes rank these cuts; verify still walks every level afresh
+    G = catalog_group(spec)
+    whole = build_complex(G, G.order)
+    for n in range(1, G.order + 2):
+        _check_cut(level_cut(whole, n), build_complex(G, n))
+    assert level_cut(whole, G.order) is whole
+
+
+def _graded_cone(cone):
+    """The cone weighted 2^h at each id, h the length of the longest chain below it.
+
+    The action preserves the order and so the weights, and a face has at
+    most its chain's total index: each level of the cone's complex is a
+    subcomplex, as for a subgroup lattice.
+    """
+    height = [0] * len(cone.orders)
+    for _ in cone.orders:
+        for i, above in enumerate(cone.supersets):
+            for j in above:
+                height[j] = max(height[j], height[i] + 1)
+    return OrbitPoset(cone.supersets, tuple(2 ** h for h in height), cone.conj_perms,
+                      cone.top_id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_cuts_of_random_permutation_groups_and_cones(data):
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    n = data.draw(st.integers(1, G.order + 1))
+    _check_cut(level_cut(build_complex(G, G.order), n), build_complex(G, n))
+    lat = subgroup_lattice(G)
+    sub = data.draw(st.sampled_from(lat.subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _graded_cone(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
+    largest = cone.orders[cone.top_id]
+    n = data.draw(st.integers(1, largest))
+    _check_cut(level_cut(orbit_complex(cone, orbit_classes(cone, largest)), n),
+               orbit_complex(cone, orbit_classes(cone, n)))
 
 
 def _dense_betti(bases, columns):
