@@ -13,6 +13,11 @@ G-set specs are ``+``-separated terms: ``regular``, ``trivial:<k>`` or
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
 3 resource cap exceeded.
+
+Each command loads only the layers it runs: ``compute``, ``profile`` and
+``subgroups`` load ``groups``, ``lattice``, ``intmatrix``, ``homology`` and
+``reports``; ``partition`` imports ``spq.partition`` and ``verify`` imports
+``spq.suites`` (and through it every layer) inside their handlers.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from .groups import (
     group_from_json,
 )
 from .lattice import conjugacy_classes_of_subgroups
-from .partition import DEFAULT_SIZE_CAP, GSet, fixed_partition_poset
 from .reports import profile_report, read_off
-from .suites import SUITES, run_suite
+
+TYPE_CHECKING = False  # true only to type checkers: no command loads typing
+if TYPE_CHECKING:
+    from .partition import GSet
 
 
 def _load_group(spec: str, order_cap: int) -> FiniteGroup:
@@ -44,6 +51,8 @@ def _load_group(spec: str, order_cap: int) -> FiniteGroup:
 
 def _parse_gset(G: FiniteGroup, text: str) -> GSet:
     """Build the G-set of a spec; its size is checked against the cap before any term is built."""
+    from .partition import DEFAULT_SIZE_CAP, GSet
+
     terms = []  # (size, constructor)
     for term in text.split("+"):
         term = term.strip()
@@ -113,6 +122,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import SUITES, run_suite
+
     if args.suite != "all" and args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
         return 2
@@ -150,6 +161,8 @@ def _cmd_subgroups(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .partition import fixed_partition_poset
+
     G = _load_group(args.group, args.cap_order)
     M = _parse_gset(G, args.gset)
     poset = fixed_partition_poset(M)

@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidPermutation,
@@ -240,12 +241,9 @@ def _walk(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> set[int]:
     return reached
 
 
-class EmbeddedSubgroup(NamedTuple):
-    """A subgroup realized as a standalone group plus its element embedding."""
-
-    group: FiniteGroup
-    to_ambient: tuple[int, ...]
-    from_ambient: dict[int, int]
+# (group: FiniteGroup, to_ambient: tuple[int, ...], from_ambient: dict[int, int])
+EmbeddedSubgroup = namedtuple("EmbeddedSubgroup", ("group", "to_ambient", "from_ambient"))
+EmbeddedSubgroup.__doc__ = "A subgroup realized as a standalone group plus its element embedding."
 
 
 def _mask_bits(mask: int) -> list[int]:

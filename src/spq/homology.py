@@ -14,15 +14,16 @@ rational group algebras are semisimple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .errors import BasisCapExceeded, InvariantViolation, NotAComplex
 from .intmatrix import reduce_columns
 from .lattice import chains_up_to, subgroup_lattice
 
+TYPE_CHECKING = False  # true only to type checkers: no command loads typing
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .groups import FiniteGroup
     from .lattice import OrbitComplex
 
@@ -163,6 +164,8 @@ def _row_reduce(mat: list[list[int | Fraction]]) -> list[int]:
     A pivot of -1 is normalized by negation, so an int matrix whose pivots
     are all +-1 stays in ints; only another pivot brings in a Fraction.
     """
+    from fractions import Fraction  # loaded by the oracle alone
+
     if not mat:
         return []
     ncols = len(mat[0])

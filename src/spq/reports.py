@@ -302,7 +302,8 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
               for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
     probes.append((G.order + 1, len(levels) - 1))
     if threads > 1:
-        # imported here: concurrent.futures is a sizable share of `import spq`
+        # imported here, as cli.py imports the verification layers: loading
+        # concurrent.futures adds about 5 ms to a command that does not use it
         from concurrent.futures import ProcessPoolExecutor
 
         # under fork the pool starts every worker up front: start no idle ones
