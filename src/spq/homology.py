@@ -1,10 +1,12 @@
 """Exact rational homology of integer chain complexes.
 
-Betti numbers come from boundary ranks computed fraction-free; persistence
+Betti numbers come from boundary ranks computed fraction-free, of a
+complex or of one filtration level of it, ranked in place; persistence
 intervals give the Betti numbers of every filtration level of a complex from
-one reduction of it. Both check d o d = 0 first, once per complex object:
-the check records its success on the complex, and the cuts of
-``lattice.level_cut`` and ``lattice.top_slice`` inherit it. The oracle at
+one reduction of it. Both check first, once per complex object, that
+d o d = 0 and that every level is a subcomplex: the check records its
+success on the complex, and the cuts of ``lattice.level_cut`` and
+``lattice.top_slice`` inherit it. The oracle at
 the bottom recomputes coinvariant Betti numbers along the other route:
 homology of the full complex first, then the averaging idempotent e, as
 dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That is legitimate because
@@ -41,8 +43,12 @@ class HomologyResult:
 
 
 def check_boundaries(C: OrbitComplex) -> None:
-    """Verify d o d = 0 column by column, reporting the earliest bad column.
+    """Verify d o d = 0 and the level premise, reporting the earliest bad column.
 
+    The level premise, that no face has a larger total index than its
+    chain, makes every filtration level a subcomplex, so that
+    ``betti_numbers(C, n)`` may rank a level in place; it is checked in
+    the same pass over the boundary entries, column by column, before d o d.
     Success is recorded on C (``checked``), so a later call on the same
     object returns at once, and a cut of C (``level_cut``, ``top_slice``)
     inherits the record once its premise is checked. A complex made with
@@ -50,15 +56,20 @@ def check_boundaries(C: OrbitComplex) -> None:
     """
     if C.checked:
         return
-    for k in range(1, len(C.columns) - 1):
-        lower = C.columns[k]
-        for j, col in enumerate(C.columns[k + 1]):
+    for k in range(1, len(C.columns)):
+        below = [cls.total_index for cls in C.bases[k - 1]]
+        lower = C.columns[k - 1]
+        for j, (cls, col) in enumerate(zip(C.bases[k], C.columns[k])):
+            if any(below[r] > cls.total_index for r in col):
+                raise NotAComplex(
+                    f"d_{k} takes a chain of total index {cls.total_index} to one above it",
+                    column=j)
             image: dict[int, int] = {}
             for r, v in col.items():
                 for i, w in lower[r].items():
                     image[i] = image.get(i, 0) + v * w
             if any(image.values()):
-                raise NotAComplex(f"d_{k} after d_{k + 1} is nonzero", column=j)
+                raise NotAComplex(f"d_{k - 1} after d_{k} is nonzero", column=j)
     C.checked = True
 
 
@@ -71,21 +82,35 @@ def euler_characteristic(betti, dims) -> int:
     return euler
 
 
-def betti_numbers(C: OrbitComplex) -> HomologyResult:
-    """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1}.
+def betti_numbers(C: OrbitComplex, n: int | None = None) -> HomologyResult:
+    """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1}, of C or of its level n.
 
-    Verifies d o d = 0 first. Ranks are taken from the top degree down,
-    skipping the columns of d_k that are pivot rows of the reduced d_{k+1}:
-    those reduce to zero (clearing, Chen-Kerber). On a ``top_slice`` this
-    is the homology of the quotient by the chains not ending at the top.
+    Verifies d o d = 0 and the level premise first. Ranks are taken from
+    the top degree down, skipping the columns of d_k that are pivot rows of
+    the reduced d_{k+1}: those reduce to zero (clearing, Chen-Kerber). On a
+    ``top_slice`` this is the homology of the quotient by the chains not
+    ending at the top.
+
+    With n given, the result is that of ``lattice.level_cut(C, n)``, ranked
+    on C's own columns with no copy: the classes of total index above n are
+    cleared as well, and by the level premise the kept columns hit only kept
+    rows, in the same order, so every low is the cut's. ``dims`` counts the
+    kept classes, trailing empty degrees dropped as the cut drops them.
     """
     check_boundaries(C)
-    dims = C.dims
+    above = [set() if n is None else
+             {j for j, cls in enumerate(basis) if cls.total_index > n}
+             for basis in C.bases]
+    dims = [len(basis) - len(out) for basis, out in zip(C.bases, above)]
+    while len(dims) > 1 and not dims[-1]:
+        dims.pop()
+    dims = tuple(dims)
     top = len(dims) - 1
     ranks = [0] * (top + 1)
     pivots: set[int] = set()
     for k in range(top, 0, -1):
-        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots) if low >= 0}
+        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots | above[k])
+                  if low >= 0}
         ranks[k] = len(pivots)
     betti = []
     for k in range(top + 1):

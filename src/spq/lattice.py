@@ -15,10 +15,12 @@ routine restricts a complex to a subcomplex or to the quotient by one,
 checking in O(nnz) that the classes it names span a subcomplex:
 ``level_cut`` keeps the classes of total index at most n, which equals the
 complex built at n, and ``top_slice`` alone cuts the reduced complex out of
-a coinvariant one. A cut inherits its complex's record of a passed
-d o d check. A complex is its poset, bases and columns and carries no
-other label: its caller knows which group and level it was built for,
-and whether it was cut.
+a coinvariant one, once per complex object. A cut inherits its complex's
+record of a passed check. The homology layer ranks a level of a complex
+in place (``homology.betti_numbers(C, n)``), with no copy; ``level_cut``
+is the reference the tests compare that against. A complex is its poset,
+bases and columns and carries no other label: its caller knows which
+group and level it was built for, and whether it was cut.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 ``count_classes`` counts the orbits by (total index, degree) with no chain
 listed: Burnside over Gamma, one ascending pass per (conjugacy class of
@@ -410,14 +412,16 @@ class OrbitComplex:
     degree k-1, each as a row -> value dict without zeros; ``columns[0]``
     holds empty columns into zero rows, so rank conventions need no special
     casing. ``checked`` records that ``homology.check_boundaries`` passed on
-    this object; a cut inherits it, and ``dataclasses.replace`` does not
-    carry it.
+    this object, both d o d = 0 and that every level is a subcomplex; a cut
+    inherits it. ``sliced`` keeps this object's ``top_slice`` once cut.
+    ``dataclasses.replace`` carries neither.
     """
 
     lattice: OrbitPoset
     bases: tuple[tuple[ChainClass, ...], ...]
     columns: tuple[tuple[dict[int, int], ...], ...]
     checked: bool = field(default=False, init=False, repr=False)
+    sliced: OrbitComplex | None = field(default=None, init=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -438,11 +442,16 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
     The boundary of a class is the alternating sum of its representative's
     faces, each re-canonicalized; faces in one orbit accumulate, so
     coefficients can exceed +-1. The last face, a prefix of the least
-    representative, is least already and needs no canonicalization.
+    representative, is least already and needs no canonicalization. When
+    Gamma is the identity every face is its own least member and the k + 1
+    faces of a chain are distinct, so each row is looked up as is, with no
+    memo, and every coefficient is +-1.
     """
     index_of: list[dict[tuple[int, ...], int]] = [
         {cls.representative: i for i, cls in enumerate(level)}
         for level in classes]
+    orders = P.orders
+    identity = not P.conj_perms
     columns: list[tuple[dict[int, int], ...]] = [tuple({} for _ in classes[0])]
     for k in range(1, len(classes)):
         rows = index_of[k - 1]
@@ -453,8 +462,11 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
             col: dict[int, int] = {}
             for i in range(k + 1):
                 face = ids[:i] + ids[i + 1:]
-                if P.orders[face[-1]] // P.orders[face[0]] > cls.total_index:
+                if orders[face[-1]] // orders[face[0]] > cls.total_index:
                     raise InvariantViolation("face left the filtration")
+                if identity:
+                    col[rows[face]] = 1 if i % 2 == 0 else -1
+                    continue
                 if i == k:  # the prefix of a least chain is least
                     row = rows[face]
                 else:
@@ -462,7 +474,7 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
                     if row is None:
                         row = row_of[face] = rows[P.canonical(face)]
                 col[row] = col.get(row, 0) + (1 if i % 2 == 0 else -1)
-            level.append({r: v for r, v in col.items() if v})
+            level.append(col if identity else {r: v for r, v in col.items() if v})
         columns.append(tuple(level))
     return OrbitComplex(P, tuple(tuple(level) for level in classes), tuple(columns))
 
@@ -512,11 +524,16 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     restricted to those rows and columns: the one face that deletes the top
     lands in the subcomplex. Trailing degrees without such classes are
     dropped. This is the only route to a reduced complex: every class of
-    its result ends at the top.
+    its result ends at the top. The slice is cut once per complex object
+    and kept on it (``sliced``), so the read-off and every gap probe share
+    it; a level of the slice is the slice of that level.
     """
-    top = C.lattice.top_id
-    return _cut(C, [[cls.representative[-1] != top for cls in basis] for basis in C.bases],
-                False, "takes a chain not ending at the top to one that does")
+    if C.sliced is None:
+        top = C.lattice.top_id
+        C.sliced = _cut(C, [[cls.representative[-1] != top for cls in basis]
+                            for basis in C.bases],
+                        False, "takes a chain not ending at the top to one that does")
+    return C.sliced
 
 
 def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
@@ -525,6 +542,8 @@ def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
     The classes of total index at most n span a subcomplex, as a face has
     at most its chain's index; the cut checks that. It equals the complex
     built at n, bases and columns, and C itself when n reaches every class.
+    The drivers rank a level in place (``homology.betti_numbers(C, n)``);
+    this copy is the reference the tests hold that against.
     """
     return _cut(C, [[cls.total_index <= n for cls in basis] for basis in C.bases],
                 True, f"takes a chain of total index at most {n} to one above it")

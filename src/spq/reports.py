@@ -16,10 +16,11 @@ the complex and of its top slice. The route follows |G| alone; no option
 chooses it. Either way each level's ``chains`` and Euler characteristics
 come from ``chain_counts``. The rank route only checks:
 ``_ranked_report`` takes the ranks of a coinvariant complex and of its top
-slice, keeping the walk's dims. ``compute_report`` runs it on a fresh
-build at one level, for the single-level checks of ``spq verify`` and the
-tests; the gap probes of ``profile_report`` run it on level cuts of one
-complex, built at n = |G| and checked for d o d = 0 once.
+slice at one level, keeping the walk's dims. ``compute_report`` runs it on
+a fresh build at one level, for the single-level checks of ``spq verify``
+and the tests; the gap probes of ``profile_report`` run it in place on one
+complex, built at n = |G| and checked once, and on its one top slice, with
+no level copied.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .lattice import (
     chain_counts,
     effective_level,
     filtration_levels,
-    level_cut,
     top_slice,
 )
 
@@ -104,11 +104,12 @@ def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> Comput
 
 
 def _ranked_report(G: FiniteGroup, n: int, coinv: OrbitComplex) -> ComputationReport:
-    """The rank route at level n: the homology of the coinvariant complex ``coinv``
-    at that level and of its top slice, with the walk's dims as chains."""
-    pi = betti_numbers(coinv)
-    phi = betti_numbers(top_slice(coinv))
-    return _level_report(G, n, pi.betti, phi.betti, coinv.dims, pi.euler)
+    """The rank route at level n: the homology of level n of the coinvariant complex
+    ``coinv``, built at n or above, and of that of its top slice, ranked in place,
+    with the walk's dims at n as chains."""
+    pi = betti_numbers(coinv, n)
+    phi = betti_numbers(top_slice(coinv), n)
+    return _level_report(G, n, pi.betti, phi.betti, pi.dims, pi.euler)
 
 
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
@@ -234,13 +235,9 @@ def _init_worker(G: FiniteGroup) -> None:
     _worker_group = (G, _whole_complex(G))
 
 
-def _probe(G: FiniteGroup, whole: OrbitComplex, n: int) -> ComputationReport:
-    """The rank route on the level-n cut of ``whole``, G's complex at n = |G|."""
-    return _ranked_report(G, n, level_cut(whole, n))
-
-
 def _report_in_worker(n: int) -> ComputationReport:
-    return _probe(*_worker_group, n)
+    G, whole = _worker_group
+    return _ranked_report(G, n, whole)
 
 
 def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
@@ -285,12 +282,13 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     at n = |G| and of its top slice, with the Euler characteristics checked
     against ``chain_counts``.
     One intermediate n per gap between consecutive realized levels, and one
-    n beyond the group order, is then probed: the rank route runs on the
-    level-n cut of the complex at n = |G|, which equals the complex built
-    at n, and must reproduce the report of the level below. These gap
-    probes check the read-off by ranks, and the walk's chains against the
-    count. The complex at |G| is built once and checked for d o d = 0
-    once; its cuts and their top slices inherit the check. With
+    n beyond the group order, is then probed: the rank route ranks level n
+    of the complex at n = |G| in place, which is the complex built at n,
+    and must reproduce the report of the level below. These gap probes
+    check the read-off by ranks, and the walk's chains against the count.
+    The complex at |G| is built once and checked once, for d o d = 0 and
+    for every level being a subcomplex; its top slice is cut once, inherits
+    the check, and serves the read-off and every probe. With
     ``threads`` > 1 the probes run in up to that many worker processes,
     one per probe at most, each building that complex once, while the
     levels are read off.
@@ -317,7 +315,7 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
         whole = _whole_complex(G)
         reports = (_counted_reports(G, levels) if _prime_of(G.order) is not None
                    else _reduced_reports(G, levels, whole))
-        probed = [_probe(G, whole, mid) for mid, _ in probes]
+        probed = [_ranked_report(G, mid, whole) for mid, _ in probes]
     for (mid, below), probe in zip(probes, probed):
         if not same_report(probe, reports[below]):
             raise InvariantViolation(

@@ -39,6 +39,13 @@ PROFILE_SHA256 = {
 # group of order 64, beyond the roster, with six gap probes
 C4XD16_PROFILE_SHA256 = "5437c7e5132ba0718a80b4f1246882edd291d80b0ab5f4e2f19f2bc90ea4409b"
 
+# sha256 of `spq profile --json -g G` stdout for the frontier groups, whose
+# gap probes rank levels of one complex of 10^4 to 10^5 classes in place
+FRONTIER_PROFILE_SHA256 = {
+    "EA(2,5)": "1fe5dc6f0a837f3780ecaec9e56ccaa4c955b59879ea156b4bf616c1f67368e0",
+    "C2xC2xS4": "f8231d8bca69b58709dd67b47e4ae4f19479b7bbfcf3d4096d13ab3767302799",
+}
+
 # sha256 of `spq compute --json -n 64 -g EA(2,6)` stdout: a report counted from
 # 9,031,551 classes, more than the rank route has ever reached
 EA26_COMPUTE_SHA256 = "5fd24ee84d21b84a6a543a078cb1668bb7f038f20c442a72459fd7c47981a64b"
@@ -392,6 +399,13 @@ def test_profile_beyond_the_roster_stdout_digest(capsys, threads):
     code, out, _ = run_cli(capsys, "profile", "--json", "-g", "C4xD16", "--threads", threads)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == C4XD16_PROFILE_SHA256
+
+
+@pytest.mark.parametrize("spec", sorted(FRONTIER_PROFILE_SHA256))
+def test_profile_frontier_stdout_digest(capsys, spec):
+    code, out, _ = run_cli(capsys, "profile", "--json", "-g", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FRONTIER_PROFILE_SHA256[spec]
 
 
 # the compute commands of bench/reference.json: A5, C3xS4, D48 and C2xS4 at

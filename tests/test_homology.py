@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import matmul, permuted, sparse_from_dict, to_dense
 
 import spq.homology
+import spq.lattice
 import spq.reports
 from spq import (
     BasisCapExceeded,
@@ -34,6 +35,7 @@ from spq import (
 )
 from spq.groups import is_normal
 from spq.homology import _dense_rank, _nullspace, _row_reduce, check_boundaries
+from spq.intmatrix import reduce_columns
 from spq.lattice import orbit_classes, orbit_complex
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
@@ -110,6 +112,31 @@ def test_rank_against_dense_oracle_hypothesis(tall, data):
     N = matmul(data.draw(sparse_matrices(rows, inner)),
                data.draw(sparse_matrices(inner, cols)))
     assert rank_exact(N) == dense_rank_oracle(to_dense(N))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 12), st.data())
+def test_reduce_columns_lows_are_the_rank_pairing(rows, cols, data):
+    # entries in -3..3 make lows of -1 and non-unit pivots; low(j) = i exactly
+    # when the ranks of the lower-left blocks pair row i with column j
+    # (pairing uniqueness, Cohen-Steiner, Edelsbrunner and Morozov 2006)
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3))
+    dense = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    # rank[i][j]: rank of rows i.. of columns ..j-1, dense and exact
+    rank = [[_dense_rank([row[:j] for row in dense[i:]]) for j in range(cols + 1)]
+            for i in range(rows + 1)]
+    # cleared columns must reduce to zero: those in the span of the earlier ones
+    zero = [j for j in range(cols) if rank[0][j + 1] == rank[0][j]]
+    cleared = set(data.draw(st.lists(st.sampled_from(zero), unique=True))) if zero else set()
+    columns = [{r: row[j] for r, row in enumerate(dense) if row[j]} for j in range(cols)]
+    lows = reduce_columns(columns, cleared)
+    for j, low in enumerate(lows):
+        paired = [i for i in range(rows) if rank[i][j + 1] - rank[i + 1][j + 1]
+                  - rank[i][j] + rank[i + 1][j] == 1]
+        assert paired == ([low] if low >= 0 else [])
+    assert columns == [{r: row[j] for r, row in enumerate(dense) if row[j]}
+                       for j in range(cols)]  # inputs untouched
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,6 +362,24 @@ def test_profile_runs_one_d_d_product(products, spec, probes):
     # one build at |G|, checked once: every probe ranks a cut of it and its top slice
     assert profile_report(builtin(spec)).gap_checks == probes
     assert len(products) == 1
+
+
+def test_profile_cuts_only_the_top_slice(monkeypatch):
+    # the probes rank levels in place: one cut, the top slice, serves them all
+    calls = {"_cut": 0, "level_cut": 0}
+
+    def counted(name):
+        original = getattr(spq.lattice, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spq.lattice, name, wrapper)
+
+    counted("_cut")
+    counted("level_cut")
+    assert profile_report(builtin("C2xS4")).gap_checks == 7
+    assert calls == {"_cut": 1, "level_cut": 0}
 
 
 @pytest.mark.parametrize("run", [lambda G: read_off(G, [G.order]),

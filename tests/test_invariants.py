@@ -121,6 +121,23 @@ def test_level_cut_of_a_kept_chain_with_a_face_above_the_level():
     assert info.value.column == j
 
 
+def test_level_ranked_in_place_of_a_kept_chain_with_a_face_above_the_level():
+    # the fault above, met by ranking level 4 in place: check_boundaries checks
+    # that every level is a subcomplex, and the planted complex, made by replace
+    # from a checked and sliced one, carries neither the record nor the slice
+    C = build_complex(builtin("D8"), 8)
+    betti_numbers(C, 4)
+    top_slice(C)
+    assert C.checked and C.sliced is not None
+    j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
+    row = next(i for i, cls in enumerate(C.bases[1]) if cls.total_index > 4)
+    planted = _one_more_entry(C, 2, j, row)
+    assert not planted.checked and planted.sliced is None
+    with pytest.raises(NotAComplex, match="total index 4 to one above it") as info:
+        betti_numbers(planted, 4)
+    assert info.value.column == j
+
+
 def _jumping_rank_route(monkeypatch):
     # the gap probes take the rank route of compute_report on level cuts
     original = spq.reports._ranked_report

@@ -379,6 +379,14 @@ def _check_cut(cut, built):
     assert cut.columns == built.columns
 
 
+def _check_in_place(whole, n):
+    """Level n of ``whole`` and of its top slice, ranked in place, against their cuts."""
+    for C in (whole, top_slice(whole)):
+        got, want = betti_numbers(C, n), betti_numbers(level_cut(C, n))
+        assert (got.betti, got.euler, got.dims, got.ranks) == \
+            (want.betti, want.euler, want.dims, want.ranks)
+
+
 @pytest.mark.parametrize("spec", CATALOG)
 def test_level_cut_is_the_build_at_that_level(spec):
     # profile's gap probes rank these cuts; verify still walks every level afresh
@@ -386,6 +394,7 @@ def test_level_cut_is_the_build_at_that_level(spec):
     whole = build_complex(G, G.order)
     for n in range(1, G.order + 2):
         _check_cut(level_cut(whole, n), build_complex(G, n))
+        _check_in_place(whole, n)
     assert level_cut(whole, G.order) is whole
 
 
@@ -412,15 +421,18 @@ def test_level_cuts_of_random_permutation_groups_and_cones(data):
     gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
     G = from_permutation_generators(degree, gens, "random")
     n = data.draw(st.integers(1, G.order + 1))
-    _check_cut(level_cut(build_complex(G, G.order), n), build_complex(G, n))
+    whole = build_complex(G, G.order)
+    _check_cut(level_cut(whole, n), build_complex(G, n))
+    _check_in_place(whole, n)
     lat = subgroup_lattice(G)
     sub = data.draw(st.sampled_from(lat.subgroups))
     P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
     cone = _graded_cone(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
     largest = cone.orders[cone.top_id]
     n = data.draw(st.integers(1, largest))
-    _check_cut(level_cut(orbit_complex(cone, orbit_classes(cone, largest)), n),
-               orbit_complex(cone, orbit_classes(cone, n)))
+    whole = orbit_complex(cone, orbit_classes(cone, largest))
+    _check_cut(level_cut(whole, n), orbit_complex(cone, orbit_classes(cone, n)))
+    _check_in_place(whole, n)
 
 
 def _dense_betti(bases, columns):
