@@ -335,8 +335,7 @@ def _fiber_keys(G: FiniteGroup, n: int) -> tuple[list[set | None], dict[int, set
     return seen, expected
 
 
-def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
-                                    product_cap: int = DEFAULT_PRODUCT_CAP) -> bool:
+def verify_projective_decomposition(G: FiniteGroup, n: int, k: int) -> bool:
     """Check the simple-chain fiber decomposition of degree-k classes.
 
     Classes of k-chains of index <= n ending at G must correspond, via
@@ -345,8 +344,8 @@ def verify_projective_decomposition(G: FiniteGroup, n: int, k: int,
     """
     if k < 0:
         raise ValueError(f"chain degree must be at least 0, got {k}")
-    if G.order * G.order > product_cap:
+    if G.order * G.order > DEFAULT_PRODUCT_CAP:
         raise ProductCapExceeded(
-            f"|G|^2 = {G.order * G.order} exceeds the cap {product_cap}")
+            f"|G|^2 = {G.order * G.order} exceeds the cap {DEFAULT_PRODUCT_CAP}")
     seen, expected = _fiber_keys(G, n)
     return (seen[k] if k < len(seen) else set()) == expected[k]

@@ -777,7 +777,7 @@ def _prime_extension(G: FiniteGroup, mask: int, members: list[int], g: int) -> i
     p, power = 1, g
     while not mask >> power & 1:
         p, power = p + 1, mul[power][g]
-    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not _is_prime(p):
         return 0
     grown, power = mask, g
     for _ in range(p - 1):

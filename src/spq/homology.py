@@ -3,12 +3,11 @@
 Betti numbers come from boundary ranks computed fraction-free, of a
 complex or of one filtration level of it, ranked in place; persistence
 intervals give the Betti numbers of every filtration level of a complex from
-one reduction of it. Both check first, once per complex object, that
-d o d = 0 and that every level is a subcomplex: the check records its
-success on the complex, and the cuts of ``lattice.level_cut`` and
-``lattice.top_slice`` inherit it. The oracle at
-the bottom recomputes coinvariant Betti numbers along the other route:
-homology of the full complex first, then the averaging idempotent e, as
+one reduction of it. Both check their complex first, with
+``lattice.check_boundaries``: d o d = 0 and every level a subcomplex, once
+per complex object. The oracle at the bottom recomputes coinvariant Betti
+numbers along the other route: homology of the full complex first, then
+the averaging idempotent e, as
 dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That is legitimate because
 rational group algebras are semisimple.
 """
@@ -18,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BasisCapExceeded, InvariantViolation, NotAComplex
+from .errors import BasisCapExceeded, InvariantViolation
 from .intmatrix import reduce_columns
-from .lattice import chains_up_to, subgroup_lattice
+from .lattice import chains_up_to, check_boundaries, subgroup_lattice
 
 TYPE_CHECKING = False  # true only to type checkers: no command loads typing
 if TYPE_CHECKING:
@@ -40,37 +39,6 @@ class HomologyResult:
     euler: int
     dims: tuple[int, ...]
     ranks: tuple[int, ...]
-
-
-def check_boundaries(C: OrbitComplex) -> None:
-    """Verify d o d = 0 and the level premise, reporting the earliest bad column.
-
-    The level premise, that no face has a larger total index than its
-    chain, makes every filtration level a subcomplex, so that
-    ``betti_numbers(C, n)`` may rank a level in place; it is checked in
-    the same pass over the boundary entries, column by column, before d o d.
-    Success is recorded on C (``checked``), so a later call on the same
-    object returns at once, and a cut of C (``level_cut``, ``top_slice``)
-    inherits the record once its premise is checked. A complex made with
-    ``dataclasses.replace`` carries no record and is checked in full.
-    """
-    if C.checked:
-        return
-    for k in range(1, len(C.columns)):
-        below = [cls.total_index for cls in C.bases[k - 1]]
-        lower = C.columns[k - 1]
-        for j, (cls, col) in enumerate(zip(C.bases[k], C.columns[k])):
-            if any(below[r] > cls.total_index for r in col):
-                raise NotAComplex(
-                    f"d_{k} takes a chain of total index {cls.total_index} to one above it",
-                    column=j)
-            image: dict[int, int] = {}
-            for r, v in col.items():
-                for i, w in lower[r].items():
-                    image[i] = image.get(i, 0) + v * w
-            if any(image.values()):
-                raise NotAComplex(f"d_{k - 1} after d_{k} is nonzero", column=j)
-    C.checked = True
 
 
 def euler_characteristic(betti, dims) -> int:

@@ -10,15 +10,18 @@ it too. The action is read through one table, ``OrbitPoset.moves``, and
 ``canonical`` and ``orbit_classes`` take the same step on it.
 ``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
 of each prefix, and never lists the other orbit members; ``orbit_complex``
-assembles the coinvariant boundaries of those representatives. One cut
-routine restricts a complex to a subcomplex or to the quotient by one,
-checking in O(nnz) that the classes it names span a subcomplex:
-``level_cut`` keeps the classes of total index at most n, which equals the
-complex built at n, and ``top_slice`` alone cuts the reduced complex out of
-a coinvariant one, once per complex object. A cut inherits its complex's
-record of a passed check. The homology layer ranks a level of a complex
-in place (``homology.betti_numbers(C, n)``), with no copy; ``level_cut``
-is the reference the tests compare that against. A complex is its poset,
+assembles the coinvariant boundaries of those representatives.
+``check_boundaries`` checks that a complex is one, d o d = 0, and that
+every level of it is a subcomplex, and records success on it, once per
+complex object. One cut routine restricts a complex to a subcomplex or to
+the quotient by one: it checks the complex first, then checks in O(nnz)
+that the classes it names span a subcomplex, so no caller has to check
+before it cuts. ``level_cut`` keeps the classes of total index at most n,
+which equals the complex built at n, and ``top_slice`` alone cuts the
+reduced complex out of a coinvariant one, once per complex object. The
+homology layer ranks a level of a complex in place
+(``homology.betti_numbers(C, n)``), with no copy; ``level_cut`` is the
+reference the tests compare that against. A complex is its poset,
 bases and columns and carries no other label: its caller knows which
 group and level it was built for, and whether it was cut.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
@@ -411,10 +414,11 @@ class OrbitComplex:
     ``columns[k]`` lists the columns of the boundary d_k from degree k to
     degree k-1, each as a row -> value dict without zeros; ``columns[0]``
     holds empty columns into zero rows, so rank conventions need no special
-    casing. ``checked`` records that ``homology.check_boundaries`` passed on
-    this object, both d o d = 0 and that every level is a subcomplex; a cut
-    inherits it. ``sliced`` keeps this object's ``top_slice`` once cut.
-    ``dataclasses.replace`` carries neither.
+    casing. ``checked`` records that ``check_boundaries`` passed on this
+    object, both d o d = 0 and that every level is a subcomplex; every cut
+    is made from a checked complex and is checked itself. ``sliced`` keeps
+    this object's ``top_slice`` once cut. ``dataclasses.replace`` carries
+    neither.
     """
 
     lattice: OrbitPoset
@@ -479,6 +483,37 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
     return OrbitComplex(P, tuple(tuple(level) for level in classes), tuple(columns))
 
 
+def check_boundaries(C: OrbitComplex) -> None:
+    """Verify d o d = 0 and the level premise, reporting the earliest bad column.
+
+    The level premise, that no face has a larger total index than its
+    chain, makes every filtration level a subcomplex, so that
+    ``homology.betti_numbers(C, n)`` may rank a level in place; it is
+    checked in the same pass over the boundary entries, column by column,
+    before d o d. Success is recorded on C (``checked``), so a later call
+    on the same object returns at once. Every cut checks its complex first.
+    A complex made with ``dataclasses.replace`` carries no record and is
+    checked in full.
+    """
+    if C.checked:
+        return
+    for k in range(1, len(C.columns)):
+        below = [cls.total_index for cls in C.bases[k - 1]]
+        lower = C.columns[k - 1]
+        for j, (cls, col) in enumerate(zip(C.bases[k], C.columns[k])):
+            if any(below[r] > cls.total_index for r in col):
+                raise NotAComplex(
+                    f"d_{k} takes a chain of total index {cls.total_index} to one above it",
+                    column=j)
+            image: dict[int, int] = {}
+            for r, v in col.items():
+                for i, w in lower[r].items():
+                    image[i] = image.get(i, 0) + v * w
+            if any(image.values()):
+                raise NotAComplex(f"d_{k - 1} after d_{k} is nonzero", column=j)
+    C.checked = True
+
+
 def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -> OrbitComplex:
     """C cut to a subcomplex S (``keep_span``) or to the quotient C/S.
 
@@ -490,9 +525,11 @@ def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -
     trailing degrees with nothing kept are dropped, and C itself is
     returned when the cut drops no class. On S the boundaries are C's own,
     and on C/S the part of d c outside S is all that d of the quotient
-    sees, as d maps S into S; so d o d = 0 on C gives it on the cut, which
-    inherits ``checked``.
+    sees, as d maps S into S; so d o d = 0 on C gives it on the cut. C is
+    checked first (``check_boundaries``), so every cut is made from a
+    checked complex and is recorded as checked itself.
     """
+    check_boundaries(C)
     for k in range(1, len(span)):
         below = {i for i, inside in enumerate(span[k - 1]) if inside}
         for j, col in enumerate(C.columns[k]):
@@ -510,7 +547,7 @@ def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -
         columns.append(tuple({new_row[i]: v for i, v in C.columns[k][j].items() if i in new_row}
                              for j in keep[k]))
     cut = OrbitComplex(C.lattice, bases, tuple(columns))
-    cut.checked = C.checked
+    cut.checked = True
     return cut
 
 

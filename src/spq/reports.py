@@ -29,13 +29,7 @@ from dataclasses import dataclass, fields
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup
-from .homology import (
-    betti_at,
-    betti_numbers,
-    check_boundaries,
-    euler_characteristic,
-    persistence_intervals,
-)
+from .homology import betti_at, betti_numbers, euler_characteristic, persistence_intervals
 from .lattice import (
     OrbitComplex,
     build_complex,
@@ -116,16 +110,9 @@ def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     """Build the coinvariant complex at level n afresh and take the rank route on it.
 
     The build walks level n alone, so ``spq verify`` checks each level's
-    walk with it; the top slice inherits the build's d o d check.
+    walk with it; the build is checked once, before its top slice is cut.
     """
     return _ranked_report(G, n, build_complex(G, n))
-
-
-def _whole_complex(G: FiniteGroup) -> OrbitComplex:
-    """The coinvariant complex at n = |G|, checked: every level's is a cut of it."""
-    whole = build_complex(G, G.order)
-    check_boundaries(whole)
-    return whole
 
 
 def _prime_of(order: int) -> int | None:
@@ -230,9 +217,9 @@ _worker_group: tuple[FiniteGroup, OrbitComplex] | None = None
 
 def _init_worker(G: FiniteGroup) -> None:
     """Keep the probed group, with its cached subgroup lattice, and its complex at
-    n = |G|, built and checked once, in the worker."""
+    n = |G|, built once, in the worker: the first probe checks it."""
     global _worker_group
-    _worker_group = (G, _whole_complex(G))
+    _worker_group = (G, build_complex(G, G.order))
 
 
 def _report_in_worker(n: int) -> ComputationReport:
@@ -246,9 +233,10 @@ def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
 
     Every level is checked (``effective_level``) before anything is built.
     Both complexes come from one build at the largest effective level: the
-    reduced complex is the top slice of the coinvariant one, and inherits
-    its d o d check. Chains and Euler targets are ``chain_counts``'s, so a
-    class that the walk loses or adds fails the Euler check.
+    reduced complex is the top slice of the coinvariant one, which is
+    checked once, before it is cut. Chains and Euler targets are
+    ``chain_counts``'s, so a class that the walk loses or adds fails the
+    Euler check.
     """
     largest = max(effective_level(G, n) for n in levels)
     if _prime_of(G.order) is not None:
@@ -287,11 +275,11 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     and must reproduce the report of the level below. These gap probes
     check the read-off by ranks, and the walk's chains against the count.
     The complex at |G| is built once and checked once, for d o d = 0 and
-    for every level being a subcomplex; its top slice is cut once, inherits
-    the check, and serves the read-off and every probe. With
-    ``threads`` > 1 the probes run in up to that many worker processes,
-    one per probe at most, each building that complex once, while the
-    levels are read off.
+    for every level being a subcomplex, by whichever step first ranks or
+    cuts it; its top slice is cut once and serves the read-off and every
+    probe. With ``threads`` > 1 the probes run in up to that many worker
+    processes, one per probe at most, each building that complex once,
+    while the levels are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -312,7 +300,7 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
             reports = read_off(G, levels)
             probed = list(pending)
     else:
-        whole = _whole_complex(G)
+        whole = build_complex(G, G.order)
         reports = (_counted_reports(G, levels) if _prime_of(G.order) is not None
                    else _reduced_reports(G, levels, whole))
         probed = [_ranked_report(G, mid, whole) for mid, _ in probes]

@@ -3,8 +3,9 @@
 Dense views, products and relabelings of ``SparseIntMatrix``, posets
 built by testing a strict order on every pair, ``complex_to_json_dict``,
 the JSON dump behind the byte-stability digest of the catalog complexes,
-Gaussian binomials for the closed forms of elementary abelian groups, and a
-class count planted one class high.
+Gaussian binomials for the closed forms of elementary abelian groups, a
+class count planted one class high, and a complex with boundary entries
+planted.
 They stay out of ``spq`` so that a reference never ships with the code that
 it checks.
 """
@@ -119,3 +120,13 @@ def one_class_high(counts: ChainCounts) -> ChainCounts:
     vector = every[index]
     every[index] = vector[:1] + (vector[1] + 1,) + vector[2:]
     return dataclasses.replace(counts, every=every)
+
+
+def with_added_entries(C: OrbitComplex, k: int, j: int, added: dict[int, int]) -> OrbitComplex:
+    """C with ``added`` (row -> value) added to column j of d_k; made by replace, so unchecked."""
+    level = list(C.columns[k])
+    col = dict(level[j])
+    for row, value in added.items():
+        col[row] = col.get(row, 0) + value
+    level[j] = col
+    return dataclasses.replace(C, columns=C.columns[:k] + (tuple(level),) + C.columns[k + 1:])

@@ -12,7 +12,6 @@ from helpers import matmul, permuted, sparse_from_dict, to_dense
 
 import spq.homology
 import spq.lattice
-import spq.reports
 from spq import (
     BasisCapExceeded,
     NotAComplex,
@@ -34,11 +33,11 @@ from spq import (
     top_slice,
 )
 from spq.groups import is_normal
-from spq.homology import _dense_rank, _nullspace, _row_reduce, check_boundaries
+from spq.homology import _dense_rank, _nullspace, _row_reduce
 from spq.intmatrix import reduce_columns
-from spq.lattice import orbit_classes, orbit_complex
+from spq.lattice import check_boundaries, orbit_classes, orbit_complex
 from spq.partition import _cone
-from spq.suites import CATALOG, catalog_group
+from spq.suites import CATALOG, _complex_identity_failure, catalog_group
 
 
 def dense_rank_oracle(dense):
@@ -334,27 +333,31 @@ def test_a_replaced_complex_is_checked_again():
         betti_numbers(fake)
 
 
-def test_cuts_inherit_the_check():
-    C = build_complex(builtin("D8"), 8)
-    assert not level_cut(C, 4).checked and not top_slice(C).checked
-    check_boundaries(C)
-    assert level_cut(C, 4).checked and top_slice(level_cut(C, 4)).checked
-
-
 @pytest.fixture
 def products(monkeypatch):
-    """The complexes on which ``check_boundaries`` runs the full d o d product."""
+    """The complexes on which ``check_boundaries`` runs the full d o d product.
+
+    The check is ``lattice``'s; ``homology`` calls it under its own binding.
+    """
     unchecked = []
-    original = spq.homology.check_boundaries
+    original = spq.lattice.check_boundaries
 
     def counted(C):
         if not C.checked:
             unchecked.append(C)
         original(C)
 
+    monkeypatch.setattr(spq.lattice, "check_boundaries", counted)
     monkeypatch.setattr(spq.homology, "check_boundaries", counted)
-    monkeypatch.setattr(spq.reports, "check_boundaries", counted)
     return unchecked
+
+
+def test_a_cut_checks_its_complex_first(products):
+    C = build_complex(builtin("D8"), 8)
+    assert not C.checked
+    cut = level_cut(C, 4)
+    assert C.checked and cut.checked and top_slice(cut).checked
+    assert products == [C]
 
 
 @pytest.mark.parametrize("spec,probes", [("C2xS4", 7), ("D16", 4)])
@@ -386,6 +389,12 @@ def test_profile_cuts_only_the_top_slice(monkeypatch):
                                  lambda G: compute_report(G, 8)])
 def test_a_top_slice_is_not_checked_again(products, run):
     run(builtin("C2xS4"))
+    assert len(products) == 1
+
+
+def test_complex_identities_run_one_d_d_product(products):
+    # the coinvariant complex is ranked, and so checked, before its slice is cut
+    assert _complex_identity_failure(builtin("C2xS4"), 48) is None
     assert len(products) == 1
 
 

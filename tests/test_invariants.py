@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import one_class_high
+from helpers import one_class_high, with_added_entries
 from hypothesis import given, settings
 from test_groups import derived_groups
 
@@ -92,32 +92,35 @@ def test_quotient_chain_not_simple(monkeypatch):
         simple_decomposition(C4, (lat.id_of_mask(1), lat.top_id))
 
 
-def _one_more_entry(C, k, j, row):
-    """C with 1 added at ``row`` of column j of d_k; made by replace, so it is unchecked."""
-    level = list(C.columns[k])
-    level[j] = {**level[j], row: level[j].get(row, 0) + 1}
-    return dataclasses.replace(C, columns=C.columns[:k] + (tuple(level),) + C.columns[k + 1:])
-
-
 def test_slice_of_a_chain_off_the_top_with_a_face_at_the_top():
-    # D8: a 2-chain below the top gains a face 1 < D8, so the chains not
-    # ending at the top no longer span a subcomplex
-    C = build_complex(builtin("D8"), 8)
+    # D8 at n = 4, with no 3-chains: a 2-chain below the top gains the faces
+    # of a 2-chain m ending at the top, of no larger index. d o d stays 0 and
+    # every level a subcomplex, but the chains not ending at the top no
+    # longer span a subcomplex
+    C = build_complex(builtin("D8"), 4)
+    assert len(C.bases) == 3
     top = C.lattice.top_id
     j = max(j for j, cls in enumerate(C.bases[2]) if cls.representative[-1] != top)
-    row = next(i for i, cls in enumerate(C.bases[1]) if cls.representative[-1] == top)
+    m = next(m for m, cls in enumerate(C.bases[2]) if cls.representative[-1] == top
+             and cls.total_index <= C.bases[2][j].total_index)
+    planted = with_added_entries(C, 2, j, C.columns[2][m])
     with pytest.raises(NotAComplex, match="not ending at the top") as info:
-        top_slice(_one_more_entry(C, 2, j, row))
-    assert info.value.column == j
+        top_slice(planted)
+    assert planted.checked and info.value.column == j
 
 
 def test_level_cut_of_a_kept_chain_with_a_face_above_the_level():
-    # D8 at n = 4: a 2-chain of index 4 gains the face 1 < D8, of index 8
+    # D8 at n = 4: a 2-chain of index 4 gains the face 1 < D8, of index 8.
+    # check_boundaries, which every cut runs first, finds this fault in any
+    # complex it has not passed; level_cut's own premise check meets it only
+    # on a complex recorded as checked
     C = build_complex(builtin("D8"), 8)
     j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
     row = next(i for i, cls in enumerate(C.bases[1]) if cls.total_index > 4)
+    planted = with_added_entries(C, 2, j, {row: 1})
+    planted.checked = True
     with pytest.raises(NotAComplex, match="at most 4 to one above it") as info:
-        level_cut(_one_more_entry(C, 2, j, row), 4)
+        level_cut(planted, 4)
     assert info.value.column == j
 
 
@@ -131,7 +134,7 @@ def test_level_ranked_in_place_of_a_kept_chain_with_a_face_above_the_level():
     assert C.checked and C.sliced is not None
     j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
     row = next(i for i, cls in enumerate(C.bases[1]) if cls.total_index > 4)
-    planted = _one_more_entry(C, 2, j, row)
+    planted = with_added_entries(C, 2, j, {row: 1})
     assert not planted.checked and planted.sliced is None
     with pytest.raises(NotAComplex, match="total index 4 to one above it") as info:
         betti_numbers(planted, 4)

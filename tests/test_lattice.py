@@ -9,13 +9,14 @@ import types
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import complex_to_json_dict, matmul
+from helpers import complex_to_json_dict, matmul, with_added_entries
 
 import spq.groups
 import spq.lattice
 from spq import (
     ChainVector,
     GroupHom,
+    NotAComplex,
     betti_numbers,
     build_complex,
     builtin,
@@ -433,6 +434,52 @@ def test_level_cuts_of_random_permutation_groups_and_cones(data):
     whole = orbit_complex(cone, orbit_classes(cone, largest))
     _check_cut(level_cut(whole, n), orbit_complex(cone, orbit_classes(cone, n)))
     _check_in_place(whole, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_cut_checks_its_complex_once(data):
+    # a fresh complex is checked by its first cut, in one d o d product, and
+    # a d o d fault planted in it is met before the cut's own premise
+    degree = data.draw(st.sampled_from((4, 3, 2, 1)))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    G = from_permutation_generators(degree, gens, "random")
+    sub = data.draw(st.sampled_from(subgroup_lattice(G).subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _graded_cone(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
+    largest = cone.orders[cone.top_id]
+    for make, top in ((lambda: build_complex(G, G.order), G.order),
+                      (lambda: orbit_complex(cone, orbit_classes(cone, largest)), largest)):
+        n = data.draw(st.integers(1, top))
+        cuts = (top_slice, lambda C: level_cut(C, n))
+        if data.draw(st.booleans()):
+            cuts = cuts[::-1]
+        C = make()
+        products = []
+        original = spq.lattice.check_boundaries
+
+        def counted(X):
+            if not X.checked:
+                products.append(X)
+            original(X)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spq.lattice, "check_boundaries", counted)
+            made = [cut(C) for cut in cuts]
+        assert products == [C] and C.checked and all(cut.checked for cut in made)
+        if len(C.bases) < 3:
+            continue
+        # the two faces of a 1-chain have different weights, so lie in different
+        # orbits: d_1 of a 1-chain is nonzero, and an entry added to d_2 breaks d o d
+        j = data.draw(st.integers(0, len(C.bases[2]) - 1))
+        index = C.bases[2][j].total_index
+        row = data.draw(st.sampled_from(
+            [r for r, cls in enumerate(C.bases[1]) if cls.total_index <= index]))
+        planted = with_added_entries(C, 2, j, {row: 1})
+        for cut in cuts:
+            with pytest.raises(NotAComplex, match="d_1 after d_2 is nonzero") as info:
+                cut(planted)
+            assert info.value.column == j and not planted.checked
 
 
 def _dense_betti(bases, columns):
