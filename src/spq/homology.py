@@ -1,11 +1,12 @@
 """Exact rational homology of integer chain complexes.
 
 Betti numbers come from boundary ranks computed fraction-free, of a
-complex or of one filtration level of it, ranked in place; persistence
-intervals give the Betti numbers of every filtration level of a complex from
-one reduction of it. Both check their complex first, with
-``lattice.check_boundaries``: d o d = 0 and every level a subcomplex, once
-per complex object. The oracle at the bottom recomputes coinvariant Betti
+complex (a level of one is its ``lattice.level_cut``); persistence
+intervals give the Betti numbers of every filtration level of a complex
+from one reduction of its own columns, as its bases are in filtration
+order. Both check their complex first, with ``lattice.check_boundaries``:
+d o d = 0, the filtration order and every level a subcomplex, once per
+complex object. The oracle at the bottom recomputes coinvariant Betti
 numbers along the other route: homology of the full complex first, then
 the averaging idempotent e, as
 dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That is legitimate because
@@ -50,35 +51,22 @@ def euler_characteristic(betti, dims) -> int:
     return euler
 
 
-def betti_numbers(C: OrbitComplex, n: int | None = None) -> HomologyResult:
-    """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1}, of C or of its level n.
+def betti_numbers(C: OrbitComplex) -> HomologyResult:
+    """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1} of C.
 
-    Verifies d o d = 0 and the level premise first. Ranks are taken from
+    Verifies C first (``lattice.check_boundaries``). Ranks are taken from
     the top degree down, skipping the columns of d_k that are pivot rows of
     the reduced d_{k+1}: those reduce to zero (clearing, Chen-Kerber). On a
     ``top_slice`` this is the homology of the quotient by the chains not
-    ending at the top.
-
-    With n given, the result is that of ``lattice.level_cut(C, n)``, ranked
-    on C's own columns with no copy: the classes of total index above n are
-    cleared as well, and by the level premise the kept columns hit only kept
-    rows, in the same order, so every low is the cut's. ``dims`` counts the
-    kept classes, trailing empty degrees dropped as the cut drops them.
+    ending at the top; on a ``level_cut``, that of one filtration level.
     """
     check_boundaries(C)
-    above = [set() if n is None else
-             {j for j, cls in enumerate(basis) if cls.total_index > n}
-             for basis in C.bases]
-    dims = [len(basis) - len(out) for basis, out in zip(C.bases, above)]
-    while len(dims) > 1 and not dims[-1]:
-        dims.pop()
-    dims = tuple(dims)
+    dims = C.dims
     top = len(dims) - 1
     ranks = [0] * (top + 1)
     pivots: set[int] = set()
     for k in range(top, 0, -1):
-        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots | above[k])
-                  if low >= 0}
+        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots) if low >= 0}
         ranks[k] = len(pivots)
     betti = []
     for k in range(top + 1):
@@ -98,12 +86,13 @@ def persistence_intervals(C: OrbitComplex) -> tuple[tuple[Interval, ...], ...]:
     """Birth and death levels of the homology classes of C's index filtration.
 
     The level-n complex is the subcomplex spanned by the classes of total
-    index at most n. Ordering each degree's basis by (total index, position)
-    makes every level a prefix of every degree, so one lowest-pivot
-    reduction of C gives the homology of all levels (Zomorodian-Carlsson).
-    Degrees are reduced from the top down, skipping the columns that the
-    degree above already pairs, whose reductions are zero (clearing,
-    Chen-Kerber). Verifies d o d = 0 on C, which covers every level.
+    index at most n. C's bases are in filtration order, so every level is a
+    prefix of every degree, and one lowest-pivot reduction of C's own
+    columns gives the homology of all levels (Zomorodian-Carlsson). Degrees
+    are reduced from the top down, skipping the columns that the degree
+    above already pairs, whose reductions are zero (clearing, Chen-Kerber);
+    the columns of degree 0 are empty and reduce to low -1. Verifies C first
+    (``lattice.check_boundaries``), which covers every level and the order.
 
     Per degree, returns the (birth, death) levels of the classes in basis
     order; death is None for a class alive in C itself, and classes born
@@ -111,26 +100,11 @@ def persistence_intervals(C: OrbitComplex) -> tuple[tuple[Interval, ...], ...]:
     level n counts the intervals with birth <= n and no death, or death > n.
     """
     check_boundaries(C)
-    order = [sorted(range(len(basis)), key=lambda i: (basis[i].total_index, i))
-             for basis in C.bases]
-    position = []
-    for perm in order:
-        pos = [0] * len(perm)
-        for p, i in enumerate(perm):
-            pos[i] = p
-        position.append(pos)
-    values = [[basis[i].total_index for i in perm]
-              for basis, perm in zip(C.bases, order)]
     out: list[tuple[Interval, ...]] = []
-    killed: dict[int, int] = {}  # position in degree k -> death level
+    killed: dict[int, int] = {}  # row of degree k -> death level
     for k in range(len(C.bases) - 1, -1, -1):
-        if k == 0:
-            lows = [-1] * len(values[0])
-        else:
-            rows = position[k - 1]
-            lows = reduce_columns([{rows[r]: v for r, v in C.columns[k][i].items()}
-                                   for i in order[k]], cleared=killed)
-        born = values[k]
+        lows = reduce_columns(C.columns[k], cleared=killed)
+        born = [cls.total_index for cls in C.bases[k]]
         out.append(tuple((born[j], killed.get(j)) for j, low in enumerate(lows)
                          if low < 0 and killed.get(j) != born[j]))
         killed = {low: born[j] for j, low in enumerate(lows) if low >= 0}

@@ -9,21 +9,21 @@ reads only an ``OrbitPoset``, so the order complexes of ``partition`` run on
 it too. The action is read through one table, ``OrbitPoset.moves``, and
 ``canonical`` and ``orbit_classes`` take the same step on it.
 ``orbit_classes`` walks one least chain per orbit, narrowing the stabilizer
-of each prefix, and never lists the other orbit members; ``orbit_complex``
-assembles the coinvariant boundaries of those representatives.
-``check_boundaries`` checks that a complex is one, d o d = 0, and that
-every level of it is a subcomplex, and records success on it, once per
-complex object. One cut routine restricts a complex to a subcomplex or to
-the quotient by one: it checks the complex first, then checks in O(nnz)
-that the classes it names span a subcomplex, so no caller has to check
-before it cuts. ``level_cut`` keeps the classes of total index at most n,
-which equals the complex built at n, and ``top_slice`` alone cuts the
-reduced complex out of a coinvariant one, once per complex object. The
-homology layer ranks a level of a complex in place
-(``homology.betti_numbers(C, n)``), with no copy; ``level_cut`` is the
-reference the tests compare that against. A complex is its poset,
-bases and columns and carries no other label: its caller knows which
-group and level it was built for, and whether it was cut.
+of each prefix, and never lists the other orbit members; it lists each
+degree in filtration order, by (total index, representative), so every
+level is a prefix of every degree. ``orbit_complex`` assembles the
+coinvariant boundaries of those representatives. ``check_boundaries``
+checks that a complex is one, d o d = 0, that its bases are in filtration
+order and that every level of it is a subcomplex, and records success on
+it, once per complex object. Both cuts check their complex first, so no
+caller has to check before it cuts. ``level_cut`` keeps the classes of
+total index at most n, a prefix of each degree, with C's own columns and
+no copy; it equals the complex built at n. ``top_slice`` alone cuts the
+reduced complex out of a coinvariant one, once per complex object, after
+checking in O(nnz) that the chains off the top span a subcomplex. A
+complex is its poset, bases and columns and carries no other label: its
+caller knows which group and level it was built for, and whether it was
+cut.
 ``poset_chains`` lists every chain, for the dense oracle and chain caps.
 ``count_classes`` counts the orbits by (total index, degree) with no chain
 listed: Burnside over Gamma, one ascending pass per (conjugacy class of
@@ -38,6 +38,7 @@ level and clamps it to |G|.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -242,7 +243,8 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
     Gamma preserves the order and the weights, so an orbit passes the
     weight limit exactly when its least member does, and the orbit size is
     |Gamma| / |Stab(chain)|. Within each degree the classes are sorted by
-    their representative.
+    (total index, representative): filtration order, so the classes of
+    every level n are a prefix of each degree.
     """
     orders, supersets, moves = P.orders, P.supersets, P.moves
     order = len(P.conj_perms) + 1
@@ -272,7 +274,7 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
     while len(classes) > 1 and not classes[-1]:
         classes.pop()
     for level in classes:
-        level.sort(key=attrgetter("representative"))
+        level.sort(key=attrgetter("total_index", "representative"))
     return classes
 
 
@@ -410,13 +412,15 @@ class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
 
     Coinvariant (from ``orbit_complex`` or ``level_cut``) or reduced (from
-    ``top_slice``); they differ only in their bases and columns.
-    ``columns[k]`` lists the columns of the boundary d_k from degree k to
-    degree k-1, each as a row -> value dict without zeros; ``columns[0]``
-    holds empty columns into zero rows, so rank conventions need no special
-    casing. ``checked`` records that ``check_boundaries`` passed on this
-    object, both d o d = 0 and that every level is a subcomplex; every cut
-    is made from a checked complex and is checked itself. ``sliced`` keeps
+    ``top_slice``); they differ only in their bases and columns. Each
+    degree's basis is in filtration order (total index never decreasing),
+    so every level is a prefix of it. ``columns[k]`` lists the columns of
+    the boundary d_k from degree k to degree k-1, each as a row -> value
+    dict without zeros; ``columns[0]`` holds empty columns into zero rows,
+    so rank conventions need no special casing. ``checked`` records that
+    ``check_boundaries`` passed on this object: d o d = 0, the filtration
+    order and that every level is a subcomplex; every cut is made from a
+    checked complex and is checked itself. ``sliced`` keeps
     this object's ``top_slice`` once cut. ``dataclasses.replace`` carries
     neither.
     """
@@ -484,23 +488,29 @@ def orbit_complex(P: OrbitPoset, classes: list[list[ChainClass]]) -> OrbitComple
 
 
 def check_boundaries(C: OrbitComplex) -> None:
-    """Verify d o d = 0 and the level premise, reporting the earliest bad column.
+    """Verify filtration order, the level premise and d o d = 0, reporting the earliest bad column.
 
-    The level premise, that no face has a larger total index than its
-    chain, makes every filtration level a subcomplex, so that
-    ``homology.betti_numbers(C, n)`` may rank a level in place; it is
-    checked in the same pass over the boundary entries, column by column,
-    before d o d. Success is recorded on C (``checked``), so a later call
-    on the same object returns at once. Every cut checks its complex first.
-    A complex made with ``dataclasses.replace`` carries no record and is
-    checked in full.
+    Both premises make every filtration level a prefix subcomplex, which
+    ``level_cut`` and ``homology.persistence_intervals`` rely on: the total
+    index never decreases along a degree's basis, and no face has a larger
+    total index than its chain. They are checked in the same pass over the
+    basis and the boundary entries, column by column, before d o d. Success
+    is recorded on C (``checked``), so a later call on the same object
+    returns at once. Every cut checks its complex first. A complex made
+    with ``dataclasses.replace`` carries no record and is checked in full.
     """
     if C.checked:
         return
-    for k in range(1, len(C.columns)):
-        below = [cls.total_index for cls in C.bases[k - 1]]
-        lower = C.columns[k - 1]
-        for j, (cls, col) in enumerate(zip(C.bases[k], C.columns[k])):
+    for k, (basis, cols) in enumerate(zip(C.bases, C.columns)):
+        below = [cls.total_index for cls in C.bases[k - 1]] if k else []
+        lower = C.columns[k - 1] if k else ()
+        previous = 0
+        for j, (cls, col) in enumerate(zip(basis, cols)):
+            if cls.total_index < previous:
+                raise NotAComplex(
+                    f"degree {k} lists a chain of total index {cls.total_index} after one "
+                    f"of {previous}, out of filtration order", column=j)
+            previous = cls.total_index
             if any(below[r] > cls.total_index for r in col):
                 raise NotAComplex(
                     f"d_{k} takes a chain of total index {cls.total_index} to one above it",
@@ -514,31 +524,40 @@ def check_boundaries(C: OrbitComplex) -> None:
     C.checked = True
 
 
-def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -> OrbitComplex:
-    """C cut to a subcomplex S (``keep_span``) or to the quotient C/S.
+def top_slice(C: OrbitComplex) -> OrbitComplex:
+    """The reduced complex: a coinvariant complex modulo its chains not ending at the top.
 
-    ``span[k][i]`` marks the classes of degree k that span S. The premise
-    that makes S a subcomplex, that d takes each class of S into S, is
-    checked in O(nnz): NotAComplex, with ``fault``, names the first column
-    that breaks it. The cut keeps the classes of S, or those outside it,
-    in basis order, and restricts each kept column to the kept rows;
-    trailing degrees with nothing kept are dropped, and C itself is
-    returned when the cut drops no class. On S the boundaries are C's own,
-    and on C/S the part of d c outside S is all that d of the quotient
-    sees, as d maps S into S; so d o d = 0 on C gives it on the cut. C is
-    checked first (``check_boundaries``), so every cut is made from a
-    checked complex and is recorded as checked itself.
+    Those chains span a subcomplex, as their faces miss the top too: C is
+    checked first (``check_boundaries``), then that premise in O(nnz), and
+    NotAComplex names the first column that breaks it. The basis is the
+    coinvariant classes ending at ``top_id``, in the same order (a
+    top-ending chain's orbit holds only top-ending chains), so still in
+    filtration order; the boundaries are the coinvariant ones restricted to
+    those rows and columns, with the rows renumbered: the one face that
+    deletes the top lands in the subcomplex, and d o d = 0 on C gives it on
+    the quotient. Trailing degrees without such classes are dropped, and C
+    itself is the slice when every class ends at the top. This is the only
+    route to a reduced complex. The slice is cut once per complex object,
+    recorded as checked and kept on C (``sliced``), so the read-off and
+    every gap probe share it; a level of the slice is the slice of that
+    level.
     """
+    if C.sliced is not None:
+        return C.sliced
     check_boundaries(C)
-    for k in range(1, len(span)):
-        below = {i for i, inside in enumerate(span[k - 1]) if inside}
-        for j, col in enumerate(C.columns[k]):
-            if span[k][j] and not col.keys() <= below:
-                raise NotAComplex(f"d_{k} {fault}", column=j)
-    keep = [[i for i, inside in enumerate(marks) if inside == keep_span] for marks in span]
+    top = C.lattice.top_id
+    keep = [[i for i, cls in enumerate(basis) if cls.representative[-1] == top]
+            for basis in C.bases]
+    for k in range(1, len(C.columns)):
+        ends = set(keep[k - 1])
+        for j, (cls, col) in enumerate(zip(C.bases[k], C.columns[k])):
+            if cls.representative[-1] != top and not ends.isdisjoint(col):
+                raise NotAComplex(
+                    f"d_{k} takes a chain not ending at the top to one that does", column=j)
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
     if list(map(len, keep)) == list(C.dims):
+        C.sliced = C
         return C
     bases = tuple(tuple(C.bases[k][i] for i in kept) for k, kept in enumerate(keep))
     columns = [tuple({} for _ in keep[0])]
@@ -546,44 +565,34 @@ def _cut(C: OrbitComplex, span: list[list[bool]], keep_span: bool, fault: str) -
         new_row = {i: r for r, i in enumerate(keep[k - 1])}
         columns.append(tuple({new_row[i]: v for i, v in C.columns[k][j].items() if i in new_row}
                              for j in keep[k]))
-    cut = OrbitComplex(C.lattice, bases, tuple(columns))
-    cut.checked = True
-    return cut
-
-
-def top_slice(C: OrbitComplex) -> OrbitComplex:
-    """The reduced complex: a coinvariant complex modulo its chains not ending at the top.
-
-    Those chains span a subcomplex, as their faces miss the top too; the
-    cut checks that. The basis is the coinvariant classes ending at
-    ``top_id``, in the same order (a top-ending chain's orbit holds only
-    top-ending chains), and the boundaries are the coinvariant ones
-    restricted to those rows and columns: the one face that deletes the top
-    lands in the subcomplex. Trailing degrees without such classes are
-    dropped. This is the only route to a reduced complex: every class of
-    its result ends at the top. The slice is cut once per complex object
-    and kept on it (``sliced``), so the read-off and every gap probe share
-    it; a level of the slice is the slice of that level.
-    """
-    if C.sliced is None:
-        top = C.lattice.top_id
-        C.sliced = _cut(C, [[cls.representative[-1] != top for cls in basis]
-                            for basis in C.bases],
-                        False, "takes a chain not ending at the top to one that does")
+    C.sliced = OrbitComplex(C.lattice, bases, tuple(columns))
+    C.sliced.checked = True
     return C.sliced
 
 
 def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
     """The coinvariant complex at level n, cut out of C built at a level at least n.
 
-    The classes of total index at most n span a subcomplex, as a face has
-    at most its chain's index; the cut checks that. It equals the complex
-    built at n, bases and columns, and C itself when n reaches every class.
-    The drivers rank a level in place (``homology.betti_numbers(C, n)``);
-    this copy is the reference the tests hold that against.
+    C is checked first (``check_boundaries``). Its bases are in filtration
+    order, so the classes of total index at most n are a prefix of each
+    degree, found by bisection; they span a subcomplex, as no face has a
+    larger index than its chain, so a kept column hits only kept rows, under
+    the same numbers. The cut keeps C's own column dicts, with no copy, and
+    drops trailing empty degrees; it equals the complex built at n, bases
+    and columns, and is C itself when n reaches every class. It works on a
+    ``top_slice`` as well, whose levels are the slices of C's.
     """
-    return _cut(C, [[cls.total_index <= n for cls in basis] for basis in C.bases],
-                True, f"takes a chain of total index at most {n} to one above it")
+    check_boundaries(C)
+    kept = [bisect_right(basis, n, key=attrgetter("total_index")) for basis in C.bases]
+    while len(kept) > 1 and not kept[-1]:
+        kept.pop()
+    if kept == list(C.dims):
+        return C
+    cut = OrbitComplex(C.lattice,
+                       tuple(basis[:m] for basis, m in zip(C.bases, kept)),
+                       tuple(cols[:m] for cols, m in zip(C.columns, kept)))
+    cut.checked = True
+    return cut
 
 
 def effective_level(G: FiniteGroup, n: int) -> int:
@@ -600,7 +609,8 @@ def chains_up_to(G: FiniteGroup, n: int) -> list[tuple[int, ...]]:
 
 
 def chain_classes(G: FiniteGroup, n: int) -> list[list[ChainClass]]:
-    """Conjugacy classes of filtered chains by degree, each sorted by representative."""
+    """Conjugacy classes of filtered chains by degree, each in filtration order:
+    by (total index, representative)."""
     n_eff = effective_level(G, n)  # before the lattice: a bad level fails fast
     return orbit_classes(subgroup_lattice(G), n_eff)
 

@@ -18,9 +18,9 @@ come from ``chain_counts``. The rank route only checks:
 ``_ranked_report`` takes the ranks of a coinvariant complex and of its top
 slice at one level, keeping the walk's dims. ``compute_report`` runs it on
 a fresh build at one level, for the single-level checks of ``spq verify``
-and the tests; the gap probes of ``profile_report`` run it in place on one
-complex, built at n = |G| and checked once, and on its one top slice, with
-no level copied.
+and the tests; the gap probes of ``profile_report`` run it on level cuts of
+one complex, built at n = |G| and checked once, and of its one top slice:
+each cut is a prefix of every degree, with no column copied.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .lattice import (
     chain_counts,
     effective_level,
     filtration_levels,
+    level_cut,
     top_slice,
 )
 
@@ -98,11 +99,12 @@ def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> Comput
 
 
 def _ranked_report(G: FiniteGroup, n: int, coinv: OrbitComplex) -> ComputationReport:
-    """The rank route at level n: the homology of level n of the coinvariant complex
-    ``coinv``, built at n or above, and of that of its top slice, ranked in place,
-    with the walk's dims at n as chains."""
-    pi = betti_numbers(coinv, n)
-    phi = betti_numbers(top_slice(coinv), n)
+    """The rank route at level n: the homology of the level cut at n of the coinvariant
+    complex ``coinv``, built at n or above, and of that of its top slice, with the
+    walk's dims at n as chains. A cut is a prefix of each degree, with no column
+    copied."""
+    pi = betti_numbers(level_cut(coinv, n))
+    phi = betti_numbers(level_cut(top_slice(coinv), n))
     return _level_report(G, n, pi.betti, phi.betti, pi.dims, pi.euler)
 
 
@@ -270,14 +272,14 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     at n = |G| and of its top slice, with the Euler characteristics checked
     against ``chain_counts``.
     One intermediate n per gap between consecutive realized levels, and one
-    n beyond the group order, is then probed: the rank route ranks level n
-    of the complex at n = |G| in place, which is the complex built at n,
-    and must reproduce the report of the level below. These gap probes
+    n beyond the group order, is then probed: the rank route ranks the
+    level cut at n of the complex at n = |G|, which is the complex built at
+    n, and must reproduce the report of the level below. These gap probes
     check the read-off by ranks, and the walk's chains against the count.
-    The complex at |G| is built once and checked once, for d o d = 0 and
-    for every level being a subcomplex, by whichever step first ranks or
-    cuts it; its top slice is cut once and serves the read-off and every
-    probe. With ``threads`` > 1 the probes run in up to that many worker
+    The complex at |G| is built once and checked once, for d o d = 0, its
+    filtration order and every level being a subcomplex, by whichever step
+    first ranks or cuts it; its top slice is cut once and serves the
+    read-off and every probe, and a probe's level cuts are prefixes of them. With ``threads`` > 1 the probes run in up to that many worker
     processes, one per probe at most, each building that complex once,
     while the levels are read off.
     """

@@ -4,8 +4,8 @@ Dense views, products and relabelings of ``SparseIntMatrix``, posets
 built by testing a strict order on every pair, ``complex_to_json_dict``,
 the JSON dump behind the byte-stability digest of the catalog complexes,
 Gaussian binomials for the closed forms of elementary abelian groups, a
-class count planted one class high, and a complex with boundary entries
-planted.
+class count planted one class high, a complex with boundary entries
+planted, and a complex with its bases permuted (rows renamed to match).
 They stay out of ``spq`` so that a reference never ships with the code that
 it checks.
 """
@@ -130,3 +130,32 @@ def with_added_entries(C: OrbitComplex, k: int, j: int, added: dict[int, int]) -
         col[row] = col.get(row, 0) + value
     level[j] = col
     return dataclasses.replace(C, columns=C.columns[:k] + (tuple(level),) + C.columns[k + 1:])
+
+
+def reordered(C: OrbitComplex, orders: list[list[int]]) -> OrbitComplex:
+    """C with degree k's basis listed as ``[C.bases[k][i] for i in orders[k]]``.
+
+    Columns move with their classes and rows are renamed to match, so the
+    result is the same complex in other bases: d o d = 0 and every level a
+    subcomplex still hold. Made by replace, so unchecked.
+    """
+    position = []
+    for order in orders:
+        pos = [0] * len(order)
+        for p, i in enumerate(order):
+            pos[i] = p
+        position.append(pos)
+    columns = [tuple(C.columns[0][i] for i in orders[0])]
+    for k in range(1, len(orders)):
+        rows = position[k - 1]
+        columns.append(tuple({rows[r]: v for r, v in C.columns[k][i].items()}
+                             for i in orders[k]))
+    bases = tuple(tuple(basis[i] for i in order) for basis, order in zip(C.bases, orders))
+    return dataclasses.replace(C, bases=bases, columns=tuple(columns))
+
+
+def by_representative(C: OrbitComplex) -> OrbitComplex:
+    """C with each degree sorted by representative alone, as ``orbit_classes`` once
+    listed it, rows renamed to match; not in filtration order, so for dumps only."""
+    return reordered(C, [sorted(range(len(basis)), key=lambda i: basis[i].representative)
+                         for basis in C.bases])

@@ -40,7 +40,7 @@ PROFILE_SHA256 = {
 C4XD16_PROFILE_SHA256 = "5437c7e5132ba0718a80b4f1246882edd291d80b0ab5f4e2f19f2bc90ea4409b"
 
 # sha256 of `spq profile --json -g G` stdout for the frontier groups, whose
-# gap probes rank levels of one complex of 10^4 to 10^5 classes in place
+# gap probes rank level cuts of one complex of 10^4 to 10^5 classes
 FRONTIER_PROFILE_SHA256 = {
     "EA(2,5)": "1fe5dc6f0a837f3780ecaec9e56ccaa4c955b59879ea156b4bf616c1f67368e0",
     "C2xC2xS4": "f8231d8bca69b58709dd67b47e4ae4f19479b7bbfcf3d4096d13ab3767302799",
@@ -49,6 +49,10 @@ FRONTIER_PROFILE_SHA256 = {
 # sha256 of `spq compute --json -n 64 -g EA(2,6)` stdout: a report counted from
 # 9,031,551 classes, more than the rank route has ever reached
 EA26_COMPUTE_SHA256 = "5fd24ee84d21b84a6a543a078cb1668bb7f038f20c442a72459fd7c47981a64b"
+
+# sha256 of `spq compute --json -n 48 -g C2xC2xS4` stdout: a group not of
+# prime-power order, read off one filtered reduction of 10^4+ classes
+C2XC2XS4_COMPUTE_SHA256 = "eab7e8fded34c1366e6958af4eadfddae3218b39b6adae2d1dc7a1b89e86d364"
 
 
 def run_cli(capsys, *argv):
@@ -463,3 +467,10 @@ def test_counted_compute_of_ea26_stdout_digest(capsys):
     assert code == 0
     assert json.loads(out)["chains"] == [subspace_chains(6, 2, k) for k in range(7)]
     assert hashlib.sha256(out.encode()).hexdigest() == EA26_COMPUTE_SHA256
+
+
+def test_read_off_compute_of_c2xc2xs4_stdout_digest(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--json", "-n", "48", "-g", "C2xC2xS4")
+    assert code == 0
+    assert sum(json.loads(out)["chains"]) > 10 ** 4
+    assert hashlib.sha256(out.encode()).hexdigest() == C2XC2XS4_COMPUTE_SHA256

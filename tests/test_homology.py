@@ -12,6 +12,7 @@ from helpers import matmul, permuted, sparse_from_dict, to_dense
 
 import spq.homology
 import spq.lattice
+import spq.reports
 from spq import (
     BasisCapExceeded,
     NotAComplex,
@@ -308,10 +309,12 @@ def test_not_a_complex_witness():
 
 
 def test_not_a_complex_names_the_least_bad_column():
-    # the row-sorted entries of d_1 d_2 list a bad entry of column 1 first
+    # the row-sorted entries of d_1 d_2 list a bad entry of column 1 first;
+    # rows 0 and 1 of degree 1 are absent from columns 1 and 0 of d_2
     real = build_complex(builtin("S3"), 6)
     d2 = [dict(col) for col in real.columns[2]]
-    for r, c in ((0, len(d2) - 1), (real.dims[1] - 1, 0)):
+    assert len(d2) == 2 and 0 not in d2[1] and 1 not in d2[0]
+    for r, c in ((0, 1), (1, 0)):
         d2[c][r] = d2[c].get(r, 0) + 1
     fake = dataclasses.replace(real, columns=real.columns[:2] + (tuple(d2),))
     product = matmul(fake.boundaries[1], fake.boundaries[2])
@@ -368,21 +371,20 @@ def test_profile_runs_one_d_d_product(products, spec, probes):
 
 
 def test_profile_cuts_only_the_top_slice(monkeypatch):
-    # the probes rank levels in place: one cut, the top slice, serves them all
-    calls = {"_cut": 0, "level_cut": 0}
+    # the read-off and every probe share one top slice, cut once; a probe's
+    # level cuts are prefixes of it and of the complex
+    cuts = []
+    original = spq.lattice.top_slice
 
-    def counted(name):
-        original = getattr(spq.lattice, name)
+    def counted(C):
+        if C.sliced is None:
+            cuts.append(C)
+        return original(C)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(spq.lattice, name, wrapper)
-
-    counted("_cut")
-    counted("level_cut")
+    monkeypatch.setattr(spq.lattice, "top_slice", counted)
+    monkeypatch.setattr(spq.reports, "top_slice", counted)
     assert profile_report(builtin("C2xS4")).gap_checks == 7
-    assert calls == {"_cut": 1, "level_cut": 0}
+    assert len(cuts) == 1
 
 
 @pytest.mark.parametrize("run", [lambda G: read_off(G, [G.order]),

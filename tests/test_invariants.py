@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import one_class_high, with_added_entries
+from helpers import one_class_high, reordered, with_added_entries
 from hypothesis import given, settings
 from test_groups import derived_groups
 
@@ -38,7 +38,7 @@ from spq import (
     top_slice,
 )
 from spq.cli import main
-from spq.homology import euler_characteristic
+from spq.homology import euler_characteristic, persistence_intervals
 
 
 def test_negative_betti_number(monkeypatch):
@@ -109,27 +109,13 @@ def test_slice_of_a_chain_off_the_top_with_a_face_at_the_top():
     assert planted.checked and info.value.column == j
 
 
-def test_level_cut_of_a_kept_chain_with_a_face_above_the_level():
-    # D8 at n = 4: a 2-chain of index 4 gains the face 1 < D8, of index 8.
-    # check_boundaries, which every cut runs first, finds this fault in any
-    # complex it has not passed; level_cut's own premise check meets it only
-    # on a complex recorded as checked
-    C = build_complex(builtin("D8"), 8)
-    j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
-    row = next(i for i, cls in enumerate(C.bases[1]) if cls.total_index > 4)
-    planted = with_added_entries(C, 2, j, {row: 1})
-    planted.checked = True
-    with pytest.raises(NotAComplex, match="at most 4 to one above it") as info:
-        level_cut(planted, 4)
-    assert info.value.column == j
-
-
 def test_level_ranked_in_place_of_a_kept_chain_with_a_face_above_the_level():
-    # the fault above, met by ranking level 4 in place: check_boundaries checks
-    # that every level is a subcomplex, and the planted complex, made by replace
-    # from a checked and sliced one, carries neither the record nor the slice
+    # D8 at n = 8: a 2-chain of index 4 gains the face 1 < D8, of index 8.
+    # check_boundaries checks that every level is a subcomplex, and the planted
+    # complex, made by replace from a checked and sliced one, carries neither
+    # the record nor the slice, so its level cut checks it first
     C = build_complex(builtin("D8"), 8)
-    betti_numbers(C, 4)
+    betti_numbers(level_cut(C, 4))
     top_slice(C)
     assert C.checked and C.sliced is not None
     j = max(j for j, cls in enumerate(C.bases[2]) if cls.total_index <= 4)
@@ -137,8 +123,27 @@ def test_level_ranked_in_place_of_a_kept_chain_with_a_face_above_the_level():
     planted = with_added_entries(C, 2, j, {row: 1})
     assert not planted.checked and planted.sliced is None
     with pytest.raises(NotAComplex, match="total index 4 to one above it") as info:
-        betti_numbers(planted, 4)
+        betti_numbers(level_cut(planted, 4))
     assert info.value.column == j
+
+
+@pytest.mark.parametrize("use", [betti_numbers, persistence_intervals,
+                                 lambda C: level_cut(C, 4), top_slice],
+                         ids=["betti_numbers", "persistence_intervals", "level_cut", "top_slice"])
+def test_a_basis_out_of_filtration_order(use):
+    # D8 at n = 8: two neighbouring 1-chains of different total index trade
+    # places, with their columns and rows, so d o d = 0 and every level is a
+    # subcomplex still; but a level is no longer a prefix, so a prefix cut or
+    # one reduction of the columns would answer for the wrong level
+    C = build_complex(builtin("D8"), 8)
+    index = [cls.total_index for cls in C.bases[1]]
+    j = next(j for j in range(len(index) - 1) if index[j] < index[j + 1])
+    orders = [list(range(len(basis))) for basis in C.bases]
+    orders[1][j:j + 2] = [j + 1, j]
+    planted = reordered(C, orders)
+    with pytest.raises(NotAComplex, match="out of filtration order") as info:
+        use(planted)
+    assert info.value.column == j + 1
 
 
 def _jumping_rank_route(monkeypatch):

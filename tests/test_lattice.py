@@ -9,7 +9,7 @@ import types
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import complex_to_json_dict, matmul, with_added_entries
+from helpers import by_representative, complex_to_json_dict, matmul, with_added_entries
 
 import spq.groups
 import spq.lattice
@@ -42,8 +42,13 @@ from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
 
 # sha256 over json.dumps(complex_to_json_dict(...), sort_keys=True) of every
-# CATALOG group in catalog order, n = 1..|G|+1, coinvariant before reduced
-CATALOG_COMPLEXES_SHA256 = "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102b996c1703c65"
+# CATALOG group in catalog order, n = 1..|G|+1, coinvariant before reduced: of
+# the complexes as built, in filtration order, and of the same complexes with
+# each degree re-sorted by representative (``by_representative``), the order
+# the bases were built in before filtration order, whose digest is unchanged
+CATALOG_COMPLEXES_SHA256 = "4db5cca426faf91749ef086c93c70e127bfbd7b3e621748c200c83e414f3f373"
+CATALOG_COMPLEXES_BY_REPRESENTATIVE_SHA256 = (
+    "76e46a4ab10473c9e99245840a0ca4292975fd46e530a7fa8102b996c1703c65")
 
 
 @pytest.fixture
@@ -380,12 +385,15 @@ def _check_cut(cut, built):
     assert cut.columns == built.columns
 
 
-def _check_in_place(whole, n):
-    """Level n of ``whole`` and of its top slice, ranked in place, against their cuts."""
+def _check_prefix(whole, n):
+    """``whole`` and its top slice are in filtration order, and the level cut at n
+    of either keeps its own column dicts, with no copy."""
     for C in (whole, top_slice(whole)):
-        got, want = betti_numbers(C, n), betti_numbers(level_cut(C, n))
-        assert (got.betti, got.euler, got.dims, got.ranks) == \
-            (want.betti, want.euler, want.dims, want.ranks)
+        for basis in C.bases:
+            assert list(basis) == sorted(basis, key=lambda c: (c.total_index, c.representative))
+        cut = level_cut(C, n)
+        for cols, kept in zip(C.columns, cut.columns):
+            assert all(col is own for col, own in zip(kept, cols))
 
 
 @pytest.mark.parametrize("spec", CATALOG)
@@ -394,8 +402,9 @@ def test_level_cut_is_the_build_at_that_level(spec):
     G = catalog_group(spec)
     whole = build_complex(G, G.order)
     for n in range(1, G.order + 2):
-        _check_cut(level_cut(whole, n), build_complex(G, n))
-        _check_in_place(whole, n)
+        built = build_complex(G, n)
+        _check_cut(level_cut(whole, n), built)
+        _check_cut(level_cut(top_slice(whole), n), top_slice(built))
     assert level_cut(whole, G.order) is whole
 
 
@@ -424,7 +433,7 @@ def test_level_cuts_of_random_permutation_groups_and_cones(data):
     n = data.draw(st.integers(1, G.order + 1))
     whole = build_complex(G, G.order)
     _check_cut(level_cut(whole, n), build_complex(G, n))
-    _check_in_place(whole, n)
+    _check_prefix(whole, n)
     lat = subgroup_lattice(G)
     sub = data.draw(st.sampled_from(lat.subgroups))
     P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
@@ -433,7 +442,7 @@ def test_level_cuts_of_random_permutation_groups_and_cones(data):
     n = data.draw(st.integers(1, largest))
     whole = orbit_complex(cone, orbit_classes(cone, largest))
     _check_cut(level_cut(whole, n), orbit_complex(cone, orbit_classes(cone, n)))
-    _check_in_place(whole, n)
+    _check_prefix(whole, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -560,15 +569,17 @@ def test_complex_json_is_serializable():
 def test_catalog_complexes_are_byte_stable():
     # a changed representative, orbit size or coefficient shows here; an
     # intended change is recorded in CHANGES.md with the new digest
-    digest = hashlib.sha256()
+    built, resorted = hashlib.sha256(), hashlib.sha256()
     for spec in CATALOG:
         G = catalog_group(spec)
         for n in range(1, G.order + 2):
             coinv = build_complex(G, n)
             for flavor, C in (("coinvariant", coinv), ("reduced", top_slice(coinv))):
-                digest.update(json.dumps(complex_to_json_dict(G, n, flavor, C),
-                                         sort_keys=True).encode())
-    assert digest.hexdigest() == CATALOG_COMPLEXES_SHA256
+                for digest, D in ((built, C), (resorted, by_representative(C))):
+                    digest.update(json.dumps(complex_to_json_dict(G, n, flavor, D),
+                                             sort_keys=True).encode())
+    assert resorted.hexdigest() == CATALOG_COMPLEXES_BY_REPRESENTATIVE_SHA256
+    assert built.hexdigest() == CATALOG_COMPLEXES_SHA256
 
 
 def full_scan_canonical(P, ids):
@@ -618,8 +629,11 @@ def full_scan_classes(P, n, require_top):
     by_degree = {}
     for chain in full_scan_chains(P, n, require_top):
         by_degree.setdefault(len(chain) - 1, set()).add(full_scan_canonical(P, chain))
-    return [[ChainClass(ids, P.orders[ids[-1]] // P.orders[ids[0]], len(set_orbit(P, ids)))
-             for ids in sorted(by_degree.get(k, ()))]
+    def index(ids):
+        return P.orders[ids[-1]] // P.orders[ids[0]]
+
+    return [[ChainClass(ids, index(ids), len(set_orbit(P, ids)))
+             for ids in sorted(by_degree.get(k, ()), key=lambda ids: (index(ids), ids))]
             for k in range(max(by_degree, default=0) + 1)]
 
 
