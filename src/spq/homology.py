@@ -1,16 +1,21 @@
 """Exact rational homology of integer chain complexes.
 
 Betti numbers come from boundary ranks computed fraction-free, of a
-complex (a level of one is its ``lattice.level_cut``); persistence
-intervals give the Betti numbers of every filtration level of a complex
-from one reduction of its own columns, as its bases are in filtration
-order. Both check their complex first, with ``lattice.check_boundaries``:
-d o d = 0, the filtration order and every level a subcomplex, once per
-complex object. The oracle at the bottom recomputes coinvariant Betti
-numbers along the other route: homology of the full complex first, then
-the averaging idempotent e, as
-dim e.H_k = rank(B_k + e.Z_k) - rank(B_k). That is legitimate because
-rational group algebras are semisimple.
+complex (a level of one is its ``lattice.level_cut``), by pairing
+coboundaries: persistent cohomology with clearing, whose pairs are those
+of homology (de Silva, Morozov and Vejdemo-Johansson). A cell's pivot is
+read from its complex's table of oldest cofaces, which every level cut
+of that complex shares, and a coboundary column is built only when its
+pivot is already owned. Persistence intervals give the Betti numbers of
+every filtration level of a complex from one lowest-pivot reduction of
+its own boundary columns, as its bases are in filtration order, so the
+read-off and the ranks that check it run different reductions. Both
+check their complex first, with ``lattice.check_boundaries``: d o d = 0,
+the filtration order and every level a subcomplex, once per complex
+object. The oracle at the bottom recomputes coinvariant Betti numbers
+along the other route: homology of the full complex first, then the
+averaging idempotent e, as dim e.H_k = rank(B_k + e.Z_k) - rank(B_k).
+That is legitimate because rational group algebras are semisimple.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BasisCapExceeded, InvariantViolation
-from .intmatrix import reduce_columns
-from .lattice import chains_up_to, check_boundaries, subgroup_lattice
+from .intmatrix import eliminate, reduce_columns
+from .lattice import chains_up_to, check_boundaries, oldest_cofaces, subgroup_lattice
 
 TYPE_CHECKING = False  # true only to type checkers: no command loads typing
 if TYPE_CHECKING:
+    from collections.abc import Container, KeysView, Sequence
     from fractions import Fraction
 
     from .groups import FiniteGroup
@@ -51,23 +57,73 @@ def euler_characteristic(betti, dims) -> int:
     return euler
 
 
+def coboundary_pairs(columns: tuple[dict[int, int], ...], oldest: Sequence[int],
+                     cells: int, cleared: Container[int]) -> KeysView[int]:
+    """The (k+1)-cells paired in the reduction of the coboundary delta_k = d_{k+1}^T.
+
+    ``columns`` are those of d_{k+1}, one per (k+1)-cell, over ``cells``
+    k-cells; ``oldest`` is the table of oldest cofaces of a complex whose
+    degree k + 1 these columns are a prefix of (``lattice.oldest_cofaces``),
+    so a cell whose entry is not below ``len(columns)`` has no coface here.
+    The k-cells are taken newest first, and a column's pivot is its oldest
+    coface left. A cell whose pivot no newer cell owns is paired with it,
+    with no column built. Only on a collision are its coboundary, and those
+    of the owners it meets, built, from the transpose of ``columns`` (made
+    at the first collision and dropped on return), and cleared with
+    ``intmatrix.eliminate`` until the pivot is free or the column zero.
+    Cells in ``cleared`` reduce to zero and are skipped. The number of
+    pairs is the rank of d_{k+1}.
+    """
+    bound = len(columns)
+    owner: dict[int, int] = {}  # pivot -> the cell paired with it
+    built: dict[int, dict[int, int]] = {}  # pivot -> its owner's column, once built
+    transpose: list[list[int]] | None = None
+    for cell in range(cells - 1, -1, -1):
+        pivot = oldest[cell]
+        if pivot >= bound or cell in cleared:
+            continue
+        if pivot in owner:
+            if transpose is None:
+                transpose = [[] for _ in range(cells)]
+                for j, column in enumerate(columns):
+                    for r in column:
+                        transpose[r].append(j)
+            col = {j: columns[j][cell] for j in transpose[cell]}
+            while pivot in owner:
+                other = built.get(pivot)
+                if other is None:
+                    other = built[pivot] = {j: columns[j][owner[pivot]]
+                                            for j in transpose[owner[pivot]]}
+                eliminate(col, other, pivot)
+                pivot = min(col, default=bound)
+            if not col:
+                continue
+            built[pivot] = col
+        owner[pivot] = cell
+    return owner.keys()
+
+
 def betti_numbers(C: OrbitComplex) -> HomologyResult:
     """Betti numbers betti[k] = dims[k] - rank d_k - rank d_{k+1} of C.
 
-    Verifies C first (``lattice.check_boundaries``). Ranks are taken from
-    the top degree down, skipping the columns of d_k that are pivot rows of
-    the reduced d_{k+1}: those reduce to zero (clearing, Chen-Kerber). On a
-    ``top_slice`` this is the homology of the quotient by the chains not
-    ending at the top; on a ``level_cut``, that of one filtration level.
+    Verifies C first (``lattice.check_boundaries``). Each rank d_{k+1} is
+    the number of pairs of ``coboundary_pairs`` on delta_k, taken from
+    degree 0 up, skipping the k-cells that delta_{k-1} paired: their columns
+    reduce to zero (clearing, Chen-Kerber, run upward). Pivots are read from
+    C's table of oldest cofaces, which a ``level_cut`` shares with the
+    complex it was cut from. On a ``top_slice`` this is the homology of the
+    quotient by the chains not ending at the top; on a ``level_cut``, that
+    of one filtration level.
     """
     check_boundaries(C)
     dims = C.dims
     top = len(dims) - 1
+    oldest = oldest_cofaces(C)
     ranks = [0] * (top + 1)
-    pivots: set[int] = set()
-    for k in range(top, 0, -1):
-        pivots = {low for low in reduce_columns(C.columns[k], cleared=pivots) if low >= 0}
-        ranks[k] = len(pivots)
+    paired: Container[int] = ()
+    for k in range(top):
+        paired = coboundary_pairs(C.columns[k + 1], oldest[k], dims[k], paired)
+        ranks[k + 1] = len(paired)
     betti = []
     for k in range(top + 1):
         upper = ranks[k + 1] if k < top else 0

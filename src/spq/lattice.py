@@ -20,7 +20,10 @@ caller has to check before it cuts. ``level_cut`` keeps the classes of
 total index at most n, a prefix of each degree, with C's own columns and
 no copy; it equals the complex built at n. ``top_slice`` alone cuts the
 reduced complex out of a coinvariant one, once per complex object, after
-checking in O(nnz) that the chains off the top span a subcomplex. A
+checking in O(nnz) that the chains off the top span a subcomplex.
+``oldest_cofaces`` tabulates each cell's oldest coface, the pivot of the
+coboundary pairing in ``homology``, once per complex object; a level cut
+holds its complex's table and a top slice has its own. A
 complex is its poset, bases and columns and carries no other label: its
 caller knows which group and level it was built for, and whether it was
 cut.
@@ -38,6 +41,7 @@ level and clamps it to |G|.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -421,8 +425,9 @@ class OrbitComplex:
     ``check_boundaries`` passed on this object: d o d = 0, the filtration
     order and that every level is a subcomplex; every cut is made from a
     checked complex and is checked itself. ``sliced`` keeps
-    this object's ``top_slice`` once cut. ``dataclasses.replace`` carries
-    neither.
+    this object's ``top_slice`` once cut, and ``oldest`` its table of
+    oldest cofaces (``oldest_cofaces``) once built; a level cut holds its
+    parent's. ``dataclasses.replace`` carries none of the three.
     """
 
     lattice: OrbitPoset
@@ -430,6 +435,7 @@ class OrbitComplex:
     columns: tuple[tuple[dict[int, int], ...], ...]
     checked: bool = field(default=False, init=False, repr=False)
     sliced: OrbitComplex | None = field(default=None, init=False, repr=False)
+    oldest: tuple[array, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -570,6 +576,31 @@ def top_slice(C: OrbitComplex) -> OrbitComplex:
     return C.sliced
 
 
+def oldest_cofaces(C: OrbitComplex) -> tuple[array, ...]:
+    """Per degree k below the top, the oldest coface of each k-cell of C.
+
+    ``oldest_cofaces(C)[k][i]`` is the least j with row i in column j of
+    d_{k+1}, or ``C.dims[k + 1]`` when the cell has no coface; one pass over
+    each d_{k+1}, newest column first. The table is built once per complex
+    object and kept on it (``oldest``). Every level of C is a prefix of
+    each degree, so ``level_cut`` hands its cut C's own table: within a cut
+    that keeps m columns of d_{k+1}, a cell's oldest coface is C's when
+    that lies below m, and the cell has none in the cut otherwise.
+    """
+    if C.oldest is None:
+        dims = C.dims
+        table = []
+        for k in range(len(dims) - 1):
+            columns = C.columns[k + 1]
+            oldest = array("i", [dims[k + 1]]) * dims[k]
+            for j in range(len(columns) - 1, -1, -1):
+                for r in columns[j]:
+                    oldest[r] = j
+            table.append(oldest)
+        C.oldest = tuple(table)
+    return C.oldest
+
+
 def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
     """The coinvariant complex at level n, cut out of C built at a level at least n.
 
@@ -579,8 +610,10 @@ def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
     larger index than its chain, so a kept column hits only kept rows, under
     the same numbers. The cut keeps C's own column dicts, with no copy, and
     drops trailing empty degrees; it equals the complex built at n, bases
-    and columns, and is C itself when n reaches every class. It works on a
-    ``top_slice`` as well, whose levels are the slices of C's.
+    and columns, and is C itself when n reaches every class. The cut also
+    holds C's table of oldest cofaces by reference (``oldest_cofaces``),
+    built on C at its first cut. It works on a ``top_slice`` as well, whose
+    levels are the slices of C's; the slice has a table of its own.
     """
     check_boundaries(C)
     kept = [bisect_right(basis, n, key=attrgetter("total_index")) for basis in C.bases]
@@ -592,6 +625,7 @@ def level_cut(C: OrbitComplex, n: int) -> OrbitComplex:
                        tuple(basis[:m] for basis, m in zip(C.bases, kept)),
                        tuple(cols[:m] for cols, m in zip(C.columns, kept)))
     cut.checked = True
+    cut.oldest = oldest_cofaces(C)
     return cut
 
 

@@ -20,7 +20,10 @@ slice at one level, keeping the walk's dims. ``compute_report`` runs it on
 a fresh build at one level, for the single-level checks of ``spq verify``
 and the tests; the gap probes of ``profile_report`` run it on level cuts of
 one complex, built at n = |G| and checked once, and of its one top slice:
-each cut is a prefix of every degree, with no column copied.
+each cut is a prefix of every degree, with no column copied, and shares
+its complex's table of oldest cofaces. The ranks pair coboundaries
+(``homology.betti_numbers``), while the read-off reduces boundaries, so
+the probes check the read-off with another reduction of the same complex.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ def _ranked_report(G: FiniteGroup, n: int, coinv: OrbitComplex) -> ComputationRe
     """The rank route at level n: the homology of the level cut at n of the coinvariant
     complex ``coinv``, built at n or above, and of that of its top slice, with the
     walk's dims at n as chains. A cut is a prefix of each degree, with no column
-    copied."""
+    copied, and reads its pivots from the table of oldest cofaces of the complex it
+    was cut from, built once per complex; ``betti_numbers`` pairs coboundaries."""
     pi = betti_numbers(level_cut(coinv, n))
     phi = betti_numbers(level_cut(top_slice(coinv), n))
     return _level_report(G, n, pi.betti, phi.betti, pi.dims, pi.euler)
@@ -275,13 +279,16 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     n beyond the group order, is then probed: the rank route ranks the
     level cut at n of the complex at n = |G|, which is the complex built at
     n, and must reproduce the report of the level below. These gap probes
-    check the read-off by ranks, and the walk's chains against the count.
+    check the read-off by ranks, taken by pairing coboundaries where the
+    read-off reduces boundaries, and the walk's chains against the count.
     The complex at |G| is built once and checked once, for d o d = 0, its
     filtration order and every level being a subcomplex, by whichever step
     first ranks or cuts it; its top slice is cut once and serves the
-    read-off and every probe, and a probe's level cuts are prefixes of them. With ``threads`` > 1 the probes run in up to that many worker
-    processes, one per probe at most, each building that complex once,
-    while the levels are read off.
+    read-off and every probe, and a probe's level cuts are prefixes of them
+    that share their table of oldest cofaces, built at the first cut. With
+    ``threads`` > 1 the probes run in up to that many worker processes, one
+    per probe at most, each building that complex once, while the levels
+    are read off.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from spq import FiniteGroup, Poset, SparseIntMatrix
+from spq import FiniteGroup, Poset, SparseIntMatrix, betti_numbers, level_cut, rank_exact
 from spq.lattice import ChainCounts, OrbitComplex, effective_level
 
 
@@ -159,3 +159,13 @@ def by_representative(C: OrbitComplex) -> OrbitComplex:
     listed it, rows renamed to match; not in filtration order, so for dumps only."""
     return reordered(C, [sorted(range(len(basis)), key=lambda i: basis[i].representative)
                          for basis in C.bases])
+
+
+def cut_rank_mismatches(C: OrbitComplex) -> list[int]:
+    """The levels n, one per total index that C holds, at which the ranks that
+    ``betti_numbers`` takes of ``level_cut(C, n)`` differ from ``rank_exact`` of
+    that cut's boundaries, each column reduced in full."""
+    levels = sorted({cls.total_index for basis in C.bases for cls in basis})
+    return [n for n in levels
+            if betti_numbers(cut := level_cut(C, n)).ranks
+            != tuple(rank_exact(m) for m in cut.boundaries)]

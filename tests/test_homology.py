@@ -1,6 +1,7 @@
 """Exact rank, Betti numbers and the semisimplicity cross-check."""
 
 import dataclasses
+import math
 import random
 import types
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import matmul, permuted, sparse_from_dict, to_dense
+from helpers import cut_rank_mismatches, matmul, permuted, sparse_from_dict, to_dense
+from test_lattice import _graded_cone
 
 import spq.homology
 import spq.lattice
@@ -36,7 +38,15 @@ from spq import (
 from spq.groups import is_normal
 from spq.homology import _dense_rank, _nullspace, _row_reduce
 from spq.intmatrix import reduce_columns
-from spq.lattice import check_boundaries, orbit_classes, orbit_complex
+from spq.lattice import (
+    ChainClass,
+    OrbitComplex,
+    OrbitPoset,
+    check_boundaries,
+    oldest_cofaces,
+    orbit_classes,
+    orbit_complex,
+)
 from spq.partition import _cone
 from spq.suites import CATALOG, _complex_identity_failure, catalog_group
 
@@ -253,7 +263,8 @@ def _referenced_names(code) -> set[str]:
 
 def test_oracle_shares_no_code_with_the_fast_path():
     fast_path = {"reduce_columns", "rank_exact", "betti_numbers", "build_complex",
-                 "chain_classes", "orbit_complex"}
+                 "chain_classes", "orbit_complex", "coboundary_pairs", "eliminate",
+                 "oldest_cofaces"}
     for fn in (coinvariants_of_homology_oracle, _row_reduce, _nullspace, _dense_rank):
         assert not _referenced_names(fn.__code__) & fast_path, fn.__name__
 
@@ -403,7 +414,8 @@ def test_complex_identities_run_one_d_d_product(products):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(CATALOG), st.data())
 def test_clearing_keeps_the_ranks(spec, data):
-    # rank_exact reduces every column; betti_numbers skips the pivot rows of d_{k+1}
+    # rank_exact reduces every column; betti_numbers skips the cells that
+    # delta_{k-1} paired
     G = catalog_group(spec)
     n = data.draw(st.sampled_from(filtration_levels(G) + [G.order + 1]))
     sub = data.draw(st.sampled_from(subgroup_lattice(G).subgroups))
@@ -413,6 +425,63 @@ def test_clearing_keeps_the_ranks(spec, data):
     complexes.append(top_slice(orbit_complex(cone, orbit_classes(cone, 1))))
     for C in complexes:
         assert betti_numbers(C).ranks == tuple(rank_exact(m) for m in C.boundaries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG), st.data())
+def test_ranks_hold_on_every_level_cut(spec, data):
+    # a cut reads its pivots from the table of the complex it was cut from;
+    # rank_exact reduces every column of the cut afresh
+    G = catalog_group(spec)
+    whole = build_complex(G, G.order)
+    sub = data.draw(st.sampled_from(subgroup_lattice(G).subgroups))
+    P = interval_poset(G, sub, lower_closed=data.draw(st.booleans()))
+    cone = _graded_cone(_cone(P, subgroup_conjugation_action(G, P) if is_normal(sub) else None))
+    cone_whole = orbit_complex(cone, orbit_classes(cone, cone.orders[cone.top_id]))
+    for C in (whole, top_slice(whole), cone_whole, top_slice(cone_whole)):
+        assert cut_rank_mismatches(C) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranks_hold_on_every_level_cut_of_random_complexes(data):
+    # d_1 has entries in -3..3: non-unit pivots, zero columns and cells with no
+    # coface. Each column of d_2 is an integer combination of the cycles of d_1
+    # of no larger level, so d o d = 0, every level is a subcomplex, and the
+    # cells that delta_0 pairs are cleared from delta_1
+    dims = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 10), st.integers(1, 8)))
+    levels = [sorted(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+              for d in dims]
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3))
+    d1 = tuple({r: v for r in range(dims[0])
+                if levels[0][r] <= levels[1][j] and (v := data.draw(entry))}
+               for j in range(dims[1]))
+    d2 = []
+    for j in range(dims[2]):
+        kept = sum(n <= levels[2][j] for n in levels[1])
+        col = [0] * kept
+        if kept:
+            for z in _nullspace([[c.get(r, 0) for c in d1[:kept]] for r in range(dims[0])],
+                                kept):
+                scale = data.draw(st.sampled_from((0, 0, 1, -1, 2, -3)))
+                den = math.lcm(*(Fraction(x).denominator for x in z))
+                col = [a + scale * int(x * den) for a, x in zip(col, z)]
+        d2.append({i: v for i, v in enumerate(col) if v})
+    bases = tuple(tuple(ChainClass((k, i), n, 1) for i, n in enumerate(level))
+                  for k, level in enumerate(levels))
+    C = OrbitComplex(OrbitPoset(((),), (1,), (), 0), bases,
+                     (tuple({} for _ in range(dims[0])), d1, tuple(d2)))
+    assert cut_rank_mismatches(C) == []
+
+
+def test_ranks_hold_on_a_level_cut_of_s3xs3xs3():
+    # |Gamma| = 216, so faces of one orbit accumulate into coefficients other than +-1
+    G = builtin("S3xS3xS3")
+    whole = build_complex(G, 24)
+    for C in (whole, top_slice(whole)):
+        cut = level_cut(C, 12)
+        assert betti_numbers(cut).ranks == tuple(rank_exact(m) for m in cut.boundaries)
+        assert cut is not C and cut.oldest is oldest_cofaces(C)
 
 
 def test_betti_independent_of_column_order():

@@ -9,10 +9,11 @@ import dataclasses
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
-from helpers import one_class_high, reordered, with_added_entries
+from helpers import cut_rank_mismatches, one_class_high, reordered, with_added_entries
 from hypothesis import given, settings
 from test_groups import derived_groups
 
@@ -39,12 +40,13 @@ from spq import (
 )
 from spq.cli import main
 from spq.homology import euler_characteristic, persistence_intervals
+from spq.lattice import ChainClass, OrbitComplex, OrbitPoset, oldest_cofaces
 
 
 def test_negative_betti_number(monkeypatch):
-    # every reduction claims one more pivot than its matrix has columns
-    monkeypatch.setattr(spq.homology, "reduce_columns",
-                        lambda columns, cleared: list(range(len(columns) + 1)))
+    # every coboundary pairing claims one more pair than delta_k has columns
+    monkeypatch.setattr(spq.homology, "coboundary_pairs",
+                        lambda columns, oldest, cells, cleared: range(cells + 1))
     with pytest.raises(InvariantViolation, match="negative Betti"):
         betti_numbers(build_complex(builtin("S3"), 3))
 
@@ -169,6 +171,67 @@ def test_gap_probe_jump_is_a_cli_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: filtration level jumped")
     assert captured.out == ""
+
+
+def _newest_cofaces(C):
+    # the fault: each cell's pivot is its newest coface, not its oldest
+    if C.oldest is None:
+        table = []
+        for k in range(len(C.dims) - 1):
+            newest = array("i", [C.dims[k + 1]]) * C.dims[k]
+            for j, col in enumerate(C.columns[k + 1]):
+                for r in col:
+                    newest[r] = j
+            table.append(newest)
+        C.oldest = tuple(table)
+    return C.oldest
+
+
+@pytest.mark.parametrize("spec", ["C2xS4", "EA(2,4)", "D32", "S4", "SL2F3", "C30",
+                                  "C4xD16", "A4", "D8"])
+def test_gap_probe_with_the_newest_coface_as_pivot(monkeypatch, spec):
+    monkeypatch.setattr(spq.lattice, "oldest_cofaces", _newest_cofaces)
+    monkeypatch.setattr(spq.homology, "oldest_cofaces", _newest_cofaces)
+    with pytest.raises(InvariantViolation, match="filtration level jumped"):
+        profile_report(builtin(spec))
+
+
+def _pivots_past_the_cut(monkeypatch, complexes):
+    # the fault: a cell whose oldest coface in its complex lies past the cut is
+    # paired with it, the complex's columns past the cut read as the cut's
+    original = spq.homology.coboundary_pairs
+
+    def past_the_cut(columns, oldest, cells, cleared):
+        full = next(C.columns[k + 1] for C in complexes
+                    for k, table in enumerate(oldest_cofaces(C)) if table is oldest)
+        return original(tuple({r: v for r, v in col.items() if r < cells} for col in full),
+                        oldest, cells, cleared)
+
+    monkeypatch.setattr(spq.homology, "coboundary_pairs", past_the_cut)
+
+
+def test_cut_ranks_with_a_pivot_past_the_cut(monkeypatch):
+    # points a, b, c of level 1, edges b - a twice at level 2 and c - b at level 4.
+    # At level 2, c has no coface; pairing it with c - b raises rank d_1 from 1
+    # to 2 and the Betti numbers go (2, 1) -> (1, 0), Euler characteristic kept,
+    # so only the ranks tell. (On a p-group every cell below a cut's top degree
+    # has a coface in the cut, and the fault changes no rank there.)
+    points = tuple(ChainClass((i,), 1, 1) for i in range(3))
+    edges = tuple(ChainClass((i, 3), n, 1) for i, n in enumerate((2, 2, 4)))
+    C = OrbitComplex(OrbitPoset(((),), (1,), (), 0), (points, edges),
+                     (({}, {}, {}), ({0: -1, 1: 1}, {0: -1, 1: 1}, {1: -1, 2: 1})))
+    assert cut_rank_mismatches(C) == []
+    _pivots_past_the_cut(monkeypatch, [C])
+    assert betti_numbers(level_cut(C, 2)).betti == (1, 0)
+    assert cut_rank_mismatches(C) == [2]
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["coinvariant", "reduced"])
+def test_cut_ranks_of_s4_with_a_pivot_past_the_cut(monkeypatch, top):
+    whole = build_complex(builtin("S4"), 24)
+    _pivots_past_the_cut(monkeypatch, [whole, top_slice(whole)])
+    with pytest.raises(InvariantViolation, match="negative Betti"):
+        cut_rank_mismatches(top_slice(whole) if top else whole)
 
 
 def test_read_off_euler_check(monkeypatch):
