@@ -11,9 +11,8 @@ k alone.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -64,39 +63,47 @@ def _check_chains(G: FiniteGroup, n: int, degree: int,
     return lat
 
 
-@dataclass
 class ChainVector:
-    """Rational linear combination of chain classes at one filtration level."""
+    """Rational linear combination of chain classes at one filtration level.
 
-    group: FiniteGroup
-    n: int
-    degree: int
-    coefficients: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    ``coefficients`` maps chains of ids to their coefficients, none by
+    default; they are checked, put in canonical form and merged. Two vectors
+    are equal when their group object, level, degree and coefficients are.
+    """
 
-    def __post_init__(self):
-        coeffs = {ids: Fraction(c) for ids, c in self.coefficients.items() if c}
-        lat = _check_chains(self.group, self.n, self.degree, coeffs)
+    def __init__(self, group: FiniteGroup, n: int, degree: int,
+                 coefficients: dict[tuple[int, ...], Fraction] | None = None):
+        self.group = group
+        self.n = n
+        self.degree = degree
+        coeffs = {ids: Fraction(c) for ids, c in (coefficients or {}).items() if c}
+        lat = _check_chains(group, n, degree, coeffs)
         merged: dict[tuple[int, ...], Fraction] = {}
         for ids, coeff in coeffs.items():
             canon = lat.canonical(ids)
             merged[canon] = merged.get(canon, Fraction(0)) + coeff
         self.coefficients = {k: v for k, v in sorted(merged.items()) if v != 0}
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.n, self.degree, self.coefficients)
+                == (other.group, other.n, other.degree, other.coefficients))
+
 
 def basis_vector(G: FiniteGroup, n: int, ids: tuple[int, ...], coeff=1) -> ChainVector:
     return ChainVector(G, n, len(ids) - 1, {tuple(ids): Fraction(coeff)})
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
+class DoubleCosetDecomposition(namedtuple("DoubleCosetDecomposition",
+                                           "representatives orbits")):
     """Orbits of K under (g, h) . k = psi(g) k h, i.e. im(psi)\\K/H_0 cosets.
 
     Representatives are the least element of each orbit, listed in increasing
     order; ``orbits`` holds the full orbits for verification.
     """
 
-    representatives: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def double_coset_decomposition(hom: GroupHom,

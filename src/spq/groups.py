@@ -29,7 +29,6 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -264,20 +263,22 @@ def _image_mask(mask: int, images) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of a FiniteGroup, stored as a bitmask over element indices."""
+    """Subgroup of a FiniteGroup, stored as a bitmask over element indices.
 
-    parent: FiniteGroup
-    members: int
+    Two subgroups are equal, and hash alike, when they have the same parent
+    object and the same members.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.members < 1 << self.parent.order:
+    def __init__(self, parent: FiniteGroup, members: int):
+        self.parent = parent
+        self.members = members
+        if not 0 <= members < 1 << parent.order:
             raise NotASubgroupInclusion(
-                f"mask {self.members:#x} is not a set of elements 0..{self.parent.order - 1}")
-        if self.members & 1 == 0:
+                f"mask {members:#x} is not a set of elements 0..{parent.order - 1}")
+        if members & 1 == 0:
             raise NotASubgroupInclusion("subgroup does not contain the identity")
-        mul, inv, mask = self.parent.mul, self.parent.inv, self.members
+        mul, inv, mask = parent.mul, parent.inv, members
         elems = _mask_bits(mask)
         for a in elems:
             if not mask >> inv[a] & 1:
@@ -286,8 +287,16 @@ class Subgroup:
             for b in elems:
                 if not mask >> row[b] & 1:
                     raise NotASubgroupInclusion(f"not closed under product at ({a},{b})")
-        if self.parent.order % self.order:
+        if parent.order % self.order:
             raise NotASubgroupInclusion("order does not divide the parent order")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self):
+        return hash((self.parent, self.members))
 
     @cached_property
     def order(self) -> int:
@@ -317,17 +326,17 @@ class Subgroup:
         return self.parent.embedded_subgroup(self.members)
 
 
-@dataclass(frozen=True)
 class GroupHom:
-    """Group homomorphism, stored as the image of every source element."""
+    """Group homomorphism, stored as the image of every source element.
 
-    source: FiniteGroup
-    target: FiniteGroup
-    image_of: tuple[int, ...]
+    Two homomorphisms are equal, and hash alike, when they have the same
+    source and target objects and the same images.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "image_of", tuple(int(x) for x in self.image_of))
-        img = self.image_of
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, image_of: Iterable[int]):
+        self.source = source
+        self.target = target
+        self.image_of = img = tuple(int(x) for x in image_of)
         if len(img) != self.source.order:
             raise ValueError("image table length does not match the source order")
         for g, x in enumerate(img):
@@ -345,6 +354,15 @@ class GroupHom:
             for a in range(self.source.order):
                 if img[smul[a][s]] != tmul[img[a]][image]:
                     raise ValueError(f"not a homomorphism at pair ({a},{s})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.image_of)
+                == (other.source, other.target, other.image_of))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.image_of))
 
     def __call__(self, g: int) -> int:
         return self.image_of[g]

@@ -20,7 +20,7 @@ That is legitimate because rational group algebras are semisimple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import BasisCapExceeded, InvariantViolation
@@ -38,14 +38,14 @@ if TYPE_CHECKING:
 DEFAULT_BASIS_CAP = 20000
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    """Per-degree rational Betti numbers of one chain complex."""
+class HomologyResult(namedtuple("HomologyResult", "betti euler dims ranks")):
+    """Per-degree rational Betti numbers of one chain complex.
 
-    betti: tuple[int, ...]
-    euler: int
-    dims: tuple[int, ...]
-    ranks: tuple[int, ...]
+    ``betti``, ``dims`` and ``ranks`` are per-degree tuples (``ranks[k]`` is
+    the rank of d_k) and ``euler`` their Euler characteristic.
+    """
+
+    __slots__ = ()
 
 
 def euler_characteristic(betti, dims) -> int:
@@ -58,7 +58,7 @@ def euler_characteristic(betti, dims) -> int:
 
 
 def coboundary_pairs(columns: tuple[dict[int, int], ...], oldest: Sequence[int],
-                     cells: int, cleared: Container[int]) -> KeysView[int]:
+                     cells: int, cleared: Container[int], degree: int) -> KeysView[int]:
     """The (k+1)-cells paired in the reduction of the coboundary delta_k = d_{k+1}^T.
 
     ``columns`` are those of d_{k+1}, one per (k+1)-cell, over ``cells``
@@ -72,7 +72,10 @@ def coboundary_pairs(columns: tuple[dict[int, int], ...], oldest: Sequence[int],
     at the first collision and dropped on return), and cleared with
     ``intmatrix.eliminate`` until the pivot is free or the column zero.
     Cells in ``cleared`` reduce to zero and are skipped. The number of
-    pairs is the rank of d_{k+1}.
+    pairs is the rank of d_{k+1}. Each elimination must raise the pivot, as
+    the owner's cofaces lie at or above it; one that does not raises
+    InvariantViolation naming ``degree`` (k) and the pivot, instead of
+    looping for ever.
     """
     bound = len(columns)
     owner: dict[int, int] = {}  # pivot -> the cell paired with it
@@ -95,7 +98,12 @@ def coboundary_pairs(columns: tuple[dict[int, int], ...], oldest: Sequence[int],
                     other = built[pivot] = {j: columns[j][owner[pivot]]
                                             for j in transpose[owner[pivot]]}
                 eliminate(col, other, pivot)
-                pivot = min(col, default=bound)
+                risen = min(col, default=bound)
+                if risen <= pivot:
+                    raise InvariantViolation(
+                        f"delta_{degree} of cell {cell}: eliminating at pivot {pivot} "
+                        f"left pivot {risen}")
+                pivot = risen
             if not col:
                 continue
             built[pivot] = col
@@ -122,7 +130,7 @@ def betti_numbers(C: OrbitComplex) -> HomologyResult:
     ranks = [0] * (top + 1)
     paired: Container[int] = ()
     for k in range(top):
-        paired = coboundary_pairs(C.columns[k + 1], oldest[k], dims[k], paired)
+        paired = coboundary_pairs(C.columns[k + 1], oldest[k], dims[k], paired, k)
         ranks[k + 1] = len(paired)
     betti = []
     for k in range(top + 1):
@@ -159,7 +167,7 @@ def persistence_intervals(C: OrbitComplex) -> tuple[tuple[Interval, ...], ...]:
     out: list[tuple[Interval, ...]] = []
     killed: dict[int, int] = {}  # row of degree k -> death level
     for k in range(len(C.bases) - 1, -1, -1):
-        lows = reduce_columns(C.columns[k], cleared=killed)
+        lows = reduce_columns(C.columns[k], cleared=killed, degree=k)
         born = [cls.total_index for cls in C.bases[k]]
         out.append(tuple((born[j], killed.get(j)) for j, low in enumerate(lows)
                          if low < 0 and killed.get(j) != born[j]))

@@ -14,29 +14,33 @@ anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Container
-from dataclasses import dataclass
 from math import gcd
 
+from .errors import InvariantViolation
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+
+class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols entries")):
     """Immutable sparse integer matrix as sorted (row, col, value) triples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, int, int], ...]):
         seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+        for r, c, v in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of bounds")
             if v == 0:
                 raise ValueError("zero coefficients must not be stored")
             if (r, c) in seen:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
+        return super().__new__(cls, rows, cols, entries)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the entries too
+        return cls(*iterable)
 
     def columns(self) -> list[dict[int, int]]:
         """Every column as a row -> value dict, in one pass over the entries."""
@@ -77,15 +81,18 @@ def eliminate(col: dict[int, int], other: dict[int, int], pivot: int) -> None:
                 col[r] //= g
 
 
-def reduce_columns(columns: list[dict[int, int]],
-                   cleared: Container[int] = frozenset()) -> list[int]:
+def reduce_columns(columns: list[dict[int, int]], cleared: Container[int] = frozenset(),
+                   degree: int | None = None) -> list[int]:
     """Lowest-pivot reduction; returns each column's low row, or -1.
 
     Column j is reduced, in order, by the earlier reduced column owning its
     lowest nonzero row (``eliminate``). Only earlier columns are added to
     later ones, so the lows of every prefix of columns are those of the
     prefix alone. Columns listed in ``cleared`` are known to reduce to zero
-    and are skipped (low -1). The input columns are not modified.
+    and are skipped (low -1). The input columns are not modified. Each step
+    must lower the low, as the owner's rows lie at or below it; a step that
+    does not raises InvariantViolation, naming the boundary's ``degree``
+    when given, instead of looping for ever.
     """
     owner: dict[int, dict[int, int]] = {}
     lows = []
@@ -94,7 +101,12 @@ def reduce_columns(columns: list[dict[int, int]],
         low = max(col, default=-1)
         while low in owner:
             eliminate(col, owner[low], low)
-            low = max(col, default=-1)
+            fallen = max(col, default=-1)
+            if fallen >= low:
+                where = "" if degree is None else f" of d_{degree}"
+                raise InvariantViolation(
+                    f"column {j}{where}: eliminating at pivot row {low} left low {fallen}")
+            low = fallen
         if low >= 0:
             owner[low] = col
         lows.append(low)

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -53,13 +53,14 @@ from .groups import FiniteGroup, Subgroup, _derived, _mask_bits, all_subgroups
 from .intmatrix import SparseIntMatrix
 
 
-@dataclass(frozen=True)
-class ChainClass:
-    """Conjugacy class of chains of ids; the representative is the least orbit member."""
+class ChainClass(namedtuple("ChainClass", "representative total_index orbit_size")):
+    """Conjugacy class of chains of ids; the representative is the least orbit member.
 
-    representative: tuple[int, ...]
-    total_index: int
-    orbit_size: int
+    ``representative`` is a tuple of ids, ``total_index`` its weight ratio and
+    ``orbit_size`` the number of chains in the class.
+    """
+
+    __slots__ = ()
 
 
 class OrbitPoset:
@@ -282,8 +283,7 @@ def orbit_classes(P: OrbitPoset, n: int) -> list[list[ChainClass]]:
     return classes
 
 
-@dataclass(frozen=True)
-class ChainCounts:
+class ChainCounts(namedtuple("ChainCounts", "every top")):
     """Orbit counts of strict chains by total index and degree, from ``count_classes``.
 
     ``every[index][k]`` is the number of orbits of k-chains whose total
@@ -292,8 +292,7 @@ class ChainCounts:
     poset can hold.
     """
 
-    every: dict[int, tuple[int, ...]]
-    top: dict[int, tuple[int, ...]]
+    __slots__ = ()
 
     def at(self, n: int, top: bool = False) -> tuple[int, ...]:
         """Per-degree orbit counts at level n: the chains of total index at most n."""
@@ -411,7 +410,6 @@ def _count_fixed_chains(P: OrbitPoset, fixed: list[bool], width: int,
                 ending[t] += chains
 
 
-@dataclass(eq=False)
 class OrbitComplex:
     """Per-degree chain-class bases of an OrbitPoset with integer boundaries.
 
@@ -427,15 +425,19 @@ class OrbitComplex:
     checked complex and is checked itself. ``sliced`` keeps
     this object's ``top_slice`` once cut, and ``oldest`` its table of
     oldest cofaces (``oldest_cofaces``) once built; a level cut holds its
-    parent's. ``dataclasses.replace`` carries none of the three.
+    parent's. A new complex starts with none of the three, even when it is
+    made from another's lattice, bases and columns. Two complexes are equal
+    only when they are the same object.
     """
 
-    lattice: OrbitPoset
-    bases: tuple[tuple[ChainClass, ...], ...]
-    columns: tuple[tuple[dict[int, int], ...], ...]
-    checked: bool = field(default=False, init=False, repr=False)
-    sliced: OrbitComplex | None = field(default=None, init=False, repr=False)
-    oldest: tuple[array, ...] | None = field(default=None, init=False, repr=False)
+    def __init__(self, lattice: OrbitPoset, bases: tuple[tuple[ChainClass, ...], ...],
+                 columns: tuple[tuple[dict[int, int], ...], ...]):
+        self.lattice = lattice
+        self.bases = bases
+        self.columns = columns
+        self.checked = False
+        self.sliced: OrbitComplex | None = None
+        self.oldest: tuple[array, ...] | None = None
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -503,7 +505,8 @@ def check_boundaries(C: OrbitComplex) -> None:
     basis and the boundary entries, column by column, before d o d. Success
     is recorded on C (``checked``), so a later call on the same object
     returns at once. Every cut checks its complex first. A complex made
-    with ``dataclasses.replace`` carries no record and is checked in full.
+    anew from another's bases and columns carries no record and is checked
+    in full.
     """
     if C.checked:
         return

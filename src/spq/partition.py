@@ -13,7 +13,6 @@ SizeCapExceeded past PARTITION_CAP invariant partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 
@@ -31,31 +30,39 @@ PARTITION_CAP = 25000
 Partition = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class GSet:
-    """Finite set with a group action, given per element as a point permutation."""
+    """Finite set with a group action, given per element as a point permutation.
 
-    group: FiniteGroup
-    size: int
-    action: tuple[tuple[int, ...], ...]
+    Two G-sets are equal, and hash alike, when they have the same group
+    object, size and action.
+    """
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, group: FiniteGroup, size: int, action: tuple[tuple[int, ...], ...]):
+        self.group = G = group
+        self.size = size
+        self.action = action
+        if size < 1:
             raise ValueError("a G-set needs at least one point")
-        G = self.group
-        if len(self.action) != G.order:
+        if len(action) != G.order:
             raise ValueError("action table length disagrees with the group order")
-        ident = tuple(range(self.size))
-        if self.action[0] != ident:
+        ident = tuple(range(size))
+        if action[0] != ident:
             raise ValueError("identity must act trivially")
         for g in G.elements():
-            if sorted(self.action[g]) != list(ident):
+            if sorted(action[g]) != list(ident):
                 raise ValueError(f"element {g} does not act by a permutation")
             for s in G.generators:  # complete, by induction on words, as in GroupHom
                 gs = G.mul[g][s]
-                if any(self.action[gs][x] != self.action[g][self.action[s][x]]
-                       for x in range(self.size)):
+                if any(action[gs][x] != action[g][action[s][x]] for x in range(size)):
                     raise ValueError("action is not a homomorphism")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.size, self.action) == (other.group, other.size, other.action)
+
+    def __hash__(self):
+        return hash((self.group, self.size, self.action))
 
     @staticmethod
     def regular(G: FiniteGroup) -> GSet:

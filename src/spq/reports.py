@@ -28,7 +28,7 @@ the probes check the read-off with another reduction of the same complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import InvariantViolation
 from .groups import FiniteGroup
@@ -61,34 +61,27 @@ def same_padded(a, b) -> bool:
     return padded(a, length) == padded(b, length)
 
 
-@dataclass
-class ComputationReport:
+class ComputationReport(namedtuple("ComputationReport",
+                                    "group order n n_effective pi phi chains euler")):
     """Homotopy dimensions of one group at one filtration level.
 
-    ``pi`` are the coinvariant homology dimensions, ``phi`` the reduced
-    (collapsed-quotient) ones, ``chains`` the per-degree class counts of the
-    coinvariant complex.
+    ``group`` is the group's label, ``order`` its order, ``n`` the level
+    asked for and ``n_effective`` min(n, order). ``pi`` are the coinvariant
+    homology dimensions, ``phi`` the reduced (collapsed-quotient) ones,
+    ``chains`` the per-degree class counts of the coinvariant complex, all
+    tuples, and ``euler`` its Euler characteristic.
     """
 
-    group: str
-    order: int
-    n: int
-    n_effective: int
-    pi: tuple[int, ...]
-    phi: tuple[int, ...]
-    chains: tuple[int, ...]
-    euler: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The fields in declaration order, vectors as lists."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
     @staticmethod
     def from_json_dict(data: dict) -> ComputationReport:
-        values = ((f.name, data[f.name]) for f in fields(ComputationReport))
-        return ComputationReport(**{k: tuple(v) if isinstance(v, list) else v
-                                    for k, v in values})
+        values = (data[k] for k in ComputationReport._fields)
+        return ComputationReport(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def _level_report(G: FiniteGroup, n: int, pi, phi, chains, euler: int) -> ComputationReport:
@@ -181,29 +174,26 @@ def same_report(a: ComputationReport, b: ComputationReport) -> bool:
     return same_homotopy(a, b) and a.euler == b.euler and same_padded(a.chains, b.chains)
 
 
-@dataclass
-class ProfileRange:
-    """Maximal run [start, end] of levels with one homotopy type; end None = infinity."""
+class ProfileRange(namedtuple("ProfileRange", "start end report")):
+    """Maximal run [start, end] of levels with one homotopy type; end None = infinity.
 
-    start: int
-    end: int | None
-    report: ComputationReport
+    ``report`` is the ``ComputationReport`` at ``start``.
+    """
+
+    __slots__ = ()
 
 
-@dataclass
-class ProfileReport:
+class ProfileReport(namedtuple("ProfileReport",
+                               "group order levels reports ranges gap_checks")):
     """Reports at every realized filtration level, with constancy certification.
 
+    ``levels`` are the realized levels, ``reports`` one ``ComputationReport``
+    per level and ``ranges`` the ``ProfileRange`` runs, all tuples.
     ``gap_checks`` counts the intermediate levels that were recomputed to
     certify that nothing changes strictly between realized levels.
     """
 
-    group: str
-    order: int
-    levels: tuple[int, ...]
-    reports: tuple[ComputationReport, ...]
-    ranges: tuple[ProfileRange, ...]
-    gap_checks: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,13 +307,13 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
         if not same_report(probe, reports[below]):
             raise InvariantViolation(
                 f"filtration level jumped at non-divisor n={mid} of {G.label}")
-    ranges: list[ProfileRange] = []
+    starts = []  # (start, report) of each maximal run of one homotopy type
     for level, report in zip(levels, reports):
-        if ranges and same_homotopy(ranges[-1].report, report):
-            continue
-        ranges.append(ProfileRange(start=level, end=None, report=report))
-    for cur, nxt in zip(ranges, ranges[1:]):
-        cur.end = nxt.start - 1
+        if not starts or not same_homotopy(starts[-1][1], report):
+            starts.append((level, report))
+    ends = [start - 1 for start, _ in starts[1:]] + [None]
+    ranges = [ProfileRange(start, end, report)
+              for (start, report), end in zip(starts, ends)]
     return ProfileReport(group=G.label, order=G.order, levels=tuple(levels),
                          reports=tuple(reports), ranges=tuple(ranges),
                          gap_checks=len(probes))

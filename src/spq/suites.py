@@ -16,7 +16,7 @@ its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,12 +87,10 @@ def catalog_group(spec: str) -> FiniteGroup:
     return _GROUP_CACHE[spec]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    expected: str
-    computed: str
+class CheckResult(namedtuple("CheckResult", "name passed expected computed")):
+    """One check: its name, whether it passed, and what was expected and computed, as text."""
+
+    __slots__ = ()
 
 
 def _result(name: str, passed: bool, expected, computed) -> CheckResult:

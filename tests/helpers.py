@@ -12,7 +12,6 @@ it checks.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from spq import FiniteGroup, Poset, SparseIntMatrix, betti_numbers, level_cut, rank_exact
@@ -119,17 +118,17 @@ def one_class_high(counts: ChainCounts) -> ChainCounts:
     index = max(every)
     vector = every[index]
     every[index] = vector[:1] + (vector[1] + 1,) + vector[2:]
-    return dataclasses.replace(counts, every=every)
+    return counts._replace(every=every)
 
 
 def with_added_entries(C: OrbitComplex, k: int, j: int, added: dict[int, int]) -> OrbitComplex:
-    """C with ``added`` (row -> value) added to column j of d_k; made by replace, so unchecked."""
+    """C with ``added`` (row -> value) added to column j of d_k; a new complex, so unchecked."""
     level = list(C.columns[k])
     col = dict(level[j])
     for row, value in added.items():
         col[row] = col.get(row, 0) + value
     level[j] = col
-    return dataclasses.replace(C, columns=C.columns[:k] + (tuple(level),) + C.columns[k + 1:])
+    return OrbitComplex(C.lattice, C.bases, C.columns[:k] + (tuple(level),) + C.columns[k + 1:])
 
 
 def reordered(C: OrbitComplex, orders: list[list[int]]) -> OrbitComplex:
@@ -137,7 +136,7 @@ def reordered(C: OrbitComplex, orders: list[list[int]]) -> OrbitComplex:
 
     Columns move with their classes and rows are renamed to match, so the
     result is the same complex in other bases: d o d = 0 and every level a
-    subcomplex still hold. Made by replace, so unchecked.
+    subcomplex still hold. A new complex, so unchecked.
     """
     position = []
     for order in orders:
@@ -151,7 +150,7 @@ def reordered(C: OrbitComplex, orders: list[list[int]]) -> OrbitComplex:
         columns.append(tuple({rows[r]: v for r, v in C.columns[k][i].items()}
                              for i in orders[k]))
     bases = tuple(tuple(basis[i] for i in order) for basis, order in zip(C.bases, orders))
-    return dataclasses.replace(C, bases=bases, columns=tuple(columns))
+    return OrbitComplex(C.lattice, bases, tuple(columns))
 
 
 def by_representative(C: OrbitComplex) -> OrbitComplex:

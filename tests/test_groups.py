@@ -455,6 +455,25 @@ def test_hom_validation():
         GroupHom(C4, C2, (0, 1, 1, 0))
 
 
+def test_subgroups_and_homomorphisms_compare_and_hash_by_value():
+    G, other = builtin("S3"), builtin("S3")
+    sub = all_subgroups(G)[1]
+    same = Subgroup(G, sub.members)
+    assert same is not sub and same == sub and hash(same) == hash(sub)
+    assert len({sub, same}) == 1
+    assert Subgroup(other, sub.members) != sub  # another group object
+    assert Subgroup(G, all_subgroups(G)[2].members) != sub
+    assert sub != sub.members
+    C4, C2 = builtin("C4"), builtin("C2")
+    hom = GroupHom(C4, C2, [0, 1, 0, 1])
+    same = GroupHom(C4, C2, (0, 1, 0, 1))
+    assert same is not hom and same == hom and hash(same) == hash(hom)
+    assert len({hom, same}) == 1
+    assert GroupHom(C4, C2, (0, 0, 0, 0)) != hom
+    assert GroupHom(C4, builtin("C2"), (0, 1, 0, 1)) != hom  # another target object
+    assert hom != hom.image_of
+
+
 @pytest.mark.parametrize("images,bad", [((0, 5), "5 of element 1"),
                                         ((0, -1), "-1 of element 1"),
                                         ((2, 0), "2 of element 0")])

@@ -37,6 +37,8 @@ EXPORTED = [
 
 # modules that compute and profile never use
 VERIFY_ONLY = ("spq.global_functor", "spq.partition", "spq.suites", "fractions", "typing")
+# modules no command loads: dataclasses pulls in inspect, ast, dis and tokenize
+NEVER_LOADED = ("dataclasses", "inspect")
 
 # Runs under `python -S`, so that no site hook preloads a module. Prints, as
 # JSON, the spq modules that `import spq` loads, then per command its exit
@@ -46,7 +48,7 @@ import json, os, sys
 import spq
 bare = sorted(name for name in sys.modules if name.startswith("spq."))
 from spq.cli import main
-watched = {VERIFY_ONLY + ("concurrent.futures",)!r}
+watched = {VERIFY_ONLY + ("concurrent.futures",) + NEVER_LOADED!r}
 commands = json.loads(sys.argv[1])
 out, sys.stdout = sys.stdout, open(os.devnull, "w")
 runs = [(main(argv), [name for name in watched if name in sys.modules]) for argv in commands]
@@ -73,6 +75,7 @@ def test_compute_and_profile_leave_the_verify_layers_unloaded():
     assert loaded[:3] == ([], [], [])
     assert loaded[3] == ["spq.partition"]
     assert set(VERIFY_ONLY) - {"typing"} <= set(loaded[4])
+    assert not set(NEVER_LOADED) & set(loaded[4])
 
 
 def test_exported_names_are_pinned():

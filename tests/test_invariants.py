@@ -5,7 +5,6 @@ also hold under ``python -O``. The read-off's levels come from the count
 these checks trust, so they are matched with a scan of every pair here too.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -46,7 +45,7 @@ from spq.lattice import ChainClass, OrbitComplex, OrbitPoset, oldest_cofaces
 def test_negative_betti_number(monkeypatch):
     # every coboundary pairing claims one more pair than delta_k has columns
     monkeypatch.setattr(spq.homology, "coboundary_pairs",
-                        lambda columns, oldest, cells, cleared: range(cells + 1))
+                        lambda columns, oldest, cells, cleared, degree: range(cells + 1))
     with pytest.raises(InvariantViolation, match="negative Betti"):
         betti_numbers(build_complex(builtin("S3"), 3))
 
@@ -71,7 +70,7 @@ def test_face_left_filtration(monkeypatch):
     original = spq.lattice.chain_classes
 
     def understated(G, n):
-        return [[dataclasses.replace(cls, total_index=1) for cls in level]
+        return [[cls._replace(total_index=1) for cls in level]
                 for level in original(G, n)]
 
     monkeypatch.setattr(spq.lattice, "chain_classes", understated)
@@ -154,7 +153,7 @@ def _jumping_rank_route(monkeypatch):
 
     def jumping(G, n, coinv):
         report = original(G, n, coinv)
-        return dataclasses.replace(report, pi=(report.pi[0] + 1,) + report.pi[1:])
+        return report._replace(pi=(report.pi[0] + 1,) + report.pi[1:])
 
     monkeypatch.setattr(spq.reports, "_ranked_report", jumping)
 
@@ -192,7 +191,10 @@ def _newest_cofaces(C):
 def test_gap_probe_with_the_newest_coface_as_pivot(monkeypatch, spec):
     monkeypatch.setattr(spq.lattice, "oldest_cofaces", _newest_cofaces)
     monkeypatch.setattr(spq.homology, "oldest_cofaces", _newest_cofaces)
-    with pytest.raises(InvariantViolation, match="filtration level jumped"):
+    # the first elimination of a pairing leaves an older coface than the newest
+    # one it started from as the pivot
+    with pytest.raises(InvariantViolation,
+                       match=r"delta_0 of cell 0: eliminating at pivot \d+ left pivot 0"):
         profile_report(builtin(spec))
 
 
@@ -201,11 +203,11 @@ def _pivots_past_the_cut(monkeypatch, complexes):
     # paired with it, the complex's columns past the cut read as the cut's
     original = spq.homology.coboundary_pairs
 
-    def past_the_cut(columns, oldest, cells, cleared):
+    def past_the_cut(columns, oldest, cells, cleared, degree):
         full = next(C.columns[k + 1] for C in complexes
                     for k, table in enumerate(oldest_cofaces(C)) if table is oldest)
         return original(tuple({r: v for r, v in col.items() if r < cells} for col in full),
-                        oldest, cells, cleared)
+                        oldest, cells, cleared, degree)
 
     monkeypatch.setattr(spq.homology, "coboundary_pairs", past_the_cut)
 
@@ -319,7 +321,7 @@ def test_complex_identities_suite_reports_failure(monkeypatch, broken):
     def fake_betti(C):
         if broken == "raises":
             raise InvariantViolation("Euler characteristic mismatch")
-        return dataclasses.replace(betti_numbers(C), euler=10 ** 6)
+        return betti_numbers(C)._replace(euler=10 ** 6)
 
     monkeypatch.setattr(spq.suites, "betti_numbers", fake_betti)
     results = spq.suites._check_complex_identities()
@@ -377,6 +379,44 @@ def test_counted_pi_and_phi_must_not_be_negative(monkeypatch, chi, top_chi, nega
 def test_no_group_off_a_prime_power_order_is_counted(spec):
     with pytest.raises(InvariantViolation, match="not a prime power"):
         spq.reports._counted_reports(builtin(spec), [1])
+
+
+# Ranks S3's complex at n = 6 by both reductions, with an ``eliminate`` that
+# adds the owner's multiple instead of subtracting it: the pivot entry doubles
+# and never clears. Prints each error.
+STALLED_PIVOT = """
+import spq.homology, spq.intmatrix
+from spq import InvariantViolation, betti_numbers, build_complex, builtin
+from spq.homology import persistence_intervals
+
+def adding(col, other, pivot):
+    c, o = col[pivot], other[pivot]
+    for r in col:
+        col[r] *= o
+    for r, v in other.items():
+        col[r] = col.get(r, 0) + c * v
+
+spq.homology.eliminate = spq.intmatrix.eliminate = adding
+for rank in (betti_numbers, persistence_intervals):
+    try:
+        rank(build_complex(builtin("S3"), 6))
+    except InvariantViolation as err:
+        print(err)
+"""
+
+
+def test_a_pivot_that_stops_moving_raises():
+    # unchecked, both reductions would loop for ever: a child with a timeout
+    # turns that into a failure rather than a hung suite
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", STALLED_PIVOT],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "delta_0 of cell 2: eliminating at pivot 1 left pivot 1",
+        "column 1 of d_2: eliminating at pivot row 4 left low 4",
+    ]
 
 
 def test_checks_hold_under_optimize():

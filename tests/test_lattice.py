@@ -37,7 +37,15 @@ from spq import (
 )
 from spq.cli import main
 from spq.homology import _dense_rank
-from spq.lattice import ChainClass, OrbitPoset, orbit_classes, orbit_complex, poset_chains
+from spq.lattice import (
+    ChainClass,
+    OrbitComplex,
+    OrbitPoset,
+    oldest_cofaces,
+    orbit_classes,
+    orbit_complex,
+    poset_chains,
+)
 from spq.partition import _cone
 from spq.suites import CATALOG, catalog_group
 
@@ -406,6 +414,17 @@ def test_level_cut_is_the_build_at_that_level(spec):
         _check_cut(level_cut(whole, n), built)
         _check_cut(level_cut(top_slice(whole), n), top_slice(built))
     assert level_cut(whole, G.order) is whole
+
+
+def test_a_complex_made_from_anothers_parts_starts_afresh():
+    # the check's record, the slice and the table are kept per complex object
+    C = build_complex(builtin("S4"), 24)
+    sliced, table = top_slice(C), oldest_cofaces(C)
+    assert C.checked and C.sliced is sliced and C.oldest is table
+    made = OrbitComplex(C.lattice, C.bases, C.columns)
+    assert not made.checked and made.sliced is None and made.oldest is None
+    assert made != C and C == C
+    assert top_slice(made) is not sliced and oldest_cofaces(made) is not table
 
 
 def _graded_cone(cone):

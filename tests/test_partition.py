@@ -77,6 +77,15 @@ def test_gset_validation():
     assert M.is_isotypical
 
 
+def test_gsets_compare_and_hash_by_value():
+    C2 = builtin("C2")
+    M = GSet.regular(C2)
+    same = GSet.from_cosets(C2, C2.trivial_subgroup)
+    assert same is not M and same == M and hash(same) == hash(M)
+    assert GSet.trivial(C2, 2) != M
+    assert GSet.regular(builtin("C2")) != M  # another group object
+
+
 def test_gset_must_be_a_homomorphism():
     # each row is still a permutation, but no automorphism of S3 swaps just two elements
     action = list(GSet.regular(builtin("S3")).action)

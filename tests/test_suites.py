@@ -6,8 +6,6 @@ its stdout pins the failure text of none of them. Each fault below wraps one
 the number of calls made pins where a check stops.
 """
 
-import dataclasses
-
 import pytest
 from helpers import one_class_high
 
@@ -89,13 +87,13 @@ PLANTED = [
     pytest.param(
         _check_divisor_jump, "compute_report",
         lambda G, n: G.label in ("C3", "C2xC6") and n % 2 == 1 and n > 1,
-        lambda rep: dataclasses.replace(rep, euler=7),
+        lambda rep: rep._replace(euler=7),
         {"divisor-jump:C3": "jump at n=4", "divisor-jump:C2xC6": "jump at n=5"},
         227, id="divisor-jump"),
     pytest.param(
         _check_cyclic_prime_power, "compute_report",
         lambda G, n: G.label == "C9" and n % 2 == 1 and n > 1,
-        lambda rep: dataclasses.replace(rep, pi=(1, 1)),
+        lambda rep: rep._replace(pi=(1, 1)),
         {"degree-zero:C9": "higher pi at n=3"},
         81, id="degree-zero"),
     pytest.param(
@@ -116,7 +114,7 @@ PLANTED = [
     pytest.param(
         _check_double_cosets, "double_coset_decomposition",
         lambda psi, sub: psi.source.label == "S3" and sub.order == 1,
-        lambda dec: dataclasses.replace(dec, orbits=dec.orbits[:-1] + ((0,),)),
+        lambda dec: dec._replace(orbits=dec.orbits[:-1] + ((0,),)),
         {"double-coset-counting": "[('S3', 'C2', 0), ('S3', 'C2', 'total')]"},
         111, id="double-coset-counting"),
     pytest.param(
@@ -135,7 +133,7 @@ PLANTED = [
     pytest.param(
         _check_complex_identities, "betti_numbers",
         lambda C: C.lattice.group.label == "C4" and _ends_at_top(C),
-        lambda result: dataclasses.replace(result, euler=9),
+        lambda result: result._replace(euler=9),
         {"complex-identities:C4": "n=1 reduced: euler 9 != 1"},
         162, id="complex-identities-euler"),
     pytest.param(
