@@ -12,7 +12,7 @@ k alone.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -169,27 +169,29 @@ def _restriction_memo(psi: GroupHom) -> tuple[dict[int, tuple[tuple[int, ...], .
     return _derived(psi, "_restriction_memo", None, build)
 
 
-def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
-                   keep_degenerate: bool) -> list[tuple[dict[tuple[int, ...], int], int]]:
-    """Raw double-coset expansions of chain classes under psi, in integers.
+def _pullback_expander(psi: GroupHom, n: int, keep_degenerate: bool
+                       ) -> Callable[[tuple[int, ...]], tuple[dict[tuple[int, ...], int], int]]:
+    """The raw double-coset expansion of one chain class under psi, in integers.
 
-    Returns one (numerators by canonical chain, denominator) pair per chain,
-    in the order given: the coefficient [G : psi^-1(k H_0 k^-1)] / [K : H_0]
-    of every term of one chain shares the denominator [K : H_0], so only the
-    numerators are summed. psi's memo and both lattices, memoized on
-    their groups, are read once per batch.
+    ``expand(ids)`` returns (numerators by canonical chain, denominator): the
+    coefficient [G : psi^-1(k H_0 k^-1)] / [K : H_0] of every term of one
+    chain shares the denominator [K : H_0], so only the numerators are
+    summed. The pullback tables are those of psi's memo, one per double-coset
+    representative of the chain's bottom subgroup, made the first time that
+    bottom is met; psi's memo and both lattices, memoized on their groups,
+    are read once, when the expander is made.
 
     With ``keep_degenerate`` the weakly increasing pullback chains survive
     (the unnormalized simplicial picture); otherwise they are dropped, which
     is the normalized-complex convention used by ``restrict``.
     """
-    G = psi.source
+    G, K = psi.source, psi.target
     n_eff = effective_level(G, n)
     tables_of, preimage = _restriction_memo(psi)
-    source, target = subgroup_lattice(G), subgroup_lattice(psi.target)
+    source, target = subgroup_lattice(G), subgroup_lattice(K)
     orders, canonical = source.orders, source.canonical
-    out = []
-    for ids in chains:
+
+    def expand(ids: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
         tables = tables_of.get(ids[0])
         if tables is None:
             dec = double_coset_decomposition(psi, target.subgroups[ids[0]])
@@ -207,8 +209,8 @@ def _pullback_sums(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int,
                 raise FiltrationViolation("pulled-back chain left the filtration")
             canon = canonical(pulled)
             sums[canon] = sums.get(canon, 0) + G.order // orders[pulled[0]]
-        out.append((sums, psi.target.order // target.orders[ids[0]]))
-    return out
+        return sums, K.order // target.orders[ids[0]]
+    return expand
 
 
 def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
@@ -216,10 +218,17 @@ def _same_ratios(lhs: dict[tuple[int, ...], int], lhs_den: int,
     """True when lhs / lhs_den and rhs / rhs_den are one vector; zero entries are ignored.
 
     A key missing on one side counts as zero there. Both denominators are
-    positive, so a cross-multiplied zero matches only a zero.
+    positive, so a cross-multiplied zero matches only a zero. One loop
+    compares every key of lhs; the other needs only find a nonzero key of
+    rhs that lhs lacks, as the shared keys are compared already.
     """
-    return all(lhs.get(k, 0) * rhs_den == rhs.get(k, 0) * lhs_den
-               for k in lhs.keys() | rhs.keys())
+    for key, num in lhs.items():
+        if num * rhs_den != rhs.get(key, 0) * lhs_den:
+            return False
+    for key, num in rhs.items():
+        if num and key not in lhs:
+            return False
+    return True
 
 
 def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:
@@ -233,8 +242,9 @@ def restrict(psi: GroupHom, v: ChainVector) -> ChainVector:
     if v.group is not psi.target:
         raise ValueError("vector does not live over the target of psi")
     out: dict[tuple[int, ...], Fraction] = {}
-    expanded = _pullback_sums(psi, v.coefficients, v.n, keep_degenerate=False)
-    for coeff, (nums, den) in zip(v.coefficients.values(), expanded):
+    expand = _pullback_expander(psi, v.n, keep_degenerate=False)
+    for ids, coeff in v.coefficients.items():
+        nums, den = expand(ids)
         for key, num in nums.items():
             if num:
                 out[key] = out.get(key, Fraction(0)) + coeff * Fraction(num, den)
@@ -261,13 +271,17 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
     Both sides are expanded as raw simplicial sums (degenerate pullback
     chains retained), because d_0 alone does not descend to the normalized
     complex; the full boundary does, and its compatibility follows from
-    this face-level identity. Each distinct tail ids[1:] is expanded once
-    per call; nothing is kept after it returns.
+    this face-level identity. Every chain is validated first; then one pass
+    takes each chain in turn: its tail ids[1:] is expanded on its own
+    bottom's tables (once per distinct tail in this call; nothing is kept
+    after it returns), the chain is expanded, each term is mapped through
+    d_0, and the two sides are compared. The first chain that fails ends
+    the pass.
 
-    The comparison is exact and integer: each side is a dict of numerators
-    over one denominator, and the sides agree when they have the same keys
-    with a nonzero numerator and lhs[k] * rhs_den == rhs[k] * lhs_den for
-    every key.
+    The comparison is exact and integer (``_same_ratios``): each side is a
+    dict of numerators over one denominator, and the sides agree when they
+    have the same keys with a nonzero numerator and
+    lhs[k] * rhs_den == rhs[k] * lhs_den for every key.
     """
     chains = tuple(chains)
     if not chains:
@@ -276,15 +290,19 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
     if len(chains[0]) < 2:
         raise ValueError("d_0 compatibility needs a chain of degree >= 1")
     canonical = subgroup_lattice(psi.source).canonical
-    tails = tuple(dict.fromkeys(ids[1:] for ids in chains))
-    lhs_of = dict(zip(tails, _pullback_sums(psi, tails, n, keep_degenerate=True)))
-    expanded = _pullback_sums(psi, chains, n, keep_degenerate=True)
-    for ids, (terms, rhs_den) in zip(chains, expanded):
+    expand = _pullback_expander(psi, n, keep_degenerate=True)
+    lhs_of: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]] = {}
+    for ids in chains:
+        tail = ids[1:]
+        lhs = lhs_of.get(tail)
+        if lhs is None:
+            lhs = lhs_of[tail] = expand(tail)
+        terms, rhs_den = expand(ids)
         rhs: dict[tuple[int, ...], int] = {}
         for key, num in terms.items():
             face = canonical(key[1:])
             rhs[face] = rhs.get(face, 0) + num
-        if not _same_ratios(*lhs_of[ids[1:]], rhs, rhs_den):
+        if not _same_ratios(*lhs, rhs, rhs_den):
             return False
     return True
 

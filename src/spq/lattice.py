@@ -110,8 +110,13 @@ class OrbitPoset:
 
         Entry by entry, the least image of the next id under the members of
         Gamma still eligible is the first of its moves they meet, and the
-        eligible members narrow to that move's by AND.
+        eligible members narrow to that move's by AND. When Gamma is the
+        identity (no ``conj_perms``, the test ``orbit_complex`` makes) every
+        tuple is its own orbit, so ``tuple(ids)`` is returned as is: ``moves``
+        is not read, and ids are not checked against the poset.
         """
+        if not self.conj_perms:
+            return tuple(ids)
         least = []
         eligible = -1  # every bit set: all of Gamma
         for i in ids:
@@ -520,7 +525,9 @@ def check_boundaries(C: OrbitComplex) -> None:
                     f"degree {k} lists a chain of total index {cls.total_index} after one "
                     f"of {previous}, out of filtration order", column=j)
             previous = cls.total_index
-            if any(below[r] > cls.total_index for r in col):
+            # degree k - 1 is in filtration order already, so its largest
+            # row holds the largest total index of the column
+            if col and below[max(col)] > cls.total_index:
                 raise NotAComplex(
                     f"d_{k} takes a chain of total index {cls.total_index} to one above it",
                     column=j)

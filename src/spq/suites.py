@@ -285,8 +285,10 @@ def _check_d0_identity() -> list[CheckResult]:
     """Restriction along each surjection of catalog groups of order <= 16 commutes
     with d_0 on the target's degree-1 and degree-2 classes.
 
-    One ``verify_d0_compatibility`` call takes all classes of one degree;
-    only a failing batch is re-checked chain by chain, to name its masks.
+    One ``verify_d0_compatibility`` call takes all classes of one degree and
+    checks them in one pass; only a failing batch is re-checked chain by
+    chain, to name its masks. Most sources are abelian, so their Gamma is the
+    identity and every ``canonical`` call returns its argument as is.
     """
     checked = 0
     failures = []

@@ -306,6 +306,30 @@ def test_d0_batch_agrees_with_one_chain_calls(spec):
             assert verify_d0_compatibility(psi, chains, n) is one_by_one
 
 
+def test_d0_tail_is_expanded_on_its_own_tables():
+    # a wrong pullback table planted for base id b alone: a chain whose tail
+    # starts at b meets it only through the tail's own expansion, so a check
+    # that read the tail side off the chain's expansion would pass it
+    psi = GroupHom.identity(builtin("D8"))
+    lat = subgroup_lattice(psi.target)
+    b, top = 1, lat.top_id
+    assert lat.subgroups[b].order == 2
+    _, preimage = spq.global_functor._restriction_memo(psi)
+    bad = list(preimage)
+    bad[b], bad[top] = bad[top], bad[b]
+    fault = GroupHom(psi.source, psi.target, psi.image_of)
+    fault.__dict__["_restriction_memo"] = {None: ({b: (tuple(bad),)}, preimage)}
+    for level in chain_classes(psi.target, 8)[1:3]:
+        chains = [cls.representative for cls in level]
+        tail_at_b = [ids for ids in chains if ids[1] == b]
+        clear = [ids for ids in chains if b not in ids]
+        assert tail_at_b and clear
+        assert not any(verify_d0_compatibility(fault, (ids,), 8) for ids in tail_at_b)
+        assert verify_d0_compatibility(fault, clear, 8)
+        assert not verify_d0_compatibility(fault, chains, 8)
+        assert verify_d0_compatibility(psi, chains, 8)
+
+
 def test_d0_batch_rejects_an_empty_or_mixed_batch():
     S3 = builtin("S3")
     top = subgroup_lattice(S3).top_id

@@ -623,6 +623,8 @@ def _check_against_full_scan(P, data):
                                       min_size=1, max_size=6))
     for ids in (tuple(chain), tuple(with_repeats)):
         assert P.canonical(ids) == full_scan_canonical(P, ids)
+        # a list never equals a tuple, so this also pins the tuple result
+        assert P.canonical(list(ids)) == full_scan_canonical(P, ids)
     canon = P.canonical(tuple(chain))
     assert _walked_classes(P)[canon].orbit_size == len(set_orbit(P, canon))
 
@@ -676,9 +678,15 @@ def walked_classes(P, n, require_top):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(("S3", "D8", "Q8", "A4", "D16", "SL2F3", "S4")), st.data())
+@given(st.sampled_from(("S3", "D8", "Q8", "A4", "D16", "SL2F3", "S4", "C30", "EA(2,3)", "C2xC6")),
+       st.data())
 def test_canonical_and_orbit_size_match_full_scan(spec, data):
-    _check_against_full_scan(subgroup_lattice(catalog_group(spec)), data)
+    # the abelian groups, and Q8, whose every subgroup is normal, have Gamma
+    # the identity, where canonical returns its argument as a tuple without
+    # reading the moves
+    P = subgroup_lattice(catalog_group(spec))
+    assert (not P.conj_perms) is (spec in ("Q8", "C30", "EA(2,3)", "C2xC6"))
+    _check_against_full_scan(P, data)
 
 
 @functools.cache
