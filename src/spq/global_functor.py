@@ -271,17 +271,8 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
     Both sides are expanded as raw simplicial sums (degenerate pullback
     chains retained), because d_0 alone does not descend to the normalized
     complex; the full boundary does, and its compatibility follows from
-    this face-level identity. Every chain is validated first; then one pass
-    takes each chain in turn: its tail ids[1:] is expanded on its own
-    bottom's tables (once per distinct tail in this call; nothing is kept
-    after it returns), the chain is expanded, each term is mapped through
-    d_0, and the two sides are compared. The first chain that fails ends
-    the pass.
-
-    The comparison is exact and integer (``_same_ratios``): each side is a
-    dict of numerators over one denominator, and the sides agree when they
-    have the same keys with a nonzero numerator and
-    lhs[k] * rhs_den == rhs[k] * lhs_den for every key.
+    this face-level identity. Every call validates its whole batch
+    (``_check_chains``), then makes ``_d0_pass`` over it.
     """
     chains = tuple(chains)
     if not chains:
@@ -289,6 +280,24 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
     _check_chains(psi.target, n, len(chains[0]) - 1, chains)
     if len(chains[0]) < 2:
         raise ValueError("d_0 compatibility needs a chain of degree >= 1")
+    return _d0_pass(psi, chains, n)
+
+
+def _d0_pass(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int) -> bool:
+    """``verify_d0_compatibility`` on a batch the caller has validated: chains of one
+    degree, at least 1, over the target of psi at level n.
+
+    One pass takes each chain in turn: its tail ids[1:] is expanded on its
+    own bottom's tables (once per distinct tail in this call; nothing is
+    kept after it returns), the chain is expanded, each term is mapped
+    through d_0, and the two sides are compared. The first chain that fails
+    ends the pass.
+
+    The comparison is exact and integer (``_same_ratios``): each side is a
+    dict of numerators over one denominator, and the sides agree when they
+    have the same keys with a nonzero numerator and
+    lhs[k] * rhs_den == rhs[k] * lhs_den for every key.
+    """
     canonical = subgroup_lattice(psi.source).canonical
     expand = _pullback_expander(psi, n, keep_degenerate=True)
     lhs_of: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]] = {}

@@ -17,11 +17,12 @@ chooses it. Either way each level's ``chains`` and Euler characteristics
 come from ``chain_counts``. The rank route only checks:
 ``_ranked_report`` takes the ranks of a coinvariant complex and of its top
 slice at one level, keeping the walk's dims. ``compute_report`` runs it on
-a fresh build at one level, for the single-level checks of ``spq verify``
-and the tests; the gap probes of ``profile_report`` run it on level cuts of
-one complex, built at n = |G| and checked once, and of its one top slice:
-each cut is a prefix of every degree, with no column copied, and shares
-its complex's table of oldest cofaces. The ranks pair coboundaries
+a fresh build at one level, for the tests (``spq verify`` takes the same
+steps, once per complex of a run, through its store); the gap probes of
+``profile_report`` run it on level cuts of one complex, built at n = |G|
+and checked once, and of its one top slice: each cut is a prefix of every
+degree, with no column copied, and shares its complex's table of oldest
+cofaces. The ranks pair coboundaries
 (``homology.betti_numbers``), while the read-off reduces boundaries, so
 the probes check the read-off with another reduction of the same complex.
 """
@@ -108,8 +109,8 @@ def _ranked_report(G: FiniteGroup, n: int, coinv: OrbitComplex) -> ComputationRe
 def compute_report(G: FiniteGroup, n: int) -> ComputationReport:
     """Build the coinvariant complex at level n afresh and take the rank route on it.
 
-    The build walks level n alone, so ``spq verify`` checks each level's
-    walk with it; the build is checked once, before its top slice is cut.
+    The build walks level n alone, as each build of ``spq verify``'s store
+    does; the build is checked once, before its top slice is cut.
     """
     return _ranked_report(G, n, build_complex(G, n))
 

@@ -12,6 +12,16 @@ built lazily so that no case runs before the one ahead of it is judged.
 ``_counted`` runs every case and reports ``"<n> <unit> OK"`` or the failing
 witnesses; ``_first_failure`` stops at the first failing case and returns
 its witness.
+
+Each ``run_suite`` call makes one store, a dict that it passes to every
+check that ranks a complex; a check called alone makes its own. The store
+is keyed by ``(G.label, effective_level(G, n))``: one entry per complex,
+built once in a run by ``build_complex``, ``betti_numbers``, ``top_slice``
+and ``betti_numbers``, all looked up here. An entry keeps that build's two
+``HomologyResult``s, or the fault that stopped it, and the
+``ComputationReport`` of each n asked of it, packed by ``_level_report``;
+the complex itself is dropped once it is ranked. Nothing outlives the run,
+and nothing is kept on a group or in the module.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from itertools import combinations
 from .errors import InvariantViolation, NotAComplex
 from .global_functor import (
     ChainVector,
+    _check_chains,
+    _d0_pass,
     _fiber_keys,
     basis_vector,
     boundary,
@@ -44,6 +56,7 @@ from .lattice import (
     chain_classes,
     chain_counts,
     conjugacy_classes_of_subgroups,
+    effective_level,
     filtration_levels,
     subgroup_lattice,
     top_slice,
@@ -56,7 +69,13 @@ from .partition import (
     interval_poset,
     subgroup_conjugation_action,
 )
-from .reports import ComputationReport, compute_report, profile_report, same_padded, same_report
+from .reports import (
+    ComputationReport,
+    _level_report,
+    profile_report,
+    same_padded,
+    same_report,
+)
 
 CATALOG: tuple[str, ...] = (
     "C1", "C2", "C3", "C4", "C6", "C8", "C9", "C27", "C30",
@@ -129,12 +148,48 @@ def _check_table(spec: str) -> CheckResult:
                    [(s, e, tuple(pi)) for s, e, pi in got])
 
 
+class _Ranked(namedtuple("_Ranked", "pi phi fault reports")):
+    """One store entry: ``pi`` and ``phi``, the coinvariant and reduced
+    ``HomologyResult`` of one build; ``fault``, the exception that stopped the
+    build, if any, which leaves each result it kept from being taken None; and
+    ``reports``, the ``ComputationReport`` of each n asked of the entry."""
+
+    __slots__ = ()
+
+
+def _ranked(reports: dict, G: FiniteGroup, n: int) -> _Ranked:
+    """The entry of the store ``reports`` for G at level n, built and ranked on first use.
+
+    The coinvariant complex is ranked, and so checked, before its top slice
+    is cut, as in ``compute_report``; a fault in either step is kept, not
+    raised, so that each reader meets it as if it had built the complex.
+    """
+    key = (G.label, effective_level(G, n))
+    entry = reports.get(key)
+    if entry is None:
+        pi = phi = fault = None
+        try:
+            C = build_complex(G, key[1])
+            pi = betti_numbers(C)
+            phi = betti_numbers(top_slice(C))
+        except (NotAComplex, InvariantViolation) as exc:
+            fault = exc
+        entry = reports[key] = _Ranked(pi, phi, fault, {})
+    return entry
+
+
 def _report(reports: dict, G: FiniteGroup, n: int) -> ComputationReport:
-    """``compute_report(G, n)``, built once per key (G.label, n) of ``reports``."""
-    key = (G.label, n)
-    if key not in reports:
-        reports[key] = compute_report(G, n)
-    return reports[key]
+    """The report of ``compute_report(G, n)``, read off the store ``reports``.
+
+    Packed once per n; the fault of the entry's build, if any, is raised.
+    """
+    entry = _ranked(reports, G, n)
+    if entry.fault is not None:
+        raise entry.fault
+    if n not in entry.reports:
+        pi, phi = entry.pi, entry.phi
+        entry.reports[n] = _level_report(G, n, pi.betti, phi.betti, pi.dims, pi.euler)
+    return entry.reports[n]
 
 
 def _check_steinberg(reports: dict | None = None) -> list[CheckResult]:
@@ -207,9 +262,8 @@ def _check_cyclic_prime_power(reports: dict | None = None) -> list[CheckResult]:
     return out
 
 
-def known_values_suite() -> list[CheckResult]:
-    # one report per (group, n) for this run only, so the checks share builds
-    reports: dict = {}
+def known_values_suite(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     results = [_check_table(spec) for spec in EXPECTED_TABLES]
     results += _check_steinberg(reports)
     results += _check_boundary_cases(reports)
@@ -222,15 +276,22 @@ def known_values_suite() -> list[CheckResult]:
 # properties suite
 
 
-def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
-    label = "coinvariant"  # the complex the next step builds, cuts or reads
+def _complex_identity_failure(G: FiniteGroup, n: int, reports: dict | None = None) -> str | None:
+    """The first fault of the complex at level n and of its top slice, or None.
+
+    A fault of the store entry's build is labelled by the complex it met:
+    ``coinvariant`` when the build or its rank failed, else ``reduced``.
+    """
+    reports = {} if reports is None else reports
+    label = "coinvariant"  # the complex the next step reads
     try:
         counts = chain_counts(G)
-        C = build_complex(G, n)
-        for label, top in (("coinvariant", False), ("reduced", True)):
-            if top:  # cut once the rank above has checked C: its faults are coinvariant
-                C = top_slice(C)
-            euler, counted = betti_numbers(C).euler, counts.euler(n, top=top)
+        entry = _ranked(reports, G, n)
+        for label, result, top in (("coinvariant", entry.pi, False),
+                                   ("reduced", entry.phi, True)):
+            if result is None:
+                raise entry.fault
+            euler, counted = result.euler, counts.euler(n, top=top)
             if euler != counted:
                 return f"n={n} {label}: euler {euler} != {counted}"
     except (NotAComplex, InvariantViolation) as exc:
@@ -238,23 +299,30 @@ def _complex_identity_failure(G: FiniteGroup, n: int) -> str | None:
     return None
 
 
-def _check_complex_identities() -> list[CheckResult]:
+def _check_complex_identities(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     out = []
     for spec in CATALOG:
         G = catalog_group(spec)
         levels = filtration_levels(G)
-        bad = next(filter(None, (_complex_identity_failure(G, n) for n in levels)), None)
+        bad = next(filter(None, (_complex_identity_failure(G, n, reports) for n in levels)),
+                   None)
         out.append(_result(f"complex-identities:{spec}", bad is None,
                            "d2=0 and Euler identity",
                            f"{2 * len(levels)} complexes OK" if bad is None else bad))
     return out
 
 
-def _check_semisimplicity() -> list[CheckResult]:
+def _check_semisimplicity(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
+
     def cases(G):
         for n in filtration_levels(G):
             oracle = coinvariants_of_homology_oracle(G, n)
-            direct = list(betti_numbers(build_complex(G, n)).betti)
+            entry = _ranked(reports, G, n)
+            if entry.pi is None:
+                raise entry.fault
+            direct = list(entry.pi.betti)
             yield (n, oracle, direct), same_padded(oracle, direct)
 
     out = []
@@ -285,10 +353,14 @@ def _check_d0_identity() -> list[CheckResult]:
     """Restriction along each surjection of catalog groups of order <= 16 commutes
     with d_0 on the target's degree-1 and degree-2 classes.
 
-    One ``verify_d0_compatibility`` call takes all classes of one degree and
-    checks them in one pass; only a failing batch is re-checked chain by
-    chain, to name its masks. Most sources are abelian, so their Gamma is the
-    identity and every ``canonical`` call returns its argument as is.
+    The classes of one (target, degree) form a batch, listed and validated
+    (``_check_chains``) once, at n = |K|: that is the effective level of
+    every surjection G -> K, as |G| >= |K|. Each surjection then makes one
+    ``_d0_pass`` over each batch of its target, with no validation; only a
+    failing batch is re-checked chain by chain, through
+    ``verify_d0_compatibility``, to name its masks. Most sources are
+    abelian, so their Gamma is the identity and every ``canonical`` call
+    returns its argument as is.
     """
     checked = 0
     failures = []
@@ -297,11 +369,14 @@ def _check_d0_identity() -> list[CheckResult]:
         K, n = psi.target, psi.source.order
         lat = subgroup_lattice(K)
         if kspec not in chains_of:
-            chains_of[kspec] = [[cls.representative for cls in level]
-                                for level in chain_classes(K, K.order)[1:3]]
+            chains_of[kspec] = []
+            for degree, level in enumerate(chain_classes(K, K.order)[1:3], 1):
+                chains = [cls.representative for cls in level]
+                _check_chains(K, K.order, degree, chains)
+                chains_of[kspec].append(chains)
         for chains in chains_of[kspec]:
             checked += len(chains)
-            if not verify_d0_compatibility(psi, chains, n):
+            if not _d0_pass(psi, chains, n):
                 failures.extend((gspec, kspec, lat.masks(ids)) for ids in chains
                                 if not verify_d0_compatibility(psi, (ids,), n))
     return [_result("d0-identity:surjections<=16", not failures,
@@ -487,7 +562,8 @@ def _check_nonisotypical() -> list[CheckResult]:
     return _counted("nonisotypical-acyclic", "reduced homology vanishes", "G-sets", cases())
 
 
-def _check_suspension() -> list[CheckResult]:
+def _check_suspension(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
     out = []
     for spec in CATALOG:
         G = catalog_group(spec)
@@ -496,16 +572,17 @@ def _check_suspension() -> list[CheckResult]:
         proper = interval_poset(G, G.trivial_subgroup)
         action = subgroup_conjugation_action(G, proper)
         bm1, betti = _reduced_betti_augmented(proper, action)
-        pi = compute_report(G, G.order - 1).pi
+        pi = _report(reports, G, G.order - 1).pi
         expected = [1 + bm1] + list(betti)
         ok = same_padded(pi, expected)
         out.append(_result(f"suspension:{spec}", ok, expected, list(pi)))
     return out
 
 
-def properties_suite() -> list[CheckResult]:
-    results = _check_complex_identities()
-    results += _check_semisimplicity()
+def properties_suite(reports: dict | None = None) -> list[CheckResult]:
+    reports = {} if reports is None else reports
+    results = _check_complex_identities(reports)
+    results += _check_semisimplicity(reports)
     results += _check_d0_identity()
     results += _check_transfer_boundary()
     results += _check_restrict_boundary()
@@ -516,7 +593,7 @@ def properties_suite() -> list[CheckResult]:
     results += _check_projective_decomposition()
     results += _check_partition_iso()
     results += _check_nonisotypical()
-    results += _check_suspension()
+    results += _check_suspension(reports)
     return results
 
 
@@ -527,7 +604,10 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Results of one suite, or of every suite for ``"all"``; KeyError for an unknown name."""
-    if name == "all":
-        return [res for suite in SUITES.values() for res in suite()]
-    return SUITES[name]()
+    """Results of one suite, or of every suite for ``"all"``; KeyError for an unknown name.
+
+    The suites of one call share one store, made here and dropped on return.
+    """
+    suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    reports: dict = {}
+    return [res for suite in suites for res in suite(reports)]

@@ -7,10 +7,12 @@ CLI and the test suite certify the same facts.
 
 import collections
 
+import spq.reports
 import spq.suites
-from spq import builtin, compute_report, filtration_levels
+from spq import builtin, chain_classes, compute_report, filtration_levels
 from spq.suites import (
     CATALOG,
+    EXPECTED_TABLES,
     STEINBERG_CASES,
     CheckResult,
     _check_boundary_cases,
@@ -30,7 +32,7 @@ from spq.suites import (
     _check_tau_realization,
     _check_transfer_boundary,
     catalog_group,
-    known_values_suite,
+    run_suite,
 )
 
 
@@ -111,20 +113,56 @@ def test_catalog_sanity():
     print(f"PASS catalog sanity ({len(CATALOG)} groups)")
 
 
-def test_known_values_suite_builds_each_report_once(monkeypatch):
-    requested = collections.Counter()
-    original = spq.suites.compute_report
+def _counting(monkeypatch, module, name, counter, key):
+    """Wrap ``module.name`` so that each call adds ``key(*args)`` to ``counter``."""
+    original = getattr(module, name)
 
-    def counted(G, n):
-        requested[G.label, n] += 1
-        return original(G, n)
+    def counted(*args):
+        counter[key(*args)] += 1
+        return original(*args)
 
-    monkeypatch.setattr(spq.suites, "compute_report", counted)
-    assert all(r.passed for r in known_values_suite())
-    # every n from 1 to |G| + 1 and |G| + 7 per catalog group, and the Steinberg levels
-    expected = {(f"EA({p},{k})", p ** k - 1) for p, k, _ in STEINBERG_CASES}
+    monkeypatch.setattr(module, name, counted)
+
+
+def _label_and_n(G, n, *rest):
+    return G.label, n
+
+
+def test_a_verify_run_ranks_each_level_once(monkeypatch):
+    built = collections.Counter()  # (group, n) of each build of the run's store
+    profiled = collections.Counter()  # (group, n) of each build of profile_report
+    packed = collections.Counter()  # (group, n) of each report packed from the store
+    validated = collections.Counter()  # (target, degree) of each d0 batch validated
+    rechecked = collections.Counter()  # d0 calls that validate again: only for a failing batch
+    _counting(monkeypatch, spq.suites, "build_complex", built, _label_and_n)
+    _counting(monkeypatch, spq.reports, "build_complex", profiled, _label_and_n)
+    _counting(monkeypatch, spq.suites, "_level_report", packed, _label_and_n)
+    _counting(monkeypatch, spq.suites, "_check_chains", validated,
+              lambda K, n, degree, chains: (K.label, degree))
+    _counting(monkeypatch, spq.suites, "verify_d0_compatibility", rechecked,
+              lambda psi, chains, n: psi.target.label)
+    assert all(r.passed for r in run_suite("all"))
+    # every n from 1 to |G| + 1 and |G| + 7 per catalog group, and the Steinberg
+    # levels, each packed once; no other check asks for another n
+    asked = {(f"EA({p},{k})", p ** k - 1) for p, k, _ in STEINBERG_CASES}
     for spec in CATALOG:
         order = catalog_group(spec).order
-        expected |= {(spec, n) for n in range(1, order + 2)} | {(spec, order + 7)}
-    assert set(requested) == expected and len(expected) == 254
-    assert set(requested.values()) == {1}
+        asked |= {(spec, n) for n in range(1, order + 2)} | {(spec, order + 7)}
+    assert set(packed) == asked and len(asked) == 254
+    assert set(packed.values()) == {1}
+    # one build per (group, effective level), for those n and every realized level
+    levels = {(spec, n) for spec in CATALOG for n in filtration_levels(catalog_group(spec))}
+    effective = {(label, min(n, catalog_group(label).order)) for label, n in asked}
+    assert set(built) == effective | levels and len(built) == 214
+    assert set(built.values()) == {1}
+    # the only other builds are those of the published tables' profiles
+    assert profiled == {(spec, catalog_group(spec).order): 1 for spec in EXPECTED_TABLES}
+    # each d0 batch, the classes of one degree of one target, is validated once
+    targets = [catalog_group(spec) for spec in CATALOG if catalog_group(spec).order <= 16]
+    batches = {(K.label, degree) for K in targets
+               for degree in range(1, min(3, len(chain_classes(K, K.order))))}
+    assert set(validated) == batches and len(targets) == 17 and len(batches) == 30
+    assert set(validated.values()) == {1} and not rechecked
+    # nothing outlives the run: the next one builds and validates afresh
+    assert all(r.passed for r in run_suite("all"))
+    assert set(built.values()) == set(profiled.values()) == set(validated.values()) == {2}

@@ -273,7 +273,7 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     from spq.suites import CheckResult
     monkeypatch.setitem(
         suites.SUITES, "stub",
-        lambda: [CheckResult("always-fails", False, "1", "2")])
+        lambda reports: [CheckResult("always-fails", False, "1", "2")])
     code, out, _ = run_cli(capsys, "verify", "--suite", "stub")
     assert code == 1
     assert "FAIL always-fails" in out
@@ -283,7 +283,7 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
 def test_verify_lets_a_key_error_inside_a_check_propagate(monkeypatch, capsys):
     import spq.suites as suites
 
-    def broken():
+    def broken(reports):
         return {}["missing"]
 
     monkeypatch.setitem(suites.SUITES, "stub", broken)

@@ -172,7 +172,7 @@ def ea_mismatches(p, k):
     return out
 
 
-EA_CASES = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+EA_CASES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
 
 
 @pytest.mark.parametrize("p,k", EA_CASES)

@@ -13,8 +13,11 @@ import spq.suites
 from spq.errors import InvariantViolation
 from spq.global_functor import ChainVector
 from spq.suites import (
+    EXPECTED_TABLES,
+    _check_boundary_cases,
     _check_complex_identities,
     _check_cyclic_prime_power,
+    _check_d0_identity,
     _check_divisor_jump,
     _check_double_cosets,
     _check_functoriality,
@@ -24,8 +27,12 @@ from spq.suites import (
     _check_projective_decomposition,
     _check_restrict_boundary,
     _check_semisimplicity,
+    _check_steinberg,
+    _check_suspension,
+    _check_table,
     _check_tau_realization,
     _check_transfer_boundary,
+    run_suite,
 )
 
 
@@ -85,14 +92,14 @@ PLANTED = [
                                   "('C2xC2', 2, 4)]"},
         20, id="nonisotypical-acyclic"),
     pytest.param(
-        _check_divisor_jump, "compute_report",
-        lambda G, n: G.label in ("C3", "C2xC6") and n % 2 == 1 and n > 1,
+        _check_divisor_jump, "_level_report",
+        lambda G, n, *vectors: G.label in ("C3", "C2xC6") and n % 2 == 1 and n > 1,
         lambda rep: rep._replace(euler=7),
         {"divisor-jump:C3": "jump at n=4", "divisor-jump:C2xC6": "jump at n=5"},
         227, id="divisor-jump"),
     pytest.param(
-        _check_cyclic_prime_power, "compute_report",
-        lambda G, n: G.label == "C9" and n % 2 == 1 and n > 1,
+        _check_cyclic_prime_power, "_level_report",
+        lambda G, n, *vectors: G.label == "C9" and n % 2 == 1 and n > 1,
         lambda rep: rep._replace(pi=(1, 1)),
         {"degree-zero:C9": "higher pi at n=3"},
         81, id="degree-zero"),
@@ -143,8 +150,9 @@ PLANTED = [
 ]
 
 
-@pytest.mark.parametrize("check,binding,when,fault,failures,calls", PLANTED)
-def test_planted_fault_text(monkeypatch, check, binding, when, fault, failures, calls):
+def _plant(monkeypatch, binding, when, fault):
+    """Wrap ``spq.suites.<binding>`` so that the calls ``when`` picks go wrong; returns
+    the list of every call's arguments."""
     original = getattr(spq.suites, binding)
     made = []
 
@@ -153,9 +161,49 @@ def test_planted_fault_text(monkeypatch, check, binding, when, fault, failures, 
         return fault(original(*args)) if when(*args) else original(*args)
 
     monkeypatch.setattr(spq.suites, binding, planted)
+    return made
+
+
+@pytest.mark.parametrize("check,binding,when,fault,failures,calls", PLANTED)
+def test_planted_fault_text(monkeypatch, check, binding, when, fault, failures, calls):
+    made = _plant(monkeypatch, binding, when, fault)
     results = check()
     assert {r.name: r.computed for r in results if not r.passed} == failures
     assert len(made) == calls  # a check that stops at its first failure makes no later call
+
+
+# the checks that read a run's store, whose faults a shared entry could hide
+SHARED = [case for case in PLANTED
+          if case.values[0] in (_check_divisor_jump, _check_cyclic_prime_power,
+                                _check_semisimplicity, _check_complex_identities)]
+
+
+@pytest.mark.parametrize("check,binding,when,fault,failures,calls", SHARED)
+def test_planted_fault_shows_in_a_whole_run(monkeypatch, check, binding, when, fault,
+                                            failures, calls):
+    # earlier checks of the run have ranked the faulty complexes already
+    _plant(monkeypatch, binding, when, fault)
+    if fault is _raises:  # the known-values suite meets the fault first, and stops the run
+        with pytest.raises(InvariantViolation, match="planted"):
+            run_suite("all")
+        return
+    computed = {r.name: r.computed for r in run_suite("all")}
+    assert {name: computed[name] for name in failures} == failures
+
+
+def test_suites_share_a_store_but_not_their_results():
+    whole = run_suite("all")
+    assert all(r.passed for r in whole)
+    assert run_suite("paper") + run_suite("properties") == whole
+    # each check alone, with a store of its own, gives what it gives in the run
+    alone = [[_check_table(spec) for spec in EXPECTED_TABLES], _check_steinberg(),
+             _check_boundary_cases(), _check_divisor_jump(), _check_cyclic_prime_power(),
+             _check_complex_identities(), _check_semisimplicity(), _check_d0_identity(),
+             _check_transfer_boundary(), _check_restrict_boundary(),
+             _check_inner_automorphisms(), _check_functoriality(), _check_double_cosets(),
+             _check_tau_realization(), _check_projective_decomposition(),
+             _check_partition_iso(), _check_nonisotypical(), _check_suspension()]
+    assert [r for results in alone for r in results] == whole
 
 
 def test_passing_text():
