@@ -284,14 +284,16 @@ def verify_d0_compatibility(psi: GroupHom, chains: Iterable[tuple[int, ...]], n:
 
 
 def _d0_pass(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int) -> bool:
-    """``verify_d0_compatibility`` on a batch the caller has validated: chains of one
-    degree, at least 1, over the target of psi at level n.
+    """``verify_d0_compatibility`` on chains the caller has validated: chains of
+    degree at least 1, not necessarily all of one degree, over the target of
+    psi at level n.
 
     One pass takes each chain in turn: its tail ids[1:] is expanded on its
-    own bottom's tables (once per distinct tail in this call; nothing is
-    kept after it returns), the chain is expanded, each term is mapped
-    through d_0, and the two sides are compared. The first chain that fails
-    ends the pass.
+    own bottom's tables, the chain is expanded, each term is mapped through
+    d_0, and the two sides are compared. Each expansion is kept for the rest
+    of this call, so a chain met as itself and as a tail is expanded once;
+    nothing is kept after it returns. The first chain that fails ends the
+    pass.
 
     The comparison is exact and integer (``_same_ratios``): each side is a
     dict of numerators over one denominator, and the sides agree when they
@@ -299,13 +301,17 @@ def _d0_pass(psi: GroupHom, chains: Iterable[tuple[int, ...]], n: int) -> bool:
     lhs[k] * rhs_den == rhs[k] * lhs_den for every key.
     """
     canonical = subgroup_lattice(psi.source).canonical
-    expand = _pullback_expander(psi, n, keep_degenerate=True)
-    lhs_of: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]] = {}
+    raw = _pullback_expander(psi, n, keep_degenerate=True)
+    expanded: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]] = {}
+
+    def expand(ids: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+        sides = expanded.get(ids)
+        if sides is None:
+            sides = expanded[ids] = raw(ids)
+        return sides
+
     for ids in chains:
-        tail = ids[1:]
-        lhs = lhs_of.get(tail)
-        if lhs is None:
-            lhs = lhs_of[tail] = expand(tail)
+        lhs = expand(ids[1:])
         terms, rhs_den = expand(ids)
         rhs: dict[tuple[int, ...], int] = {}
         for key, num in terms.items():

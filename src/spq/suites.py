@@ -14,14 +14,19 @@ witnesses; ``_first_failure`` stops at the first failing case and returns
 its witness.
 
 Each ``run_suite`` call makes one store, a dict that it passes to every
-check that ranks a complex; a check called alone makes its own. The store
-is keyed by ``(G.label, effective_level(G, n))``: one entry per complex,
-built once in a run by ``build_complex``, ``betti_numbers``, ``top_slice``
-and ``betti_numbers``, all looked up here. An entry keeps that build's two
-``HomologyResult``s, or the fault that stopped it, and the
-``ComputationReport`` of each n asked of it, packed by ``_level_report``;
-the complex itself is dropped once it is ranked. Nothing outlives the run,
-and nothing is kept on a group or in the module.
+check that ranks a complex; a check called alone makes its own. Each
+``(G.label, effective_level(G, n))`` asked of the store is walked once, by
+``chain_classes``. The rest of the build is keyed by that walk, ``(G.label,
+its classes by degree)``, compared by equality, so a level whose walk
+equals an earlier one shares its entry: between two realized levels the
+complex is the one of the realized level below, and only the walk can show
+that it is. A new walk is assembled by ``orbit_complex`` and ranked by
+``betti_numbers``, ``top_slice`` and ``betti_numbers``, all looked up
+here. An entry keeps that build's two ``HomologyResult``s, or the fault
+that stopped it, and the ``ComputationReport`` of each n asked of it,
+packed by ``_level_report``; the complex itself is dropped once it is
+ranked. Nothing outlives the run, and nothing is kept on a group or in the
+module.
 """
 
 from __future__ import annotations
@@ -52,12 +57,12 @@ from .groups import (
 )
 from .homology import betti_numbers, coinvariants_of_homology_oracle
 from .lattice import (
-    build_complex,
     chain_classes,
     chain_counts,
     conjugacy_classes_of_subgroups,
     effective_level,
     filtration_levels,
+    orbit_complex,
     subgroup_lattice,
     top_slice,
 )
@@ -151,37 +156,57 @@ def _check_table(spec: str) -> CheckResult:
 class _Ranked(namedtuple("_Ranked", "pi phi fault reports")):
     """One store entry: ``pi`` and ``phi``, the coinvariant and reduced
     ``HomologyResult`` of one build; ``fault``, the exception that stopped the
-    build, if any, which leaves each result it kept from being taken None; and
-    ``reports``, the ``ComputationReport`` of each n asked of the entry."""
+    walk or the build, if any, which leaves each result it kept from being
+    taken None; and ``reports``, the ``ComputationReport`` of each n asked of
+    the entry, whichever of the levels sharing the entry it was asked at."""
 
     __slots__ = ()
 
 
 def _ranked(reports: dict, G: FiniteGroup, n: int) -> _Ranked:
-    """The entry of the store ``reports`` for G at level n, built and ranked on first use.
+    """The entry of the store ``reports`` for G at level n, walked on first use.
+
+    The walk's faults are kept in an entry of this level alone. A walk met
+    before, class for class, shares that walk's entry; a new one is built
+    and ranked (``_built``).
+    """
+    key = (G.label, effective_level(G, n))
+    entry = reports.get(key)
+    if entry is None:
+        try:
+            walk = (G.label, tuple(map(tuple, chain_classes(G, key[1]))))
+        except (NotAComplex, InvariantViolation) as exc:
+            entry = _Ranked(None, None, exc, {})
+        else:
+            entry = reports.get(walk)
+            if entry is None:
+                entry = reports[walk] = _built(G, walk[1])
+        reports[key] = entry
+    return entry
+
+
+def _built(G: FiniteGroup, classes: tuple) -> _Ranked:
+    """A new store entry: G's complex on ``classes``, assembled and ranked.
 
     The coinvariant complex is ranked, and so checked, before its top slice
     is cut, as in ``compute_report``; a fault in either step is kept, not
     raised, so that each reader meets it as if it had built the complex.
     """
-    key = (G.label, effective_level(G, n))
-    entry = reports.get(key)
-    if entry is None:
-        pi = phi = fault = None
-        try:
-            C = build_complex(G, key[1])
-            pi = betti_numbers(C)
-            phi = betti_numbers(top_slice(C))
-        except (NotAComplex, InvariantViolation) as exc:
-            fault = exc
-        entry = reports[key] = _Ranked(pi, phi, fault, {})
-    return entry
+    pi = phi = fault = None
+    try:
+        C = orbit_complex(subgroup_lattice(G), classes)
+        pi = betti_numbers(C)
+        phi = betti_numbers(top_slice(C))
+    except (NotAComplex, InvariantViolation) as exc:
+        fault = exc
+    return _Ranked(pi, phi, fault, {})
 
 
 def _report(reports: dict, G: FiniteGroup, n: int) -> ComputationReport:
     """The report of ``compute_report(G, n)``, read off the store ``reports``.
 
-    Packed once per n; the fault of the entry's build, if any, is raised.
+    Packed once per n; the fault that stopped the entry's walk or build, if
+    any, is raised.
     """
     entry = _ranked(reports, G, n)
     if entry.fault is not None:
@@ -279,8 +304,9 @@ def known_values_suite(reports: dict | None = None) -> list[CheckResult]:
 def _complex_identity_failure(G: FiniteGroup, n: int, reports: dict | None = None) -> str | None:
     """The first fault of the complex at level n and of its top slice, or None.
 
-    A fault of the store entry's build is labelled by the complex it met:
-    ``coinvariant`` when the build or its rank failed, else ``reduced``.
+    A fault of the store entry is labelled by the complex it met:
+    ``coinvariant`` when the walk, the build or its rank failed, else
+    ``reduced``.
     """
     reports = {} if reports is None else reports
     label = "coinvariant"  # the complex the next step reads
@@ -356,11 +382,12 @@ def _check_d0_identity() -> list[CheckResult]:
     The classes of one (target, degree) form a batch, listed and validated
     (``_check_chains``) once, at n = |K|: that is the effective level of
     every surjection G -> K, as |G| >= |K|. Each surjection then makes one
-    ``_d0_pass`` over each batch of its target, with no validation; only a
-    failing batch is re-checked chain by chain, through
-    ``verify_d0_compatibility``, to name its masks. Most sources are
-    abelian, so their Gamma is the identity and every ``canonical`` call
-    returns its argument as is.
+    ``_d0_pass`` over both batches of its target, degree 1 first, with no
+    validation, so a degree-1 chain is expanded once, whether it is met as
+    a chain or as the tail of a degree-2 chain. Only a failing pass is
+    re-checked chain by chain, through ``verify_d0_compatibility``, to name
+    its masks. Most sources are abelian, so their Gamma is the identity and
+    every ``canonical`` call returns its argument as is.
     """
     checked = 0
     failures = []
@@ -368,17 +395,17 @@ def _check_d0_identity() -> list[CheckResult]:
     for gspec, kspec, psi in _surjection_pairs(16):
         K, n = psi.target, psi.source.order
         lat = subgroup_lattice(K)
-        if kspec not in chains_of:
-            chains_of[kspec] = []
+        chains = chains_of.get(kspec)
+        if chains is None:
+            chains = chains_of[kspec] = []
             for degree, level in enumerate(chain_classes(K, K.order)[1:3], 1):
-                chains = [cls.representative for cls in level]
-                _check_chains(K, K.order, degree, chains)
-                chains_of[kspec].append(chains)
-        for chains in chains_of[kspec]:
-            checked += len(chains)
-            if not _d0_pass(psi, chains, n):
-                failures.extend((gspec, kspec, lat.masks(ids)) for ids in chains
-                                if not verify_d0_compatibility(psi, (ids,), n))
+                batch = [cls.representative for cls in level]
+                _check_chains(K, K.order, degree, batch)
+                chains += batch
+        checked += len(chains)
+        if not _d0_pass(psi, chains, n):
+            failures.extend((gspec, kspec, lat.masks(ids)) for ids in chains
+                            if not verify_d0_compatibility(psi, (ids,), n))
     return [_result("d0-identity:surjections<=16", not failures,
                     "restriction commutes with d0",
                     f"{checked} checks OK" if not failures else str(failures[:3]))]

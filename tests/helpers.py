@@ -5,7 +5,9 @@ built by testing a strict order on every pair, ``complex_to_json_dict``,
 the JSON dump behind the byte-stability digest of the catalog complexes,
 Gaussian binomials for the closed forms of elementary abelian groups, a
 class count planted one class high, a complex with boundary entries
-planted, and a complex with its bases permuted (rows renamed to match).
+planted, a complex with its bases permuted (rows renamed to match), a
+wrapper that counts the calls of one module binding, and the level of a
+walk's or a complex's classes.
 They stay out of ``spq`` so that a reference never ships with the code that
 it checks.
 """
@@ -168,3 +170,23 @@ def cut_rank_mismatches(C: OrbitComplex) -> list[int]:
     return [n for n in levels
             if betti_numbers(cut := level_cut(C, n)).ranks
             != tuple(rank_exact(m) for m in cut.boundaries)]
+
+
+def counting(monkeypatch, module, name, counter, key):
+    """Wrap ``module.name`` so that each call adds ``key(*args)`` to ``counter``;
+    a call whose key is None is not counted."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        tag = key(*args)
+        if tag is not None:
+            counter[tag] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def largest_index(bases) -> int:
+    """The largest total index among chain classes listed by degree: the realized
+    level that a complex with these bases, or a walk with these classes, is at."""
+    return max(cls.total_index for basis in bases for cls in basis)

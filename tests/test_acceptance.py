@@ -7,6 +7,8 @@ CLI and the test suite certify the same facts.
 
 import collections
 
+from helpers import counting, largest_index
+
 import spq.reports
 import spq.suites
 from spq import builtin, chain_classes, compute_report, filtration_levels
@@ -113,34 +115,39 @@ def test_catalog_sanity():
     print(f"PASS catalog sanity ({len(CATALOG)} groups)")
 
 
-def _counting(monkeypatch, module, name, counter, key):
-    """Wrap ``module.name`` so that each call adds ``key(*args)`` to ``counter``."""
-    original = getattr(module, name)
-
-    def counted(*args):
-        counter[key(*args)] += 1
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 def _label_and_n(G, n, *rest):
     return G.label, n
 
 
 def test_a_verify_run_ranks_each_level_once(monkeypatch):
-    built = collections.Counter()  # (group, n) of each build of the run's store
+    asking = []  # the arguments of each ask of the run's store still in progress
+    walked = collections.Counter()  # (group, n) of each walk the store makes
+    assembled = collections.Counter()  # (group, level) of each complex the store assembles
     profiled = collections.Counter()  # (group, n) of each build of profile_report
     packed = collections.Counter()  # (group, n) of each report packed from the store
     validated = collections.Counter()  # (target, degree) of each d0 batch validated
-    rechecked = collections.Counter()  # d0 calls that validate again: only for a failing batch
-    _counting(monkeypatch, spq.suites, "build_complex", built, _label_and_n)
-    _counting(monkeypatch, spq.reports, "build_complex", profiled, _label_and_n)
-    _counting(monkeypatch, spq.suites, "_level_report", packed, _label_and_n)
-    _counting(monkeypatch, spq.suites, "_check_chains", validated,
-              lambda K, n, degree, chains: (K.label, degree))
-    _counting(monkeypatch, spq.suites, "verify_d0_compatibility", rechecked,
-              lambda psi, chains, n: psi.target.label)
+    rechecked = collections.Counter()  # d0 calls that validate again: only for a failing pass
+    ranked = spq.suites._ranked
+
+    def ask(*args):
+        asking.append(args)
+        try:
+            return ranked(*args)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(spq.suites, "_ranked", ask)
+    # the d0, transfer, restriction and tau checks walk too, outside the store
+    counting(monkeypatch, spq.suites, "chain_classes", walked,
+             lambda G, n: (G.label, n) if asking else None)
+    counting(monkeypatch, spq.suites, "orbit_complex", assembled,
+             lambda P, classes: (P.group.label, largest_index(classes)))
+    counting(monkeypatch, spq.reports, "build_complex", profiled, _label_and_n)
+    counting(monkeypatch, spq.suites, "_level_report", packed, _label_and_n)
+    counting(monkeypatch, spq.suites, "_check_chains", validated,
+             lambda K, n, degree, chains: (K.label, degree))
+    counting(monkeypatch, spq.suites, "verify_d0_compatibility", rechecked,
+             lambda psi, chains, n: psi.target.label)
     assert all(r.passed for r in run_suite("all"))
     # every n from 1 to |G| + 1 and |G| + 7 per catalog group, and the Steinberg
     # levels, each packed once; no other check asks for another n
@@ -150,11 +157,17 @@ def test_a_verify_run_ranks_each_level_once(monkeypatch):
         asked |= {(spec, n) for n in range(1, order + 2)} | {(spec, order + 7)}
     assert set(packed) == asked and len(asked) == 254
     assert set(packed.values()) == {1}
-    # one build per (group, effective level), for those n and every realized level
+    # one walk per (group, effective level), for those n and every realized level
     levels = {(spec, n) for spec in CATALOG for n in filtration_levels(catalog_group(spec))}
     effective = {(label, min(n, catalog_group(label).order)) for label, n in asked}
-    assert set(built) == effective | levels and len(built) == 214
-    assert set(built.values()) == {1}
+    assert set(walked) == effective | levels and len(walked) == 214
+    assert set(walked.values()) == {1}
+    # one assembly per distinct walk: the walk at n is that of the realized level
+    # at or below n, and every realized level is walked
+    below = {(label, max(level for level in filtration_levels(catalog_group(label))
+                         if level <= n)) for label, n in walked}
+    assert set(assembled) == below and levels <= below and len(below) == 84
+    assert set(assembled.values()) == {1}
     # the only other builds are those of the published tables' profiles
     assert profiled == {(spec, catalog_group(spec).order): 1 for spec in EXPECTED_TABLES}
     # each d0 batch, the classes of one degree of one target, is validated once
@@ -163,6 +176,7 @@ def test_a_verify_run_ranks_each_level_once(monkeypatch):
                for degree in range(1, min(3, len(chain_classes(K, K.order))))}
     assert set(validated) == batches and len(targets) == 17 and len(batches) == 30
     assert set(validated.values()) == {1} and not rechecked
-    # nothing outlives the run: the next one builds and validates afresh
+    # nothing outlives the run: the next one walks, assembles and validates afresh
     assert all(r.passed for r in run_suite("all"))
-    assert set(built.values()) == set(profiled.values()) == set(validated.values()) == {2}
+    assert (set(walked.values()) == set(assembled.values()) == set(profiled.values())
+            == set(validated.values()) == {2})

@@ -6,8 +6,10 @@ its stdout pins the failure text of none of them. Each fault below wraps one
 the number of calls made pins where a check stops.
 """
 
+import collections
+
 import pytest
-from helpers import one_class_high
+from helpers import counting, largest_index, one_class_high
 
 import spq.suites
 from spq.errors import InvariantViolation
@@ -32,6 +34,9 @@ from spq.suites import (
     _check_table,
     _check_tau_realization,
     _check_transfer_boundary,
+    _complex_identity_failure,
+    _report,
+    catalog_group,
     run_suite,
 )
 
@@ -48,11 +53,6 @@ def _higher_pair(keys):
 
 def _raises(_):
     raise InvariantViolation("planted")
-
-
-def _largest_index(C):
-    """The largest total index among C's classes: the realized level C was built at."""
-    return max(cls.total_index for basis in C.bases for cls in basis)
 
 
 def _ends_at_top(C):
@@ -125,16 +125,19 @@ PLANTED = [
         {"double-coset-counting": "[('S3', 'C2', 0), ('S3', 'C2', 'total')]"},
         111, id="double-coset-counting"),
     pytest.param(
-        _check_complex_identities, "build_complex", lambda G, n: G.label == "S3" and n == 2,
+        _check_complex_identities, "orbit_complex",
+        lambda P, classes: P.group.label == "S3" and largest_index(classes) == 2,
         _raises, {"complex-identities:S3": "n=2 coinvariant: planted"},
         81, id="complex-identities-build"),
     pytest.param(
         _check_complex_identities, "top_slice",
-        lambda C: C.lattice.group.label == "Q8" and _largest_index(C) == 8, _raises, {"complex-identities:Q8": "n=8 reduced: planted"},
+        lambda C: C.lattice.group.label == "Q8" and largest_index(C.bases) == 8,
+        _raises, {"complex-identities:Q8": "n=8 reduced: planted"},
         83, id="complex-identities-slice"),
     pytest.param(
         _check_complex_identities, "betti_numbers",
-        lambda C: C.lattice.group.label == "D8" and _ends_at_top(C) and _largest_index(C) == 4,
+        lambda C: (C.lattice.group.label == "D8" and _ends_at_top(C)
+                   and largest_index(C.bases) == 4),
         _raises, {"complex-identities:D8": "n=4 reduced: planted"},
         164, id="complex-identities-betti"),
     pytest.param(
@@ -229,3 +232,39 @@ def test_passing_text():
                      *_check_semisimplicity(), *_check_projective_decomposition()]
     assert all(r.passed for r in first_failure)
     assert {r.computed for r in first_failure if not r.name.startswith("nonvanishing")} == {"ok"}
+
+
+def _top_class_dropped(classes):
+    """``classes`` without the last class of the top degree, which is no class's face."""
+    return classes[:-1] + [classes[-1][:-1]]
+
+
+def test_a_walk_fault_at_a_level_that_is_not_realized_fails(monkeypatch):
+    # C30 at n = 7 walks the classes of level 6 but one; only that walk can show it
+    walked = collections.Counter()
+    counting(monkeypatch, spq.suites, "chain_classes", walked, lambda G, n: (G.label, n))
+    _plant(monkeypatch, "chain_classes", lambda G, n: G.label == "C30" and n == 7,
+           _top_class_dropped)
+    result, = (r for r in _check_divisor_jump() if r.name == "divisor-jump:C30")
+    assert not result.passed and result.computed == "jump at n=7"
+    assert walked[("C30", 7)] == 1
+    computed = {r.name: r.computed for r in run_suite("all") if not r.passed}
+    assert computed == {"divisor-jump:C30": "jump at n=7"}
+
+
+def test_a_shared_entry_fault_is_met_at_every_n_that_shares_it(monkeypatch):
+    # C30's levels 6 to 9 walk the same classes, so they share one entry and its fault
+    walked = collections.Counter()
+    assembled = collections.Counter()
+    counting(monkeypatch, spq.suites, "chain_classes", walked, lambda G, n: (G.label, n))
+    counting(monkeypatch, spq.suites, "orbit_complex", assembled,
+             lambda P, classes: (P.group.label, largest_index(classes)))
+    _plant(monkeypatch, "orbit_complex",
+           lambda P, classes: P.group.label == "C30" and largest_index(classes) == 6, _raises)
+    G, reports = catalog_group("C30"), {}
+    for n in range(6, 10):
+        with pytest.raises(InvariantViolation, match="planted"):
+            _report(reports, G, n)
+        assert _complex_identity_failure(G, n, reports) == f"n={n} coinvariant: planted"
+    assert walked == {("C30", n): 1 for n in range(6, 10)}
+    assert assembled == {("C30", 6): 1}
