@@ -1,7 +1,7 @@
 """Command-line front end.
 
     spq compute   -g <spec> -n <int> [--json] [--phi]
-    spq profile   -g <spec> [--json] [--threads N]
+    spq profile   -g <spec> [--json]
     spq verify    --suite paper|properties|all
     spq subgroups -g <spec> [--json]
     spq partition -g <spec> --gset <gset spec> [--json]
@@ -10,6 +10,8 @@ Group specs follow the builtin grammar (C30, D16, S3, Q8, EA(2,3), SL2F3,
 products via x); ``-g @file.json`` loads the JSON group input format.
 G-set specs are ``+``-separated terms: ``regular``, ``trivial:<k>`` or
 ``coset:<i,j,...>`` (subgroup generated by the listed element indices).
+
+``profile --threads N``, N >= 1, is accepted for old scripts and has no effect.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
 3 resource cap exceeded.
@@ -104,8 +106,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.threads < 1:
+        raise SpqError(f"threads must be at least 1, got {args.threads}")
     G = _load_group(args.group, args.cap_order)
-    prof = profile_report(G, threads=args.threads)
+    prof = profile_report(G)
     if args.json:
         _emit(prof.to_json_dict())
         return 0
@@ -211,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="dimensions at every level")
     add_common(p_profile)
     p_profile.add_argument("--threads", type=int, default=1,
-                           help="worker processes for the gap probes")
+                           help="kept for old scripts; has no effect")
     p_profile.set_defaults(func=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -209,21 +209,6 @@ class ProfileReport(namedtuple("ProfileReport",
         }
 
 
-_worker_group: tuple[FiniteGroup, OrbitComplex] | None = None
-
-
-def _init_worker(G: FiniteGroup) -> None:
-    """Keep the probed group, with its cached subgroup lattice, and its complex at
-    n = |G|, built once, in the worker: the first probe checks it."""
-    global _worker_group
-    _worker_group = (G, build_complex(G, G.order))
-
-
-def _report_in_worker(n: int) -> ComputationReport:
-    G, whole = _worker_group
-    return _ranked_report(G, n, whole)
-
-
 def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
     """Reports at the given levels: counted when |G| is a prime power, else read off
     one filtered reduction of each complex.
@@ -235,16 +220,18 @@ def read_off(G: FiniteGroup, levels: list[int]) -> list[ComputationReport]:
     ``chain_counts``'s, so a class that the walk loses or adds fails the
     Euler check.
     """
+    return _read_off(G, levels, None)
+
+
+def _read_off(G: FiniteGroup, levels: list[int],
+              coinv: OrbitComplex | None) -> list[ComputationReport]:
+    """``read_off``, given the coinvariant complex ``coinv`` already built at the
+    largest of the levels, or None to build it here when |G| is not a prime power."""
     largest = max(effective_level(G, n) for n in levels)
     if _prime_of(G.order) is not None:
         return _counted_reports(G, levels)
-    return _reduced_reports(G, levels, build_complex(G, largest))
-
-
-def _reduced_reports(G: FiniteGroup, levels: list[int],
-                     coinv: OrbitComplex) -> list[ComputationReport]:
-    """``read_off`` of a group not of prime-power order, from its complex ``coinv``
-    built at the largest of the levels."""
+    if coinv is None:
+        coinv = build_complex(G, largest)
     counts = chain_counts(G)
     pi_intervals = persistence_intervals(coinv)
     phi_intervals = persistence_intervals(top_slice(coinv))
@@ -259,7 +246,7 @@ def _reduced_reports(G: FiniteGroup, levels: list[int],
     return reports
 
 
-def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
+def profile_report(G: FiniteGroup) -> ProfileReport:
     """Reports at every realized level, certified constant in between.
 
     Every level comes from ``read_off``: counted for a group of prime-power
@@ -276,34 +263,15 @@ def profile_report(G: FiniteGroup, threads: int = 1) -> ProfileReport:
     filtration order and every level being a subcomplex, by whichever step
     first ranks or cuts it; its top slice is cut once and serves the
     read-off and every probe, and a probe's level cuts are prefixes of them
-    that share their table of oldest cofaces, built at the first cut. With
-    ``threads`` > 1 the probes run in up to that many worker processes, one
-    per probe at most, each building that complex once, while the levels
-    are read off.
+    that share their table of oldest cofaces, built at the first cut.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     levels = filtration_levels(G)
     probes = [(levels[i] + 1, i)
               for i in range(len(levels) - 1) if levels[i] + 1 < levels[i + 1]]
     probes.append((G.order + 1, len(levels) - 1))
-    if threads > 1:
-        # imported here, as cli.py imports the verification layers: loading
-        # concurrent.futures adds about 5 ms to a command that does not use it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # under fork the pool starts every worker up front: start no idle ones
-        with ProcessPoolExecutor(max_workers=min(threads, len(probes)),
-                                 initializer=_init_worker,
-                                 initargs=(G,)) as pool:
-            pending = pool.map(_report_in_worker, [mid for mid, _ in probes])
-            reports = read_off(G, levels)
-            probed = list(pending)
-    else:
-        whole = build_complex(G, G.order)
-        reports = (_counted_reports(G, levels) if _prime_of(G.order) is not None
-                   else _reduced_reports(G, levels, whole))
-        probed = [_ranked_report(G, mid, whole) for mid, _ in probes]
+    whole = build_complex(G, G.order)
+    reports = _read_off(G, levels, whole)
+    probed = [_ranked_report(G, mid, whole) for mid, _ in probes]
     for (mid, below), probe in zip(probes, probed):
         if not same_report(probe, reports[below]):
             raise InvariantViolation(

@@ -1,18 +1,14 @@
 """CLI behavior: output formats, exit codes, determinism, JSON round-trips."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import pickle
-import subprocess
-import sys
 import time
 
 import pytest
 from helpers import subspace_chains
 
-import spq.reports
 from spq import (
     ComputationReport,
     OrderCapExceeded,
@@ -116,14 +112,6 @@ def test_profile_text_ranges(capsys):
     assert code == 0
     assert "[4,inf]" in out
     assert "[2,3]" in out
-
-
-def test_profile_matches_threaded():
-    G = builtin("S3")
-    seq = profile_report(G, threads=1)
-    par = profile_report(G, threads=2)
-    assert [r.to_json_dict() for r in seq.reports] == \
-        [r.to_json_dict() for r in par.reports]
 
 
 def test_shared_instance_concurrent_reads():
@@ -331,58 +319,11 @@ def test_group_json_input(tmp_path, capsys):
     assert json.loads(out)["pi"] == [1, 0]  # full lattice is contractible
 
 
-def test_profile_gap_probes_in_pool_match_serial(capsys):
-    # D16 has gap probes at n = 3, 5, 9 and 17; with --threads they run in workers
-    outputs = []
-    for threads in ("1", "2"):
-        code, out, _ = run_cli(capsys, "profile", "-g", "D16", "--json",
-                               "--threads", threads)
-        assert code == 0
-        outputs.append(out)
-    assert json.loads(outputs[0])["gap_checks"] == 4
-    assert outputs[0] == outputs[1]
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Pool sizes asked of ProcessPoolExecutor, whose stand-in starts no process."""
-    sizes = []
-
-    class SerialExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(spq.reports, "_worker_group", None)
-    return sizes
-
-
-def test_profile_pool_has_at_most_one_worker_per_probe(capsys, pool_sizes):
-    # D16 has four gap probes, so a larger pool would only hold idle workers
-    code, serial, _ = run_cli(capsys, "profile", "-g", "D16", "--json")
-    assert code == 0 and pool_sizes == []
-    for threads, size in (("2", 2), ("4", 4), ("64", 4)):
-        code, out, _ = run_cli(capsys, "profile", "-g", "D16", "--json",
-                               "--threads", threads)
-        assert code == 0 and out == serial
-        assert pool_sizes.pop() == size
-
-
 @pytest.mark.parametrize("threads", ["0", "-2"])
-def test_profile_rejects_thread_counts_below_one(capsys, pool_sizes, threads):
+def test_profile_rejects_thread_counts_below_one(capsys, threads):
     code, out, err = run_cli(capsys, "profile", "-g", "S3", "--threads", threads)
     assert_one_error_line(code, err)
-    assert "threads" in err and out == "" and pool_sizes == []
+    assert "threads" in err and out == ""
 
 
 def test_verify_all_stdout_digest(capsys):
@@ -432,33 +373,12 @@ def test_bench_compute_stdout_digest(capsys, cmd):
 
 
 def test_group_pickles_with_its_lattice():
-    # spawned pool workers receive the group pickled, cached lattice included
+    # a pickled group carries its cached subgroup lattice and profiles the same
     G = builtin("D16")
     expected = profile_report(G).to_json_dict()
     copy = pickle.loads(pickle.dumps(G))
     assert "_subgroup_lattice" in copy.__dict__
     assert profile_report(copy).to_json_dict() == expected
-
-
-def test_import_leaves_out_the_process_pool():
-    # only profile --threads N>1 needs concurrent.futures; it is imported there
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import spq, sys; assert 'concurrent.futures' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_threaded_profile_under_start_method(method):
-    # spawn and forkserver workers rebuild their state from the pickled group;
-    # forkserver is the default start method on Linux from Python 3.14
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (f"import multiprocessing; multiprocessing.set_start_method({method!r})\n"
-            "from spq import builtin, profile_report\n"
-            "par = profile_report(builtin('D16'), threads=2).to_json_dict()\n"
-            "assert par == profile_report(builtin('D16'), threads=1).to_json_dict()\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_counted_compute_of_ea26_stdout_digest(capsys):

@@ -39,6 +39,8 @@ EXPORTED = [
 VERIFY_ONLY = ("spq.global_functor", "spq.partition", "spq.suites", "fractions", "typing")
 # modules no command loads: dataclasses pulls in inspect, ast, dis and tokenize
 NEVER_LOADED = ("dataclasses", "inspect")
+# modules of a process pool: no command starts one, whatever --threads says
+POOL = ("concurrent.futures", "multiprocessing")
 
 # Runs under `python -S`, so that no site hook preloads a module. Prints, as
 # JSON, the spq modules that `import spq` loads, then per command its exit
@@ -48,7 +50,7 @@ import json, os, sys
 import spq
 bare = sorted(name for name in sys.modules if name.startswith("spq."))
 from spq.cli import main
-watched = {VERIFY_ONLY + ("concurrent.futures",) + NEVER_LOADED!r}
+watched = {VERIFY_ONLY + POOL + NEVER_LOADED!r}
 commands = json.loads(sys.argv[1])
 out, sys.stdout = sys.stdout, open(os.devnull, "w")
 runs = [(main(argv), [name for name in watched if name in sys.modules]) for argv in commands]
@@ -64,6 +66,7 @@ def test_compute_and_profile_leave_the_verify_layers_unloaded():
         ["subgroups", "--json", "-g", "S4"],
         ["partition", "--json", "-g", "S3", "--gset", "regular"],
         ["verify", "--suite", "paper"],
+        ["profile", "--json", "-g", "D16", "--threads", "2"],
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-S", "-c", CHILD, json.dumps(commands)],
@@ -71,11 +74,12 @@ def test_compute_and_profile_leave_the_verify_layers_unloaded():
     result = json.loads(done.stdout)
     assert result["bare"] == []
     codes, loaded = zip(*result["runs"])
-    assert codes == (0, 0, 0, 0, 0)
+    assert codes == (0, 0, 0, 0, 0, 0)
     assert loaded[:3] == ([], [], [])
     assert loaded[3] == ["spq.partition"]
     assert set(VERIFY_ONLY) - {"typing"} <= set(loaded[4])
     assert not set(NEVER_LOADED) & set(loaded[4])
+    assert not set(POOL) & set(loaded[5])
 
 
 def test_exported_names_are_pinned():
